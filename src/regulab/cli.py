@@ -3,9 +3,9 @@
 One experiment per invocation. Every run takes an explicit --seed (there
 is no wall-clock fallback, so documented runs stay reproducible), writes
 its CSV/PGM outputs atomically (temp file, then rename), and finishes by
-appending a JSON-lines manifest beside the outputs recording the tool
-version, subcommand, resolved parameters, seed, output files, RNG
-algorithm, and wall time.
+writing a one-line JSON-lines manifest beside the outputs, replacing any
+earlier one, recording the tool version, subcommand, resolved parameters,
+seed, output files, RNG algorithm, and wall time.
 
 Exit codes: 0 success, 2 usage or parameter error (one-line reason on
 stderr), 1 runtime error.
@@ -23,6 +23,7 @@ import os
 import sys
 import tempfile
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,12 +64,12 @@ class UsageError(ValueError):
     """Bad arguments or parameter preconditions; maps to exit code 2."""
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write_text(path: Path, chunks: Iterable[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -94,17 +95,27 @@ def _params_line(params: dict) -> str:
     return f"# params: {body}\n"
 
 
-def _csv(params: dict, header: str, rows) -> str:
-    lines = [_params_line(params), header + "\n"]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row) + "\n")
-    return "".join(lines)
+# Rows formatted per chunk: bounds the text held at once for a long series.
+_CSV_CHUNK_ROWS = 4096
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+def _csv(params: dict, header: str, *columns) -> Iterator[str]:
+    """CSV text in chunks: the ``# params:`` line, the header, then row k
+    made of item k of every column.
+
+    Columns are equal-length ranges, tuples, lists or numpy arrays. A column
+    whose first item is a float is written at 17 significant digits, any
+    other with ``str``.
+    """
+    yield _params_line(params) + header + "\n"
+    if not columns:
+        return
+    row = ",".join("{:.17g}" if isinstance(c[0], float) else "{}" for c in columns) + "\n"
+    for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        stop = start + _CSV_CHUNK_ROWS
+        chunk = [c[start:stop].tolist() if isinstance(c, np.ndarray) else c[start:stop]
+                 for c in columns]
+        yield "".join(map(row.format, *chunk))
 
 
 def emit_manifest(cfg: RunConfig, outputs: list[Path], wall_time_s: float, extra: dict | None = None) -> Path:
@@ -128,7 +139,7 @@ def emit_manifest(cfg: RunConfig, outputs: list[Path], wall_time_s: float, extra
         "wall_time_s": manifest.wall_time_s,
         "extra": manifest.extra,
     }
-    _atomic_write_text(path, json.dumps(record, sort_keys=True) + "\n")
+    _atomic_write_text(path, [json.dumps(record, sort_keys=True) + "\n"])
     return path
 
 
@@ -143,8 +154,7 @@ def _cmd_relation(a) -> tuple[list[Path], dict]:
     stream = [("kick", "calm")] * a.ticks
     traj = rel.run_relation(relation, stream, a.ticks)
     params = {"mode": a.mode, "ticks": a.ticks, "seed": a.seed}
-    text = _params_line(params) + rel.trajectory_to_csv(traj)
-    _atomic_write_text(a.output, text)
+    _atomic_write_text(a.output, [_params_line(params), rel.trajectory_to_csv(traj)])
     point = rel.point_regulation_score(traj, bins=2)
     return [a.output], {"point_entropy_bits": point}
 
@@ -154,16 +164,13 @@ def _cmd_variety(a) -> tuple[list[Path], dict]:
     cls = var.classify_mapping(mapping)
     verdict = var.requisite_variety_check(mapping)
     params = {"pairs": a.pairs, "seed": a.seed}
-    rows = [
-        (
-            cls.tag.value,
-            f"{cls.variety_ratio.numerator}/{cls.variety_ratio.denominator}",
-            "Satisfied" if verdict.satisfied else "Violated",
-            verdict.reason or "",
-        )
-    ]
-    text = _csv(params, "class,variety_ratio,verdict,reason", rows)
-    _atomic_write_text(a.output, text)
+    row = (
+        cls.tag.value,
+        f"{cls.variety_ratio.numerator}/{cls.variety_ratio.denominator}",
+        "Satisfied" if verdict.satisfied else "Violated",
+        verdict.reason or "",
+    )
+    _atomic_write_text(a.output, _csv(params, "class,variety_ratio,verdict,reason", *zip(row)))
     return [a.output], {}
 
 
@@ -177,13 +184,8 @@ def _cmd_pid(a) -> tuple[list[Path], dict]:
         "setpoint": a.setpoint, "plant_gain": a.plant_gain, "x0": a.x0,
         "disturbance": a.disturbance, "seed": a.seed,
     }
-    rows = zip(traj.ticks.tolist(), traj.x.tolist(), traj.u.tolist(), traj.e.tolist())
-    _atomic_write_text(a.output, _csv(params, "tick,x,u,e", rows))
+    _atomic_write_text(a.output, _csv(params, "tick,x,u,e", traj.ticks, traj.x, traj.u, traj.e))
     return [a.output], {"final_error": float(traj.e[-1])}
-
-
-def _series_rows(series: np.ndarray):
-    return ((i, float(v)) for i, v in enumerate(series))
 
 
 def _cmd_avalanche(a) -> tuple[list[Path], dict]:
@@ -191,41 +193,41 @@ def _cmd_avalanche(a) -> tuple[list[Path], dict]:
     if a.action == "gen":
         ps = crit.gen_power_series(a.n, a.e, a.seed)
         params = {"n": a.n, "e": a.e, "seed": a.seed}
-        text = _csv(params, "tick,value", _series_rows(ps.samples))
+        chunks = _csv(params, "tick,value", range(len(ps.samples)), ps.samples)
     elif a.action in ("pfb", "nfb"):
         ps = crit.gen_power_series(a.n, a.e, a.seed)
         mapped = crit.pfb_map(ps.samples) if a.action == "pfb" else crit.nfb_map(ps.samples)
         params = {"n": a.n, "e": a.e, "seed": a.seed, "map": a.action}
-        text = _csv(params, "tick,value", _series_rows(mapped))
+        chunks = _csv(params, "tick,value", range(len(mapped)), mapped)
     elif a.action == "bursts":
         sched = crit.BurstSchedule(a.interval_min, a.interval_max)
         rng = SplitMix64(a.seed)
-        moments = np.array([rng.next_float() for _ in range(a.n)])
+        moments = rng.floats(a.n)
         bursts, events = crit.accumulate_release(moments, sched, rng.next_u64())
         params = {
             "n": a.n, "interval_min": a.interval_min, "interval_max": a.interval_max,
             "seed": a.seed,
         }
-        text = _csv(params, "tick,burst", _series_rows(bursts))
+        chunks = _csv(params, "tick,burst", range(len(bursts)), bursts)
         extras["release_count"] = int(len(events.times))
     elif a.action == "rank":
         ps = crit.gen_power_series(a.n, a.e, a.seed)
         ranked = crit.rank_order(ps.samples, descending=not a.ascending)
         params = {"n": a.n, "e": a.e, "seed": a.seed, "descending": not a.ascending}
-        text = _csv(params, "rank,value", _series_rows(ranked))
+        chunks = _csv(params, "rank,value", range(len(ranked)), ranked)
     elif a.action == "threshold":
         curve, crossing = crit.threshold_model(a.n, a.e_model)
         params = {"n": a.n, "e_model": a.e_model, "seed": a.seed}
-        text = _csv(params, "index,value", _series_rows(curve))
+        chunks = _csv(params, "index,value", range(len(curve)), curve)
         extras["crossing_index"] = crossing
     elif a.action == "smooth":
         ps = crit.gen_power_series(a.n, a.e, a.seed)
         smoothed = crit.smooth_model(ps.samples, a.factor)
         params = {"n": a.n, "e": a.e, "factor": a.factor, "seed": a.seed}
-        text = _csv(params, "index,value", _series_rows(smoothed))
+        chunks = _csv(params, "index,value", range(len(smoothed)), smoothed)
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown avalanche action {a.action!r}")
-    _atomic_write_text(a.output, text)
+    _atomic_write_text(a.output, chunks)
     return [a.output], extras
 
 
@@ -253,7 +255,7 @@ def _cmd_diffuse(a) -> tuple[list[Path], dict]:
         "input": a.input or "synthetic",
     }
     stats_path = base.with_name(f"{base.stem}_stats.csv")
-    _atomic_write_text(stats_path, _csv(params, "step,level,mean,variance", stats_rows))
+    _atomic_write_text(stats_path, _csv(params, "step,level,mean,variance", *zip(*stats_rows)))
     outputs.append(stats_path)
     return outputs, {}
 
@@ -275,7 +277,7 @@ def _cmd_lur(a) -> tuple[list[Path], dict]:
     for p_idx, curve in enumerate(result.phase_errors):
         for t_idx, err in enumerate(curve):
             rows.append((p_idx, t_idx, err))
-    _atomic_write_text(a.output, _csv(params, "phase,trial,error", rows))
+    _atomic_write_text(a.output, _csv(params, "phase,trial,error", *zip(*rows)))
     extras = {"interference": result.interference, "savings": result.savings}
     return [a.output], extras
 
@@ -312,7 +314,7 @@ def _cmd_vehicle(a) -> tuple[list[Path], dict]:
         if dist <= a.goal_radius:
             reached = step
             break
-    _atomic_write_text(a.output, _csv(params, "step,x,y,c,m,y,k,dist", rows))
+    _atomic_write_text(a.output, _csv(params, "step,x,y,c,m,y,k,dist", *zip(*rows)))
     return [a.output], {"reached_at_step": reached}
 
 
@@ -326,7 +328,7 @@ def _cmd_demo(a) -> tuple[list[Path], dict]:
         for k, point in enumerate(traj):
             err = math.hypot(point[0] - a.tx, point[1] - a.ty)
             rows.append((k, float(point[0]), float(point[1]), err))
-        _atomic_write_text(a.output, _csv(params, "iter,x0,x1,error", rows))
+        _atomic_write_text(a.output, _csv(params, "iter,x0,x1,error", *zip(*rows)))
         outputs.append(a.output)
     else:
         w, _, h = a.grid.partition("x")
@@ -339,7 +341,7 @@ def _cmd_demo(a) -> tuple[list[Path], dict]:
         rows = []
         for (x, y), action in sorted(policy.items()):
             rows.append((x, y, demos.ACTION_NAMES[action], float(np.max(q[(x, y)]))))
-        _atomic_write_text(a.output, _csv(params, "x,y,greedy_action,value", rows))
+        _atomic_write_text(a.output, _csv(params, "x,y,greedy_action,value", *zip(*rows)))
         outputs.append(a.output)
     roles_path = a.output.with_name(a.output.stem + "_roles.jsonl")
     lines = [
@@ -347,7 +349,7 @@ def _cmd_demo(a) -> tuple[list[Path], dict]:
                    sort_keys=True)
         for comp, role in sorted(annotation.assignments.items())
     ]
-    _atomic_write_text(roles_path, "\n".join(lines) + "\n")
+    _atomic_write_text(roles_path, ["\n".join(lines) + "\n"])
     outputs.append(roles_path)
     return outputs, {}
 

@@ -69,18 +69,19 @@ class BurstSchedule:
 def gen_power_series(n: int, e: float, seed: int) -> PowerSeries:
     """Power-law values t^-e for t = 1..n, shuffled by the seeded project RNG.
 
-    Rejects e <= 0 and e >= MAX_EXPONENT (the latter yields a nearly empty,
-    black-noise-like series).
+    Rejects e outside (0, MAX_EXPONENT), NaN included (e >= MAX_EXPONENT
+    yields a nearly empty, black-noise-like series).
     """
     if n < 1:
         raise ValueError(f"series length must be >= 1, got {n}")
-    if e <= 0:
-        raise ValueError(f"exponent must be positive, got {e}")
     if e >= MAX_EXPONENT:
         raise ValueError(
             f"exponent {e} rejected: values >= {MAX_EXPONENT} give an extremely "
             f"sparse series resembling black noise"
         )
+    if not (0 < e < MAX_EXPONENT):
+        raise ValueError(f"exponent must be in (0, {MAX_EXPONENT}), got {e}")
+    # Python float pow, not numpy's power, which differs in the last ulp on AVX-512.
     values = [float(t) ** -e for t in range(1, n + 1)]
     SplitMix64(seed).shuffle(values)
     samples = np.asarray(values, dtype=float)

@@ -179,3 +179,16 @@ def test_config_file_defaults_flags_override(tmp_path):
 
 def test_gd_divergence_exit_2(tmp_path):
     assert run(["demo", "gd", "--lr", 2.5, "--seed", 0, "-o", tmp_path / "x.csv"]) == 2
+
+
+def test_nan_exponent_is_usage_error_and_writes_nothing(tmp_path):
+    out = tmp_path / "nan.csv"
+    assert run(["avalanche", "gen", "--e", "nan", "--seed", 7, "-o", out]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_nan_power_shape_is_usage_error_and_writes_nothing(tmp_path):
+    out = tmp_path / "noised.pgm"
+    code = run(["diffuse", "--mode", "power", "--levels", "nan", "--seed", 3, "-o", out])
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []
