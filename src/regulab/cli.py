@@ -5,18 +5,25 @@ is no wall-clock fallback, so documented runs stay reproducible), writes
 its CSV/PGM outputs atomically (temp file, then rename), and finishes by
 writing a one-line JSON-lines manifest beside the outputs, replacing any
 earlier one, recording the tool version, subcommand, resolved parameters,
-seed, output files, RNG algorithm, and wall time.
+seed, output files, RNG algorithm, and wall time. The CSV ``# params:``
+line and the manifest are both derived from the parsed flags.
 
 Exit codes: 0 success, 2 usage or parameter error (one-line reason on
-stderr), 1 runtime error.
+stderr), 1 runtime error. Every float flag must be a finite number; nan and
+±inf exit 2 before any file is written.
 
-Flags override a line-oriented ``key=value`` config file (--config),
-which overrides built-in defaults.
+Flags override a config file, which overrides built-in defaults. The file
+is given as ``--config path`` or ``--config=path`` before the subcommand and
+holds ``key=value`` lines (blank lines and ``#`` comments are skipped). A key
+is a flag name of the subcommand, written with ``_`` or ``-``; ``seed`` and
+``output`` may come from the file too. A key the subcommand does not accept,
+or a value its flag rejects, exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -24,7 +31,6 @@ import sys
 import tempfile
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,49 +46,20 @@ from . import relation as rel
 from . import variety as var
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    params: dict[str, str]
-    seed: int
-    output: Path
-
-
-@dataclass
-class RunManifest:
-    version: str
-    subcommand: str
-    params: dict
-    seed: int
-    outputs: list[str]
-    rng: str = RNG_ALGORITHM
-    wall_time_s: float = 0.0
-    extra: dict = field(default_factory=dict)
-
-
 class UsageError(ValueError):
     """Bad arguments or parameter preconditions; maps to exit code 2."""
 
 
-def _atomic_write_text(path: Path, chunks: Iterable[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_bytes(path: Path, blob: bytes) -> None:
+def _atomic_write(path: Path, chunks: Iterable[str | bytes]) -> None:
+    """Write ``chunks`` (text as UTF-8) to a temp file beside ``path``, then
+    rename it over ``path``. Chunks are written one at a time as they come,
+    never joined, so a long series is never held whole."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -90,8 +67,18 @@ def _atomic_write_bytes(path: Path, blob: bytes) -> None:
         raise
 
 
-def _params_line(params: dict) -> str:
-    body = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
+# Namespace entries that are not run parameters: the handler, the config
+# path, the output path and the subcommand words.
+_NOT_PARAMS = frozenset(("func", "config", "output", "subcommand", "action", "which"))
+
+
+def _params_line(a: argparse.Namespace, **shown) -> str:
+    """The ``# params:`` line: every flag of the run as ``name=value``,
+    sorted by name. ``shown`` replaces or adds display values; a flag whose
+    value is None is left out."""
+    params = {k: v for k, v in vars(a).items() if k not in _NOT_PARAMS}
+    params.update(shown)
+    body = " ".join(f"{k}={v}" for k, v in sorted(params.items()) if v is not None)
     return f"# params: {body}\n"
 
 
@@ -99,15 +86,15 @@ def _params_line(params: dict) -> str:
 _CSV_CHUNK_ROWS = 4096
 
 
-def _csv(params: dict, header: str, *columns) -> Iterator[str]:
-    """CSV text in chunks: the ``# params:`` line, the header, then row k
-    made of item k of every column.
+def _csv(a: argparse.Namespace, header: str, *columns, **shown) -> Iterator[str]:
+    """CSV text in chunks: the ``# params:`` line of ``a`` (with ``shown``),
+    the header, then row k made of item k of every column.
 
     Columns are equal-length ranges, tuples, lists or numpy arrays. A column
     whose first item is a float is written at 17 significant digits, any
     other with ``str``.
     """
-    yield _params_line(params) + header + "\n"
+    yield _params_line(a, **shown) + header + "\n"
     if not columns:
         return
     row = ",".join("{:.17g}" if isinstance(c[0], float) else "{}" for c in columns) + "\n"
@@ -118,28 +105,19 @@ def _csv(params: dict, header: str, *columns) -> Iterator[str]:
         yield "".join(map(row.format, *chunk))
 
 
-def emit_manifest(cfg: RunConfig, outputs: list[Path], wall_time_s: float, extra: dict | None = None) -> Path:
-    manifest = RunManifest(
-        version=__version__,
-        subcommand=cfg.subcommand,
-        params={**cfg.params, "seed": cfg.seed},
-        seed=cfg.seed,
-        outputs=[str(p) for p in outputs],
-        wall_time_s=wall_time_s,
-        extra=extra or {},
-    )
-    path = cfg.output.with_suffix(cfg.output.suffix + ".manifest.jsonl")
-    record = {
-        "version": manifest.version,
-        "subcommand": manifest.subcommand,
-        "params": manifest.params,
-        "seed": manifest.seed,
-        "outputs": manifest.outputs,
-        "rng": manifest.rng,
-        "wall_time_s": manifest.wall_time_s,
-        "extra": manifest.extra,
-    }
-    _atomic_write_text(path, [json.dumps(record, sort_keys=True) + "\n"])
+def emit_manifest(a: argparse.Namespace, outputs: list[Path], wall_time_s: float,
+                  extra: dict) -> Path:
+    """Write the run's one-line JSON record beside its output, replacing any
+    earlier one. ``params`` holds every namespace entry but the handler, the
+    config path and the output path, as strings, with ``seed`` as an int, so
+    the subcommand words are there for a replay."""
+    params = {k: str(v) for k, v in vars(a).items() if k not in ("func", "config", "output")}
+    params["seed"] = a.seed
+    record = {"version": __version__, "subcommand": a.subcommand, "params": params,
+              "seed": a.seed, "outputs": [str(p) for p in outputs], "rng": RNG_ALGORITHM,
+              "wall_time_s": wall_time_s, "extra": extra}
+    path = a.output.with_suffix(a.output.suffix + ".manifest.jsonl")
+    _atomic_write(path, [json.dumps(record, sort_keys=True, allow_nan=False) + "\n"])
     return path
 
 
@@ -153,8 +131,7 @@ def _cmd_relation(a) -> tuple[list[Path], dict]:
     relation = rel.toggle_benchmark(mode=mode)
     stream = [("kick", "calm")] * a.ticks
     traj = rel.run_relation(relation, stream, a.ticks)
-    params = {"mode": a.mode, "ticks": a.ticks, "seed": a.seed}
-    _atomic_write_text(a.output, [_params_line(params), rel.trajectory_to_csv(traj)])
+    _atomic_write(a.output, [_params_line(a), rel.trajectory_to_csv(traj)])
     point = rel.point_regulation_score(traj, bins=2)
     return [a.output], {"point_entropy_bits": point}
 
@@ -163,71 +140,53 @@ def _cmd_variety(a) -> tuple[list[Path], dict]:
     mapping = var.load_mapping_csv(a.pairs)
     cls = var.classify_mapping(mapping)
     verdict = var.requisite_variety_check(mapping)
-    params = {"pairs": a.pairs, "seed": a.seed}
     row = (
         cls.tag.value,
         f"{cls.variety_ratio.numerator}/{cls.variety_ratio.denominator}",
         "Satisfied" if verdict.satisfied else "Violated",
         verdict.reason or "",
     )
-    _atomic_write_text(a.output, _csv(params, "class,variety_ratio,verdict,reason", *zip(row)))
+    _atomic_write(a.output, _csv(a, "class,variety_ratio,verdict,reason", *zip(row)))
     return [a.output], {}
 
 
 def _cmd_pid(a) -> tuple[list[Path], dict]:
-    gains = pidmod.PidGains(kp=a.kp, ti=a.ti if a.ti > 0 else math.inf, td=a.td)
+    # --ti 0 disables the integral term; any other value reaches PidGains' check.
+    gains = pidmod.PidGains(kp=a.kp, ti=math.inf if a.ti == 0 else a.ti, td=a.td)
     traj = pidmod.simulate_pid(
         gains, a.plant_gain, a.setpoint, a.x0, a.dt, a.steps, disturbance=a.disturbance
     )
-    params = {
-        "kp": a.kp, "ti": a.ti, "td": a.td, "dt": a.dt, "steps": a.steps,
-        "setpoint": a.setpoint, "plant_gain": a.plant_gain, "x0": a.x0,
-        "disturbance": a.disturbance, "seed": a.seed,
-    }
-    _atomic_write_text(a.output, _csv(params, "tick,x,u,e", traj.ticks, traj.x, traj.u, traj.e))
+    _atomic_write(a.output, _csv(a, "tick,x,u,e", traj.ticks, traj.x, traj.u, traj.e))
     return [a.output], {"final_error": float(traj.e[-1])}
+
+
+_AVALANCHE_HEADERS = {"bursts": "tick,burst", "rank": "rank,value",
+                      "threshold": "index,value", "smooth": "index,value"}
 
 
 def _cmd_avalanche(a) -> tuple[list[Path], dict]:
     extras: dict = {}
-    if a.action == "gen":
-        ps = crit.gen_power_series(a.n, a.e, a.seed)
-        params = {"n": a.n, "e": a.e, "seed": a.seed}
-        chunks = _csv(params, "tick,value", range(len(ps.samples)), ps.samples)
-    elif a.action in ("pfb", "nfb"):
-        ps = crit.gen_power_series(a.n, a.e, a.seed)
-        mapped = crit.pfb_map(ps.samples) if a.action == "pfb" else crit.nfb_map(ps.samples)
-        params = {"n": a.n, "e": a.e, "seed": a.seed, "map": a.action}
-        chunks = _csv(params, "tick,value", range(len(mapped)), mapped)
-    elif a.action == "bursts":
+    shown: dict = {}
+    if a.action == "bursts":
         sched = crit.BurstSchedule(a.interval_min, a.interval_max)
         rng = SplitMix64(a.seed)
         moments = rng.floats(a.n)
-        bursts, events = crit.accumulate_release(moments, sched, rng.next_u64())
-        params = {
-            "n": a.n, "interval_min": a.interval_min, "interval_max": a.interval_max,
-            "seed": a.seed,
-        }
-        chunks = _csv(params, "tick,burst", range(len(bursts)), bursts)
+        values, events = crit.accumulate_release(moments, sched, rng.next_u64())
         extras["release_count"] = int(len(events.times))
-    elif a.action == "rank":
-        ps = crit.gen_power_series(a.n, a.e, a.seed)
-        ranked = crit.rank_order(ps.samples, descending=not a.ascending)
-        params = {"n": a.n, "e": a.e, "seed": a.seed, "descending": not a.ascending}
-        chunks = _csv(params, "rank,value", range(len(ranked)), ranked)
     elif a.action == "threshold":
-        curve, crossing = crit.threshold_model(a.n, a.e_model)
-        params = {"n": a.n, "e_model": a.e_model, "seed": a.seed}
-        chunks = _csv(params, "index,value", range(len(curve)), curve)
-        extras["crossing_index"] = crossing
-    elif a.action == "smooth":
-        ps = crit.gen_power_series(a.n, a.e, a.seed)
-        smoothed = crit.smooth_model(ps.samples, a.factor)
-        params = {"n": a.n, "e": a.e, "factor": a.factor, "seed": a.seed}
-        chunks = _csv(params, "index,value", range(len(smoothed)), smoothed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown avalanche action {a.action!r}")
-    _atomic_write_text(a.output, chunks)
+        values, extras["crossing_index"] = crit.threshold_model(a.n, a.e_model)
+    else:
+        values = crit.gen_power_series(a.n, a.e, a.seed).samples
+        if a.action in ("pfb", "nfb"):
+            values = crit.pfb_map(values) if a.action == "pfb" else crit.nfb_map(values)
+            shown["map"] = a.action
+        elif a.action == "rank":
+            values = crit.rank_order(values, descending=not a.ascending)
+            shown.update(ascending=None, descending=not a.ascending)
+        elif a.action == "smooth":
+            values = crit.smooth_model(values, a.factor)
+    header = _AVALANCHE_HEADERS.get(a.action, "tick,value")
+    _atomic_write(a.output, _csv(a, header, range(len(values)), values, **shown))
     return [a.output], extras
 
 
@@ -244,18 +203,16 @@ def _cmd_diffuse(a) -> tuple[list[Path], dict]:
     stats_rows = []
     for i, stage in enumerate(stages):
         p = base.with_name(f"{base.stem}_{i}{base.suffix or '.pgm'}")
-        _atomic_write_bytes(p, diff.pgm_bytes(stage))
+        _atomic_write(p, [diff.pgm_bytes(stage)])
         outputs.append(p)
         mean, varc, _ = diff.image_stats(stage)
         level = sched.steps[i].alpha if a.mode == "uniform" else sched.steps[i].shape
         stats_rows.append((i, float(level), mean, varc))
-    params = {
-        "mode": a.mode, "levels": ",".join(str(s) for s in (levels or [])) or "default",
-        "alpha": a.alpha, "cumulative": a.cumulative, "seed": a.seed,
-        "input": a.input or "synthetic",
-    }
     stats_path = base.with_name(f"{base.stem}_stats.csv")
-    _atomic_write_text(stats_path, _csv(params, "step,level,mean,variance", *zip(*stats_rows)))
+    _atomic_write(stats_path, _csv(
+        a, "step,level,mean,variance", *zip(*stats_rows), input=a.input or "synthetic",
+        levels=",".join(map(str, levels)) if levels else "default",
+    ))
     outputs.append(stats_path)
     return outputs, {}
 
@@ -269,16 +226,14 @@ def _cmd_lur(a) -> tuple[list[Path], dict]:
     learner = proc.ReachLearner(rate=a.rate, slow_rate=a.slow_rate, fast_retention=a.retention)
     tp = proc.TrialParams(noise=a.noise)
     result = proc.run_lur(learner, sched, tp, gain=a.gain, seed=a.seed)
-    params = {
-        "phases": a.phases, "gain": a.gain, "rate": a.rate, "slow_rate": a.slow_rate,
-        "retention": a.retention, "noise": a.noise, "seed": a.seed,
-    }
-    rows = []
-    for p_idx, curve in enumerate(result.phase_errors):
-        for t_idx, err in enumerate(curve):
-            rows.append((p_idx, t_idx, err))
-    _atomic_write_text(a.output, _csv(params, "phase,trial,error", *zip(*rows)))
-    extras = {"interference": result.interference, "savings": result.savings}
+    rows = [(p, t, err) for p, curve in enumerate(result.phase_errors)
+            for t, err in enumerate(curve)]
+    _atomic_write(a.output, _csv(a, "phase,trial,error", *zip(*rows)))
+    # Too few phases leave a metric undefined: null in the manifest, not NaN.
+    extras = {"interference": result.interference if len(phases) >= 2 else None,
+              "savings": result.savings if len(phases) >= 3 else None}
+    if len(phases) < 3:
+        extras["null_reason"] = "interference needs >= 2 phases, savings needs >= 3"
     return [a.output], extras
 
 
@@ -296,40 +251,28 @@ def _cmd_vehicle(a) -> tuple[list[Path], dict]:
         target=target,
         goal_radius=a.goal_radius,
     )
-    params = {
-        "steps": a.steps, "dt": a.dt, "sensor_offset": a.sensor_offset,
-        "speed_gain": a.speed_gain, "turn_gain": a.turn_gain,
-        "goal_radius": a.goal_radius, "seed": a.seed,
-    }
     rows = []
     reached = None
     for step in range(a.steps):
         vehicle = proc.vehicle_step(vehicle, field_, a.dt)
         color = proc.sample_cmyk(field_, vehicle.position)
         dist = proc.cmyk_distance(color, target)
-        rows.append(
-            (step, float(vehicle.position[0]), float(vehicle.position[1]),
-             color.c, color.m, color.y, color.k, dist)
-        )
+        rows.append((step, float(vehicle.position[0]), float(vehicle.position[1]),
+                     color.c, color.m, color.y, color.k, dist))
         if dist <= a.goal_radius:
             reached = step
             break
-    _atomic_write_text(a.output, _csv(params, "step,x,y,c,m,y,k,dist", *zip(*rows)))
+    _atomic_write(a.output, _csv(a, "step,x,y,c,m,y,k,dist", *zip(*rows)))
     return [a.output], {"reached_at_step": reached}
 
 
 def _cmd_demo(a) -> tuple[list[Path], dict]:
-    outputs: list[Path] = []
     if a.which == "gd":
         traj, annotation = demos.gd_regulate((a.tx, a.ty), (a.x0, a.y0), a.lr, a.iters)
-        params = {"lr": a.lr, "iters": a.iters, "target": f"{a.tx};{a.ty}",
-                  "x0": f"{a.x0};{a.y0}", "seed": a.seed}
-        rows = []
-        for k, point in enumerate(traj):
-            err = math.hypot(point[0] - a.tx, point[1] - a.ty)
-            rows.append((k, float(point[0]), float(point[1]), err))
-        _atomic_write_text(a.output, _csv(params, "iter,x0,x1,error", *zip(*rows)))
-        outputs.append(a.output)
+        rows = [(k, float(x), float(y), math.hypot(x - a.tx, y - a.ty))
+                for k, (x, y) in enumerate(traj)]
+        _atomic_write(a.output, _csv(a, "iter,x0,x1,error", *zip(*rows), tx=None, ty=None,
+                                     y0=None, target=f"{a.tx};{a.ty}", x0=f"{a.x0};{a.y0}"))
     else:
         w, _, h = a.grid.partition("x")
         cfg = demos.QConfig(
@@ -337,21 +280,17 @@ def _cmd_demo(a) -> tuple[list[Path], dict]:
             episodes=a.episodes, exploration=a.epsilon,
         )
         policy, q, annotation = demos.q_regulate(cfg, a.seed)
-        params = {"grid": a.grid, "episodes": a.episodes, "epsilon": a.epsilon, "seed": a.seed}
-        rows = []
-        for (x, y), action in sorted(policy.items()):
-            rows.append((x, y, demos.ACTION_NAMES[action], float(np.max(q[(x, y)]))))
-        _atomic_write_text(a.output, _csv(params, "x,y,greedy_action,value", *zip(*rows)))
-        outputs.append(a.output)
+        rows = [(x, y, demos.ACTION_NAMES[action], float(np.max(q[(x, y)])))
+                for (x, y), action in sorted(policy.items())]
+        _atomic_write(a.output, _csv(a, "x,y,greedy_action,value", *zip(*rows)))
     roles_path = a.output.with_name(a.output.stem + "_roles.jsonl")
     lines = [
         json.dumps({"component": comp, "role": role, "interpretive": annotation.interpretive},
                    sort_keys=True)
         for comp, role in sorted(annotation.assignments.items())
     ]
-    _atomic_write_text(roles_path, ["\n".join(lines) + "\n"])
-    outputs.append(roles_path)
-    return outputs, {}
+    _atomic_write(roles_path, ["\n".join(lines) + "\n"])
+    return [a.output, roles_path], {}
 
 
 # ---------------------------------------------------------------------------
@@ -372,167 +311,148 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def finite_float(text: str) -> float:
+    """argparse type of every float flag: a float that is not nan or ±inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit 2 with a one-line reason
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process. Parsing never changes
+    it, so every call returns the same one."""
     p = _Parser(prog="regulab", description=__doc__, add_help=True)
     p.add_argument("--config", default=None, help="key=value defaults file")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, required=True)
-        sp.add_argument("--output", "-o", type=Path, required=True)
+    # Every leaf subcommand's --seed and --output. Not required=True: they may
+    # come from the config file, so _parse checks them after the merge.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--output", "-o", type=Path)
 
-    sp = sub.add_parser("relation", help="toggle benchmark trajectory")
+    sp = sub.add_parser("relation", parents=[common], help="toggle benchmark trajectory")
     sp.add_argument("--mode", choices=("closed", "feedforward"), default="closed")
     sp.add_argument("--ticks", type=int, default=32)
-    common(sp)
     sp.set_defaults(func=_cmd_relation)
 
-    sp = sub.add_parser("variety", help="classify a state mapping CSV")
+    sp = sub.add_parser("variety", parents=[common], help="classify a state mapping CSV")
     sp.add_argument("--pairs", required=True, help="CSV with header r_state,s_state")
-    common(sp)
     sp.set_defaults(func=_cmd_variety)
 
-    sp = sub.add_parser("pid", help="closed-loop setpoint tracking")
-    sp.add_argument("--kp", type=float, default=1.0)
-    sp.add_argument("--ti", type=float, default=0.0, help="integral time, 0 disables")
-    sp.add_argument("--td", type=float, default=0.0)
-    sp.add_argument("--dt", type=float, default=0.01)
+    sp = sub.add_parser("pid", parents=[common], help="closed-loop setpoint tracking")
+    sp.add_argument("--kp", type=finite_float, default=1.0)
+    sp.add_argument("--ti", type=finite_float, default=0.0, help="integral time, 0 disables")
+    sp.add_argument("--td", type=finite_float, default=0.0)
+    sp.add_argument("--dt", type=finite_float, default=0.01)
     sp.add_argument("--steps", type=int, default=1000)
-    sp.add_argument("--setpoint", type=float, default=1.0)
-    sp.add_argument("--plant-gain", dest="plant_gain", type=float, default=1.0)
-    sp.add_argument("--x0", type=float, default=0.0)
-    sp.add_argument("--disturbance", type=float, default=0.0)
-    common(sp)
+    sp.add_argument("--setpoint", type=finite_float, default=1.0)
+    sp.add_argument("--plant-gain", dest="plant_gain", type=finite_float, default=1.0)
+    sp.add_argument("--x0", type=finite_float, default=0.0)
+    sp.add_argument("--disturbance", type=finite_float, default=0.0)
     sp.set_defaults(func=_cmd_pid)
 
     ap = sub.add_parser("avalanche", help="power-law series tools")
     asub = ap.add_subparsers(dest="action", required=True)
     for action in ("gen", "pfb", "nfb", "rank", "smooth"):
-        sp = asub.add_parser(action)
+        sp = asub.add_parser(action, parents=[common])
         sp.add_argument("--n", type=int, default=10_000)
-        sp.add_argument("--e", type=float, default=1.0)
+        sp.add_argument("--e", type=finite_float, default=1.0)
         if action == "rank":
             sp.add_argument("--ascending", action="store_true")
         if action == "smooth":
             sp.add_argument("--factor", type=int, default=100)
-        common(sp)
-        sp.set_defaults(func=_cmd_avalanche, action=action)
-    sp = asub.add_parser("bursts")
+    sp = asub.add_parser("bursts", parents=[common])
     sp.add_argument("--n", type=int, default=1001)
     sp.add_argument("--interval-min", dest="interval_min", type=int, default=4)
     sp.add_argument("--interval-max", dest="interval_max", type=int, default=10)
-    common(sp)
-    sp.set_defaults(func=_cmd_avalanche, action="bursts")
-    sp = asub.add_parser("threshold")
+    sp = asub.add_parser("threshold", parents=[common])
     sp.add_argument("--n", type=int, default=10_000)
-    sp.add_argument("--e-model", dest="e_model", type=float, default=0.1)
-    common(sp)
-    sp.set_defaults(func=_cmd_avalanche, action="threshold")
+    sp.add_argument("--e-model", dest="e_model", type=finite_float, default=0.1)
+    ap.set_defaults(func=_cmd_avalanche)
 
-    sp = sub.add_parser("diffuse", help="forward image noising")
+    sp = sub.add_parser("diffuse", parents=[common], help="forward image noising")
     sp.add_argument("--input", default=None, help="PGM image; omitted uses a built-in test image")
     sp.add_argument("--mode", choices=("uniform", "power"), default="uniform")
     sp.add_argument("--levels", default=None, help="comma list of alphas (uniform) or shapes (power)")
-    sp.add_argument("--alpha", type=float, default=0.75, help="blend fraction for power mode")
+    sp.add_argument("--alpha", type=finite_float, default=0.75, help="blend fraction for power mode")
     sp.add_argument("--cumulative", action="store_true")
-    common(sp)
     sp.set_defaults(func=_cmd_diffuse)
 
     lp = sub.add_parser("lur", help="learning-unlearning-relearning protocol")
     lsub = lp.add_subparsers(dest="action", required=True)
-    sp = lsub.add_parser("run")
+    sp = lsub.add_parser("run", parents=[common])
     sp.add_argument("--phases", default="0:200,90:200,0:200", help="angle:trials,...")
-    sp.add_argument("--gain", type=float, default=1.0)
-    sp.add_argument("--rate", type=float, default=0.005)
-    sp.add_argument("--slow-rate", dest="slow_rate", type=float, default=7e-5)
-    sp.add_argument("--retention", type=float, default=0.94)
-    sp.add_argument("--noise", type=float, default=0.02)
-    common(sp)
-    sp.set_defaults(func=_cmd_lur, action="run")
+    sp.add_argument("--gain", type=finite_float, default=1.0)
+    sp.add_argument("--rate", type=finite_float, default=0.005)
+    sp.add_argument("--slow-rate", dest="slow_rate", type=finite_float, default=7e-5)
+    sp.add_argument("--retention", type=finite_float, default=0.94)
+    sp.add_argument("--noise", type=finite_float, default=0.02)
+    sp.set_defaults(func=_cmd_lur)
 
     vp = sub.add_parser("vehicle", help="color-gradient vehicle run")
     vsub = vp.add_subparsers(dest="action", required=True)
-    sp = vsub.add_parser("run")
+    sp = vsub.add_parser("run", parents=[common])
     sp.add_argument("--steps", type=int, default=10_000)
-    sp.add_argument("--dt", type=float, default=0.02)
-    sp.add_argument("--sensor-offset", dest="sensor_offset", type=float, default=0.05)
-    sp.add_argument("--speed-gain", dest="speed_gain", type=float, default=0.5)
-    sp.add_argument("--turn-gain", dest="turn_gain", type=float, default=8.0)
-    sp.add_argument("--goal-radius", dest="goal_radius", type=float, default=0.05)
-    common(sp)
-    sp.set_defaults(func=_cmd_vehicle, action="run")
+    sp.add_argument("--dt", type=finite_float, default=0.02)
+    sp.add_argument("--sensor-offset", dest="sensor_offset", type=finite_float, default=0.05)
+    sp.add_argument("--speed-gain", dest="speed_gain", type=finite_float, default=0.5)
+    sp.add_argument("--turn-gain", dest="turn_gain", type=finite_float, default=8.0)
+    sp.add_argument("--goal-radius", dest="goal_radius", type=finite_float, default=0.05)
+    sp.set_defaults(func=_cmd_vehicle)
 
     dp = sub.add_parser("demo", help="optimizers annotated as regulators")
     dsub = dp.add_subparsers(dest="which", required=True)
-    sp = dsub.add_parser("gd")
-    sp.add_argument("--lr", type=float, default=0.5)
+    sp = dsub.add_parser("gd", parents=[common])
+    sp.add_argument("--lr", type=finite_float, default=0.5)
     sp.add_argument("--iters", type=int, default=32)
-    sp.add_argument("--tx", type=float, default=1.0)
-    sp.add_argument("--ty", type=float, default=-0.5)
-    sp.add_argument("--x0", type=float, default=0.0)
-    sp.add_argument("--y0", type=float, default=0.0)
-    common(sp)
-    sp.set_defaults(func=_cmd_demo, which="gd")
-    sp = dsub.add_parser("q")
+    sp.add_argument("--tx", type=finite_float, default=1.0)
+    sp.add_argument("--ty", type=finite_float, default=-0.5)
+    sp.add_argument("--x0", type=finite_float, default=0.0)
+    sp.add_argument("--y0", type=finite_float, default=0.0)
+    sp = dsub.add_parser("q", parents=[common])
     sp.add_argument("--grid", default="3x3")
     sp.add_argument("--episodes", type=int, default=2000)
-    sp.add_argument("--epsilon", type=float, default=0.1)
-    common(sp)
-    sp.set_defaults(func=_cmd_demo, which="q")
+    sp.add_argument("--epsilon", type=finite_float, default=0.1)
+    dp.set_defaults(func=_cmd_demo)
 
     return p
 
 
-def _apply_config_defaults(argv: list[str]) -> list[str]:
-    """Insert config-file values as flags ahead of CLI flags, so the real
-    flags win. Only keys not already present on the command line apply."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    cfg_path = argv[idx + 1]
-    values = _read_config_file(cfg_path)
-    present = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
-    injected: list[str] = []
-    for key, value in values.items():
-        flag = f"--{key.replace('_', '-')}"
-        if flag not in present:
-            injected.extend([flag, value])
-    head = argv[: idx + 2]
-    tail = argv[idx + 2 :]
-    if not tail:
-        return argv
-    # Inject after the subcommand words, before explicit flags.
-    split = 0
-    while split < len(tail) and not tail[split].startswith("-"):
-        split += 1
-    return head + tail[:split] + injected + tail[split:]
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv``. With --config, parse again with the file's flags
+    placed right after the subcommand words: argparse keeps the last value
+    of a repeated flag, so the explicit flags that follow win."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        flags = [f"--{key.replace('_', '-')}={value}"
+                 for key, value in _read_config_file(args.config).items()]
+        at = 0
+        while argv[at].startswith("-"):  # --config path or --config=path
+            at += 1 if "=" in argv[at] else 2
+        at += 2 if hasattr(args, "action") or hasattr(args, "which") else 1
+        args = parser.parse_args([*argv[:at], *flags, *argv[at:]])
+    missing = [flag for flag, value in (("--seed", args.seed), ("--output/-o", args.output))
+               if value is None]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return args
 
 
 def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        argv = _apply_config_defaults(list(argv))
-        args = parser.parse_args(argv)
+        args = _parse(list(argv))
         started = time.perf_counter()
         outputs, extras = args.func(args)
-        wall = time.perf_counter() - started
-        flat_params = {
-            k: v
-            for k, v in vars(args).items()
-            if k not in ("func", "config", "output", "seed") and not callable(v)
-        }
-        cfg = RunConfig(
-            subcommand=args.subcommand,
-            params={k: str(v) for k, v in flat_params.items()},
-            seed=args.seed,
-            output=args.output,
-        )
-        emit_manifest(cfg, outputs, wall, extras)
+        emit_manifest(args, outputs, time.perf_counter() - started, extras)
         return 0
     except UsageError as exc:
         print(f"regulab: usage error: {exc}", file=sys.stderr)
@@ -540,10 +460,7 @@ def dispatch(argv: list[str]) -> int:
     except (ValueError, KeyError) as exc:
         print(f"regulab: invalid parameters: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"regulab: runtime error: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
+    except (OSError, RuntimeError) as exc:
         print(f"regulab: runtime error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,6 +11,7 @@ threshold detector for burst events.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,8 +165,8 @@ def threshold_model(
     """
     if n < 1:
         raise ValueError(f"curve length must be >= 1, got {n}")
-    if e_model <= 0:
-        raise ValueError(f"model exponent must be positive, got {e_model}")
+    if not (0 < e_model < math.inf):  # also rejects nan
+        raise ValueError(f"model exponent must be positive and finite, got {e_model}")
     t = np.arange(n, 0, -1, dtype=float)
     curve = t ** -e_model
     if level is None:

@@ -20,6 +20,7 @@ round-trips at 8-bit quantization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -70,8 +71,8 @@ class PowerMask:
     alpha: float = 0.75
 
     def __post_init__(self) -> None:
-        if not (self.shape > 0):
-            raise ValueError(f"shape must be positive, got {self.shape}")
+        if not (0 < self.shape < math.inf):  # also rejects nan
+            raise ValueError(f"shape must be positive and finite, got {self.shape}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
 

@@ -56,8 +56,10 @@ class CurlField:
     angle: float
 
     def __post_init__(self) -> None:
-        if self.gain < 0:
-            raise ValueError(f"gain must be >= 0, got {self.gain}")
+        if not (0 <= self.gain < math.inf):  # also rejects nan
+            raise ValueError(f"gain must be finite and >= 0, got {self.gain}")
+        if not math.isfinite(self.angle):
+            raise ValueError(f"angle must be finite, got {self.angle}")
         object.__setattr__(self, "angle", self.angle % 360.0)
 
     @property
@@ -89,8 +91,8 @@ class ReachLearner:
     slow: np.ndarray = field(default_factory=lambda: np.zeros((2, 2)))
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.rate}")
+        if not (0 < self.rate < math.inf):  # also rejects nan
+            raise ValueError(f"learning rate must be positive and finite, got {self.rate}")
         if not (0.0 <= self.fast_retention <= 1.0):
             raise ValueError(f"fast retention must be in [0, 1], got {self.fast_retention}")
 

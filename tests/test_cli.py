@@ -1,10 +1,13 @@
 """Front end: exit codes, output format, determinism, manifests."""
 
+import argparse
 import hashlib
 import json
 from pathlib import Path
 
-from regulab.cli import dispatch
+import pytest
+
+from regulab.cli import build_parser, dispatch, finite_float
 
 
 def digest(path: Path) -> str:
@@ -192,3 +195,96 @@ def test_nan_power_shape_is_usage_error_and_writes_nothing(tmp_path):
     code = run(["diffuse", "--mode", "power", "--levels", "nan", "--seed", 3, "-o", out])
     assert code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def write_config(tmp_path: Path, text: str) -> Path:
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    return cfg
+
+
+def test_config_equals_form_is_honoured(tmp_path):
+    cfg = write_config(tmp_path, "n=50\n")
+    out = tmp_path / "out.csv"
+    assert run([f"--config={cfg}", "avalanche", "gen", "--seed", 4, "-o", out]) == 0
+    assert len(out.read_text().splitlines()) == 2 + 50
+
+
+@pytest.mark.parametrize("argv", [["--config"], ["avalanche", "gen", "--seed", 4, "--config"]])
+def test_config_without_path_is_one_line_usage_error(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("regulab: usage error: ")
+
+
+def test_config_supplies_seed(tmp_path):
+    cfg = write_config(tmp_path, "seed=5\n")
+    out = tmp_path / "out.csv"
+    assert run(["--config", cfg, "avalanche", "gen", "--n", 10, "-o", out]) == 0
+    assert out.read_text().splitlines()[0] == "# params: e=1.0 n=10 seed=5"
+    assert json.loads((tmp_path / "out.csv.manifest.jsonl").read_text())["seed"] == 5
+
+
+@pytest.mark.parametrize("line", ["bogus=1", "kp=2.0"])  # unknown; belongs to pid
+def test_config_key_the_subcommand_lacks_is_usage_error(tmp_path, line):
+    cfg = write_config(tmp_path, line + "\n")
+    out = tmp_path / "out.csv"
+    assert run(["--config", cfg, "avalanche", "gen", "--seed", 4, "-o", out]) == 2
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+def test_config_run_leaves_defaults_for_the_next_run(tmp_path):
+    cfg = write_config(tmp_path, "n=50\ne=0.5\n")
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert run(["--config", cfg, "avalanche", "gen", "--seed", 4, "-o", first]) == 0
+    assert run(["avalanche", "gen", "--seed", 4, "-o", second]) == 0
+    lines = second.read_text().splitlines()
+    assert lines[0] == "# params: e=1.0 n=10000 seed=4"
+    assert len(lines) == 2 + 10_000
+
+
+def leaf_parsers(parser, words=()):
+    """(subcommand words, parser) of every leaf subcommand under ``parser``."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield words, parser
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from leaf_parsers(child, (*words, name))
+
+
+FLOAT_FLAGS = [
+    (words, action.option_strings[0])
+    for words, leaf in leaf_parsers(build_parser())
+    for action in leaf._actions
+    if action.type in (float, finite_float)
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("words, flag", FLOAT_FLAGS,
+                         ids=[" ".join((*w, f)) for w, f in FLOAT_FLAGS])
+def test_nonfinite_float_flag_is_usage_error_and_writes_nothing(tmp_path, words, flag, value):
+    # --flag=value, because argparse reads a separate "-inf" as an option name.
+    assert run([*words, f"{flag}={value}", "--seed", 0, "-o", tmp_path / "out.csv"]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_pid_negative_ti_is_usage_error(tmp_path):
+    assert run(["pid", "--ti", -3, "--seed", 0, "-o", tmp_path / "pid.csv"]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize("phases, interference", [("0:20", False), ("0:10,90:10", True)])
+def test_lur_manifest_is_strict_json_with_too_few_phases(tmp_path, phases, interference):
+    out = tmp_path / "lur.csv"
+    assert run(["lur", "run", "--phases", phases, "--seed", 1, "-o", out]) == 0
+    text = (tmp_path / "lur.csv.manifest.jsonl").read_text()
+    extra = json.loads(text, parse_constant=reject_constant)["extra"]
+    assert (extra["interference"] is not None) == interference
+    assert extra["savings"] is None
+    assert extra["null_reason"] == "interference needs >= 2 phases, savings needs >= 3"

@@ -222,6 +222,12 @@ def test_threshold_explicit_level():
     assert np.all(curve[:crossing] < 0.5)
 
 
+@pytest.mark.parametrize("e_model", [0.0, -0.1, math.nan, math.inf])
+def test_threshold_rejects_nonpositive_or_nonfinite_exponent(e_model):
+    with pytest.raises(ValueError, match="model exponent"):
+        threshold_model(10, e_model)
+
+
 # --- smoothing ---------------------------------------------------------------
 
 

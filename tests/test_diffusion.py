@@ -61,6 +61,12 @@ def test_power_mass_shifts_toward_one_with_shape():
     assert fracs[0] < fracs[1] < fracs[2]
 
 
+@pytest.mark.parametrize("shape", [0.0, -1.0, float("nan"), float("inf")])
+def test_power_mask_rejects_nonpositive_or_nonfinite_shape(shape):
+    with pytest.raises(ValueError, match="shape"):
+        PowerMask(shape=shape)
+
+
 def test_field_determinism():
     a = gen_noise_field(64, 64, UniformBlend(0.5), seed=9)
     b = gen_noise_field(64, 64, UniformBlend(0.5), seed=9)

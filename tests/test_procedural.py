@@ -70,6 +70,19 @@ def test_angle_wraps_mod_360():
         CurlField(-1.0, 0.0)
 
 
+@pytest.mark.parametrize("gain, angle", [(math.nan, 0.0), (math.inf, 0.0),
+                                         (1.0, math.nan), (1.0, math.inf)])
+def test_curl_field_rejects_nonfinite(gain, angle):
+    with pytest.raises(ValueError):
+        CurlField(gain, angle)
+
+
+@pytest.mark.parametrize("rate", [0.0, -0.1, math.nan, math.inf])
+def test_reach_learner_rejects_nonpositive_or_nonfinite_rate(rate):
+    with pytest.raises(ValueError, match="learning rate"):
+        ReachLearner(rate=rate)
+
+
 # --- single trials -------------------------------------------------------------
 
 
