@@ -9,15 +9,17 @@ seed, output files, RNG algorithm, and wall time. The CSV ``# params:``
 line and the manifest are both derived from the parsed flags.
 
 Exit codes: 0 success, 2 usage or parameter error (one-line reason on
-stderr), 1 runtime error. Every float flag must be a finite number; nan and
-±inf exit 2 before any file is written.
+stderr), 1 runtime error. Every float flag must be a finite number and every
+count flag a positive integer; nan, ±inf, 0 or a negative count exits 2
+before any file is written.
 
 Flags override a config file, which overrides built-in defaults. The file
 is given as ``--config path`` or ``--config=path`` before the subcommand and
 holds ``key=value`` lines (blank lines and ``#`` comments are skipped). A key
 is a flag name of the subcommand, written with ``_`` or ``-``; ``seed`` and
-``output`` may come from the file too. A key the subcommand does not accept,
-or a value its flag rejects, exits 2.
+``output`` may come from the file too. A switch such as ``cumulative`` takes
+``true`` (on) or ``false`` (off). A key the subcommand does not accept, or a
+value its flag rejects, exits 2.
 """
 
 from __future__ import annotations
@@ -257,8 +259,7 @@ def _cmd_vehicle(a) -> tuple[list[Path], dict]:
         vehicle = proc.vehicle_step(vehicle, field_, a.dt)
         color = proc.sample_cmyk(field_, vehicle.position)
         dist = proc.cmyk_distance(color, target)
-        rows.append((step, float(vehicle.position[0]), float(vehicle.position[1]),
-                     color.c, color.m, color.y, color.k, dist))
+        rows.append((step, *vehicle.position.tolist(), color.c, color.m, color.y, color.k, dist))
         if dist <= a.goal_radius:
             reached = step
             break
@@ -319,6 +320,14 @@ def finite_float(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    """argparse type of every count flag: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit 2 with a one-line reason
         raise UsageError(message)
@@ -340,7 +349,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("relation", parents=[common], help="toggle benchmark trajectory")
     sp.add_argument("--mode", choices=("closed", "feedforward"), default="closed")
-    sp.add_argument("--ticks", type=int, default=32)
+    sp.add_argument("--ticks", type=positive_int, default=32)
     sp.set_defaults(func=_cmd_relation)
 
     sp = sub.add_parser("variety", parents=[common], help="classify a state mapping CSV")
@@ -352,7 +361,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--ti", type=finite_float, default=0.0, help="integral time, 0 disables")
     sp.add_argument("--td", type=finite_float, default=0.0)
     sp.add_argument("--dt", type=finite_float, default=0.01)
-    sp.add_argument("--steps", type=int, default=1000)
+    sp.add_argument("--steps", type=positive_int, default=1000)
     sp.add_argument("--setpoint", type=finite_float, default=1.0)
     sp.add_argument("--plant-gain", dest="plant_gain", type=finite_float, default=1.0)
     sp.add_argument("--x0", type=finite_float, default=0.0)
@@ -363,18 +372,18 @@ def build_parser() -> _Parser:
     asub = ap.add_subparsers(dest="action", required=True)
     for action in ("gen", "pfb", "nfb", "rank", "smooth"):
         sp = asub.add_parser(action, parents=[common])
-        sp.add_argument("--n", type=int, default=10_000)
+        sp.add_argument("--n", type=positive_int, default=10_000)
         sp.add_argument("--e", type=finite_float, default=1.0)
         if action == "rank":
             sp.add_argument("--ascending", action="store_true")
         if action == "smooth":
-            sp.add_argument("--factor", type=int, default=100)
+            sp.add_argument("--factor", type=positive_int, default=100)
     sp = asub.add_parser("bursts", parents=[common])
-    sp.add_argument("--n", type=int, default=1001)
-    sp.add_argument("--interval-min", dest="interval_min", type=int, default=4)
-    sp.add_argument("--interval-max", dest="interval_max", type=int, default=10)
+    sp.add_argument("--n", type=positive_int, default=1001)
+    sp.add_argument("--interval-min", dest="interval_min", type=positive_int, default=4)
+    sp.add_argument("--interval-max", dest="interval_max", type=positive_int, default=10)
     sp = asub.add_parser("threshold", parents=[common])
-    sp.add_argument("--n", type=int, default=10_000)
+    sp.add_argument("--n", type=positive_int, default=10_000)
     sp.add_argument("--e-model", dest="e_model", type=finite_float, default=0.1)
     ap.set_defaults(func=_cmd_avalanche)
 
@@ -400,7 +409,7 @@ def build_parser() -> _Parser:
     vp = sub.add_parser("vehicle", help="color-gradient vehicle run")
     vsub = vp.add_subparsers(dest="action", required=True)
     sp = vsub.add_parser("run", parents=[common])
-    sp.add_argument("--steps", type=int, default=10_000)
+    sp.add_argument("--steps", type=positive_int, default=10_000)
     sp.add_argument("--dt", type=finite_float, default=0.02)
     sp.add_argument("--sensor-offset", dest="sensor_offset", type=finite_float, default=0.05)
     sp.add_argument("--speed-gain", dest="speed_gain", type=finite_float, default=0.5)
@@ -412,18 +421,36 @@ def build_parser() -> _Parser:
     dsub = dp.add_subparsers(dest="which", required=True)
     sp = dsub.add_parser("gd", parents=[common])
     sp.add_argument("--lr", type=finite_float, default=0.5)
-    sp.add_argument("--iters", type=int, default=32)
+    sp.add_argument("--iters", type=positive_int, default=32)
     sp.add_argument("--tx", type=finite_float, default=1.0)
     sp.add_argument("--ty", type=finite_float, default=-0.5)
     sp.add_argument("--x0", type=finite_float, default=0.0)
     sp.add_argument("--y0", type=finite_float, default=0.0)
     sp = dsub.add_parser("q", parents=[common])
     sp.add_argument("--grid", default="3x3")
-    sp.add_argument("--episodes", type=int, default=2000)
+    sp.add_argument("--episodes", type=positive_int, default=2000)
     sp.add_argument("--epsilon", type=finite_float, default=0.1)
     dp.set_defaults(func=_cmd_demo)
 
     return p
+
+
+def _config_flags(args: argparse.Namespace, values: dict[str, str]) -> list[str]:
+    """Command-line flags for the config file's ``values``: ``--key=value``,
+    except that a switch (a flag taking no value) is given bare for ``true``
+    and left out for ``false``. In ``args``, parsed for the same subcommand,
+    only a switch holds a bool."""
+    flags = []
+    for key, value in values.items():
+        flag = f"--{key.replace('_', '-')}"
+        if not isinstance(getattr(args, key.replace("-", "_"), None), bool):
+            flags.append(f"{flag}={value}")
+        elif value == "true":
+            flags.append(flag)
+        elif value != "false":
+            raise UsageError(f"config key {key!r} is a switch: its value must be true or "
+                             f"false, got {value!r}")
+    return flags
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
@@ -433,8 +460,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config is not None:
-        flags = [f"--{key.replace('_', '-')}={value}"
-                 for key, value in _read_config_file(args.config).items()]
+        flags = _config_flags(args, _read_config_file(args.config))
         at = 0
         while argv[at].startswith("-"):  # --config path or --config=path
             at += 1 if "=" in argv[at] else 2

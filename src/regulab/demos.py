@@ -10,6 +10,7 @@ interpretation and are marked as such in the annotation metadata.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +107,11 @@ class QConfig:
             raise ValueError(f"discount must be in [0, 1), got {self.discount}")
         if not (0 <= self.exploration <= 1):
             raise ValueError(f"exploration must be in [0, 1], got {self.exploration}")
+        if self.episodes < 1:
+            raise ValueError(f"need at least 1 episode, got {self.episodes}")
+        for name in ("step_reward", "goal_reward", "init_value"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name.replace('_', ' ')} must be finite, got {getattr(self, name)}")
 
 
 # N, S, E, W displacements; ties in the greedy argmax break toward the
@@ -121,6 +127,11 @@ def _grid_step(cfg: QConfig, cell: tuple[int, int], a: int) -> tuple[int, int]:
     return (nx, ny)
 
 
+def _argmax(values: list[float]) -> int:
+    """Index of the first largest value, as ``np.argmax`` picks it."""
+    return values.index(max(values))
+
+
 def q_regulate(
     cfg: QConfig, seed: int
 ) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], np.ndarray], RoleAnnotation]:
@@ -128,38 +139,40 @@ def q_regulate(
 
     Returns (greedy policy, Q table, role annotation); the policy maps every
     non-goal cell to the greedy action index after the configured number of
-    episodes.
+    episodes. The table is learned as lists of floats indexed by cell
+    number, row-major from the top-left corner.
     """
     rng = SplitMix64(seed)
     cells = [(x, y) for y in range(cfg.height) for x in range(cfg.width)]
-    q: dict[tuple[int, int], np.ndarray] = {
-        c: np.full(len(ACTIONS), cfg.init_value, dtype=float) for c in cells
-    }
-    q[cfg.goal_cell] = np.zeros(len(ACTIONS))  # terminal: no future value
+    number = {c: i for i, c in enumerate(cells)}
+    goal = number[cfg.goal_cell]
+    moves = [[number[_grid_step(cfg, c, a)] for a in range(len(ACTIONS))] for c in cells]
+    q = [[float(cfg.init_value)] * len(ACTIONS) for _ in cells]
+    q[goal] = [0.0] * len(ACTIONS)  # terminal: no future value
     step_cap = cfg.max_episode_steps or 8 * cfg.width * cfg.height
-    starts = [c for c in cells if c != cfg.goal_cell]
+    starts = [i for i in range(len(cells)) if i != goal]
+    lr, discount, exploration = cfg.learn_rate, cfg.discount, cfg.exploration
 
     for _ in range(cfg.episodes):
         if not starts:
             break
         cell = starts[rng.next_below(len(starts))]
         for _ in range(step_cap):
-            if rng.next_float() < cfg.exploration:
+            row = q[cell]
+            if rng.next_float() < exploration:
                 a = rng.next_below(len(ACTIONS))
             else:
-                a = int(np.argmax(q[cell]))
-            nxt = _grid_step(cfg, cell, a)
-            done = nxt == cfg.goal_cell
+                a = _argmax(row)
+            nxt = moves[cell][a]
+            done = nxt == goal
             reward = cfg.goal_reward if done else cfg.step_reward
-            best_next = 0.0 if done else float(np.max(q[nxt]))
-            q[cell][a] += cfg.learn_rate * (
-                reward + cfg.discount * best_next - q[cell][a]
-            )
+            best_next = 0.0 if done else max(q[nxt])
+            row[a] += lr * (reward + discount * best_next - row[a])
             cell = nxt
             if done:
                 break
 
-    policy = {c: int(np.argmax(q[c])) for c in cells if c != cfg.goal_cell}
+    policy = {c: _argmax(q[i]) for i, c in enumerate(cells) if i != goal}
     annotation = RoleAnnotation(
         assignments={
             "environment": "S",
@@ -169,7 +182,7 @@ def q_regulate(
             "goal_cell": "G",
         }
     )
-    return policy, q, annotation
+    return policy, {c: np.array(q[i]) for i, c in enumerate(cells)}, annotation
 
 
 def value_iteration_policy(

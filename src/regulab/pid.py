@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_dt
+
 
 @dataclass(frozen=True)
 class PidGains:
@@ -52,11 +54,6 @@ class PidState:
 
 
 @dataclass(frozen=True)
-class PidOutput:
-    value: float
-
-
-@dataclass(frozen=True)
 class PidTrajectory:
     """Closed-loop record: x[k], u[k], e[k] at tick k."""
 
@@ -66,23 +63,30 @@ class PidTrajectory:
     e: np.ndarray
 
 
-def pid_step(
-    g: PidGains, st: PidState, error: float, dt: float
-) -> tuple[PidOutput, PidState]:
-    """One controller update. Integral accumulates error*dt before use
-    (rectangular rule); derivative is (error - prev_error)/dt, 0 on the
-    first call."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+def _control(g: PidGains, integral: float, prev_error: float | None, error: float,
+             dt: float) -> float:
+    """The three-term law for one step. ``integral`` already includes
+    ``error * dt``; ``prev_error`` is None on the first step."""
     if not math.isfinite(error):
         raise ValueError(f"error input must be finite, got {error}")
-    integral = st.integral + error * dt
     out = g.kp * error
     if math.isfinite(g.ti):
         out += integral / g.ti
-    if g.td != 0.0 and st.initialized:
-        out += g.td * (error - st.prev_error) / dt
-    return PidOutput(out), PidState(integral=integral, prev_error=error, initialized=True)
+    if g.td != 0.0 and prev_error is not None:
+        out += g.td * (error - prev_error) / dt
+    return out
+
+
+def pid_step(
+    g: PidGains, st: PidState, error: float, dt: float
+) -> tuple[float, PidState]:
+    """One controller update: the output and the next state. Integral
+    accumulates error*dt before use (rectangular rule); derivative is
+    (error - prev_error)/dt, 0 on the first call."""
+    check_dt(dt)
+    integral = st.integral + error * dt
+    out = _control(g, integral, st.prev_error if st.initialized else None, error, dt)
+    return out, PidState(integral=integral, prev_error=error, initialized=True)
 
 
 def simulate_pid(
@@ -101,26 +105,27 @@ def simulate_pid(
     """
     if T < 1:
         raise ValueError(f"need at least 1 step, got {T}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    ticks = np.arange(T, dtype=int)
+    check_dt(dt)
     xs = np.empty(T, dtype=float)
     us = np.empty(T, dtype=float)
     es = np.empty(T, dtype=float)
     x = float(x0)
-    st = PidState()
+    integral = 0.0
+    prev_error = None
     for k in range(T):
         if abs(x) > 1e12:
             raise PidDivergenceError(
                 f"plant state |x| = {abs(x):.3e} exceeded 1e12 at tick {k}"
             )
         e = setpoint - x
-        out, st = pid_step(g, st, e, dt)
+        integral = integral + e * dt
+        u = _control(g, integral, prev_error, e, dt)
         xs[k] = x
-        us[k] = out.value
+        us[k] = u
         es[k] = e
-        x = x + dt * (plant_gain * out.value + disturbance)
-    return PidTrajectory(ticks=ticks, x=xs, u=us, e=es)
+        x = x + dt * (plant_gain * u + disturbance)
+        prev_error = e
+    return PidTrajectory(ticks=np.arange(T, dtype=int), x=xs, u=us, e=es)
 
 
 class PidDivergenceError(RuntimeError):

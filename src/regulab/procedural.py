@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._checks import check_dt
 from .rng import SplitMix64
 
 
@@ -135,45 +136,84 @@ def run_trial(
     the trial error: the mean deviation of the hand from the straight-path
     position schedule. Deviation is measured against the moving desired
     position, not just the path line, so collinear (0 or 180 degree) field
-    perturbations register in the error exactly like orthogonal ones."""
+    perturbations register in the error exactly like orthogonal ones.
+
+    With ``noise > 0`` and an ``rng``, each step kicks the felt force by
+    ``noise * (2u - 1)`` per axis, two draws per step, drawn for the whole
+    reach up front."""
     if steps < 1:
         raise ValueError(f"need at least 1 step, got {steps}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    check_dt(dt)
     start = np.asarray(start, dtype=float)
     target = np.asarray(target, dtype=float)
     span = target - start
     if float(np.linalg.norm(span)) == 0.0:
         raise ValueError("start and target coincide")
     v_des = span / (steps * dt)
+    kicks = None
+    if noise > 0.0 and rng is not None:
+        kicks = (noise * (2.0 * rng.floats(2 * steps) - 1.0)).tolist()
 
-    field_m = f.matrix
-    fast = l.fast.copy()
-    slow = l.slow.copy()
-    pos = start.copy()
-    pos_des = start.copy()
-    vel = v_des.copy()
+    # The 2x2 algebra runs on floats; only the matrix-vector product and the
+    # dot products stay numpy calls, because numpy's BLAS fuses their
+    # multiply-adds and the outputs are pinned to those bits. Rows 0-1 of
+    # ``rows`` hold the field matrix, rows 2-3 the compensator fast + slow.
+    rows = np.empty((4, 2))
+    rows[:2] = f.matrix
+    comp = rows.reshape(-1)[4:]
+    vel = np.empty(2)
+    ends = np.empty((3, 2))  # velocity, position, deviation after a step
+    end_values = ends.reshape(-1)
+    f00, f01, f10, f11 = np.asarray(l.fast, dtype=float).ravel().tolist()
+    s00, s01, s10, s11 = np.asarray(l.slow, dtype=float).ravel().tolist()
+    rate, slow_rate = l.rate, l.slow_rate
+    vdx, vdy = v_des.tolist()
+    vx, vy = vdx, vdy
+    px, py = start.tolist()
+    qx, qy = px, py  # desired position
+    denom = float(v_des @ v_des) + 1e-12
     dev_sum = 0.0
-    for _ in range(steps):
-        residual = field_m @ vel - (fast + slow) @ vel
-        felt = residual
-        if noise > 0.0 and rng is not None:
-            felt = residual + noise * np.array(
-                [2.0 * rng.next_float() - 1.0, 2.0 * rng.next_float() - 1.0]
-            )
-        denom = float(vel @ vel) + 1e-12
-        update = np.outer(felt, vel) / denom
-        fast += l.rate * update
-        slow += l.slow_rate * update
-        vel = vel + dt * (residual + tracking_gain * (v_des - vel))
-        pos = pos + dt * vel
-        pos_des = pos_des + dt * v_des
-        if float(np.linalg.norm(pos)) > 1e6:
+    vecdot, sqrt = np.vecdot, math.sqrt
+    for k in range(steps):
+        comp[:] = (f00 + s00, f01 + s01, f10 + s10, f11 + s11)
+        vel[0] = vx
+        vel[1] = vy
+        field_x, field_y, comp_x, comp_y = (rows @ vel).tolist()
+        rx = field_x - comp_x
+        ry = field_y - comp_y
+        if kicks is None:
+            fx, fy = rx, ry
+        else:
+            fx = rx + kicks[2 * k]
+            fy = ry + kicks[2 * k + 1]
+        u00 = fx * vx / denom
+        u01 = fx * vy / denom
+        u10 = fy * vx / denom
+        u11 = fy * vy / denom
+        f00 += rate * u00
+        f01 += rate * u01
+        f10 += rate * u10
+        f11 += rate * u11
+        s00 += slow_rate * u00
+        s01 += slow_rate * u01
+        s10 += slow_rate * u10
+        s11 += slow_rate * u11
+        vx = vx + dt * (rx + tracking_gain * (vdx - vx))
+        vy = vy + dt * (ry + tracking_gain * (vdy - vy))
+        px = px + dt * vx
+        py = py + dt * vy
+        qx = qx + dt * vdx
+        qy = qy + dt * vdy
+        end_values[:] = (vx, vy, px, py, px - qx, py - qy)
+        vv, pp, ee = vecdot(ends, ends).tolist()
+        if sqrt(pp) > 1e6:
             raise ReachDivergenceError("reach diverged, |position| > 1e6")
-        dev_sum += float(np.linalg.norm(pos - pos_des))
-    fast *= l.fast_retention
-    trial_error = dev_sum / steps
-    return replace(l, fast=fast, slow=slow), trial_error
+        dev_sum += sqrt(ee)
+        denom = vv + 1e-12
+    r = l.fast_retention
+    fast = np.array([[f00 * r, f01 * r], [f10 * r, f11 * r]])
+    slow = np.array([[s00, s01], [s10, s11]])
+    return replace(l, fast=fast, slow=slow), dev_sum / steps
 
 
 class ReachDivergenceError(RuntimeError):
@@ -292,10 +332,23 @@ def cmyk_distance(a: CmykPoint, b: CmykPoint) -> float:
     return float(np.linalg.norm(a.as_array() - b.as_array()))
 
 
+def _clip01(x: float) -> float:
+    """``np.clip(x, 0.0, 1.0)`` on one float, signed zeros included."""
+    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+
+
+def _inside(weights: tuple[float, float, float], tol: float = 1e-12) -> bool:
+    return weights[0] >= -tol and weights[1] >= -tol and weights[2] >= -tol
+
+
 @dataclass(frozen=True)
 class CmykField:
     """Triangle carrying pure C, M, Y at its vertices; colors elsewhere are
-    the barycentric mix with k derived as 1 - max(c, m, y)."""
+    the barycentric mix with k derived as 1 - max(c, m, y).
+
+    Internally, points are answered in batches: one numpy call per
+    reduction covers all of them, and each result is bit-identical to the
+    same call on that point alone."""
 
     vertices: np.ndarray  # shape (3, 2): C, M, Y positions
 
@@ -311,44 +364,78 @@ class CmykField:
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "vertices", v)
+        a, b, c = v
+        object.__setattr__(self, "_edges", np.column_stack([b - a, c - a]))
+        sides = np.roll(v, -1, axis=0) - v  # side i runs from vertex i to vertex i + 1
+        object.__setattr__(self, "_sides", sides)
+        object.__setattr__(self, "_side_sq", np.vecdot(sides, sides).tolist())
+
+    def _barycentric(self, points: list) -> list[tuple[float, float, float]]:
+        """(c, m, y) weights of each (x, y) point."""
+        rhs = (np.array(points) - self.vertices[0])[:, :, None]
+        # Stays numpy: LAPACK's solve (pivoting, fused multiply-adds) rounds
+        # differently from plain float formulas, and the vehicle's outputs
+        # are pinned to its bits.
+        uv = np.linalg.solve(self._edges, rhs).tolist()
+        return [(1.0 - u - w, u, w) for (u,), (w,) in uv]
+
+    def _boundary_points(self, points: list) -> list[tuple[float, float]]:
+        """Nearest point of the triangle's boundary to each (x, y) point; the
+        first side wins a tie."""
+        corners = self.vertices.tolist()
+        rel = np.array([[(x - ax, y - ay) for ax, ay in corners] for x, y in points])
+        feet = []  # foot of each point on each side, clamped to the side
+        gaps = []
+        for (x, y), along in zip(points, np.vecdot(rel, self._sides).tolist()):
+            for (ax, ay), (bx, by), d, sq in zip(corners, self._sides.tolist(), along, self._side_sq):
+                t = _clip01(d / sq)
+                fx, fy = ax + t * bx, ay + t * by
+                feet.append((fx, fy))
+                gaps.append((x - fx, y - fy))
+        gaps = np.array(gaps)
+        dist = list(map(math.sqrt, np.vecdot(gaps, gaps).tolist()))
+        nearest = []
+        for j in range(0, len(feet), 3):
+            best = min(range(j, j + 3), key=dist.__getitem__)  # first of equal minima
+            nearest.append(feet[best])
+        return nearest
 
     def barycentric(self, pos: np.ndarray) -> np.ndarray:
-        p = np.asarray(pos, dtype=float)
-        a, b, c = self.vertices
-        m = np.column_stack([b - a, c - a])
-        uv = np.linalg.solve(m, p - a)
-        return np.array([1.0 - uv[0] - uv[1], uv[0], uv[1]])
+        x, y = np.asarray(pos, dtype=float).tolist()
+        return np.array(self._barycentric([(x, y)])[0])
 
     def contains(self, pos: np.ndarray, tol: float = 1e-12) -> bool:
-        bary = self.barycentric(pos)
-        return bool(np.all(bary >= -tol))
+        x, y = np.asarray(pos, dtype=float).tolist()
+        return _inside(self._barycentric([(x, y)])[0], tol)
 
     def clamp(self, pos: np.ndarray) -> np.ndarray:
         """Nearest point of the triangle (Euclidean), identity inside."""
         p = np.asarray(pos, dtype=float)
         if self.contains(p):
             return p
-        best = None
-        best_d = math.inf
-        for i in range(3):
-            a = self.vertices[i]
-            b = self.vertices[(i + 1) % 3]
-            ab = b - a
-            t = float(np.clip((p - a) @ ab / (ab @ ab), 0.0, 1.0))
-            q = a + t * ab
-            d = float(np.linalg.norm(p - q))
-            if d < best_d:
-                best_d = d
-                best = q
-        return best
+        return np.array(self._boundary_points([tuple(p.tolist())])[0])
+
+    def _colors(self, points: list) -> list[tuple[float, float, float, float]]:
+        """(c, m, y, k) at each (x, y) point; a point outside the triangle
+        takes the color of its nearest boundary point."""
+        weights = self._barycentric(points)
+        outside = [i for i, w in enumerate(weights) if not _inside(w)]
+        if outside:
+            clamped = self._boundary_points([points[i] for i in outside])
+            for i, w in zip(outside, self._barycentric(clamped)):
+                weights[i] = w
+        colors = []
+        for w in weights:
+            c, m, y = _clip01(w[0]), _clip01(w[1]), _clip01(w[2])
+            colors.append((c, m, y, 1.0 - max(c, m, y)))
+        return colors
 
 
 def sample_cmyk(field_: CmykField, pos: np.ndarray) -> CmykPoint:
     """Color at a position; positions outside the triangle are clamped to
     its nearest boundary point first."""
-    p = field_.clamp(np.asarray(pos, dtype=float))
-    c, m, y = np.clip(field_.barycentric(p), 0.0, 1.0)
-    return CmykPoint(c=float(c), m=float(m), y=float(y), k=float(1.0 - max(c, m, y)))
+    x, y = np.asarray(pos, dtype=float).tolist()
+    return CmykPoint(*field_._colors([(x, y)])[0])
 
 
 @dataclass(frozen=True)
@@ -369,11 +456,16 @@ class Vehicle:
     goal_radius: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.sensor_offset <= 0:
-            raise ValueError(f"sensor offset must be positive, got {self.sensor_offset}")
-        if self.speed_gain <= 0 or self.turn_gain < 0:
-            raise ValueError("gains must be positive (turn gain may be 0 for a straight roller)")
+        # Written so that nan fails every check.
+        if not (0 < self.sensor_offset < math.inf):
+            raise ValueError(f"sensor offset must be positive and finite, got {self.sensor_offset}")
+        if not (0 < self.speed_gain < math.inf and 0 <= self.turn_gain < math.inf):
+            raise ValueError("gains must be positive and finite (turn gain may be 0 for a "
+                             "straight roller)")
         p = np.asarray(self.position, dtype=float).copy()
+        if p.shape != (2,) or not all(map(math.isfinite, (*p.tolist(), self.heading))):
+            raise ValueError(f"position must be a finite 2-vector and heading finite, "
+                             f"got {p} and {self.heading}")
         p.flags.writeable = False
         object.__setattr__(self, "position", p)
         if self.target is None:
@@ -382,20 +474,22 @@ class Vehicle:
 
 def vehicle_step(v: Vehicle, field_: CmykField, dt: float) -> Vehicle:
     """One Euler step of the sensor-drive loop."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    check_dt(dt)
     h = v.heading
-    fwd = np.array([math.cos(h), math.sin(h)])
+    cos_h, sin_h = math.cos(h), math.sin(h)
+    x, y = v.position.tolist()
+    off = v.sensor_offset
     # Left sensor mounted clockwise (heading - 90 degrees): the cross-coupled
     # wiring that makes the difference drive attract rather than repel.
-    left_at = v.position + v.sensor_offset * np.array([math.sin(h), -math.cos(h)])
-    right_at = v.position + v.sensor_offset * np.array([-math.sin(h), math.cos(h)])
-    d_left = cmyk_distance(sample_cmyk(field_, left_at), v.target)
-    d_right = cmyk_distance(sample_cmyk(field_, right_at), v.target)
-    d_body = cmyk_distance(sample_cmyk(field_, v.position), v.target)
+    left = (x + off * sin_h, y + off * -cos_h)
+    right = (x + off * -sin_h, y + off * cos_h)
+    t = v.target
+    gaps = np.array(field_._colors([left, right, (x, y)])) - (t.c, t.m, t.y, t.k)
+    d_left, d_right, d_body = map(math.sqrt, np.vecdot(gaps, gaps).tolist())
     speed = v.speed_gain * d_body
     new_heading = h + dt * v.turn_gain * (d_left - d_right)
-    new_pos = field_.clamp(v.position + dt * speed * fwd)
+    ahead = dt * speed
+    new_pos = field_.clamp((x + ahead * cos_h, y + ahead * sin_h))
     return replace(v, position=new_pos, heading=new_heading)
 
 

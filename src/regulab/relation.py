@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import io
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from typing import Callable, Hashable, Optional
 
@@ -192,36 +192,10 @@ class Trajectory:
 def step_relation(
     rel: ClosedLoopRelation, disturbance: tuple[Symbol, Symbol]
 ) -> tuple[ClosedLoopRelation, TickRecord]:
-    """Execute one tick and return the successor relation plus its record.
-
-    The record's tick index is 0; ``run_relation`` renumbers as it stacks
-    records into a trajectory.
-    """
-    phi, rho = disturbance
-    output = rel.system.emission(rel.s_state)
-    observed = output
-    if rel.regulator.observe is not None:
-        observed = rel.regulator.observe(output, rho)
-    if observed not in rel.regulator.observations:
-        raise DestroyedVarietyError(observed)
-    next_r, control = rel.regulator.policy(observed, rel.r_state)
-
-    feedback = rel.mode == LoopMode.CLOSED and rel.regulator.comparator_enabled
-    applied = control if feedback else rel.system.idle_input
-    next_s = rel.system.transition(rel.s_state, applied, phi)
-
-    model = rel.model.observe_state(rel.s_state) if rel.model is not None else None
-    error = 0.0 if rel.goal(output) else 1.0
-    record = TickRecord(
-        tick=0,
-        s_state=rel.s_state,
-        r_state=rel.r_state,
-        output=output,
-        error=error,
-        phi=phi,
-        rho=rho,
-    )
-    return replace(rel, s_state=next_s, r_state=next_r, model=model), record
+    """Execute one tick and return the successor relation plus its record,
+    whose tick index is 0."""
+    traj, nxt = run_relation_carry(rel, [disturbance], 1)
+    return nxt, traj.records[0]
 
 
 def run_relation(
@@ -229,7 +203,7 @@ def run_relation(
     disturbance_stream: list[tuple[Symbol, Symbol]],
     T: int,
 ) -> Trajectory:
-    """Iterate ``step_relation`` for T ticks. Deterministic given inputs."""
+    """Run T ticks. Deterministic given inputs."""
     traj, _ = run_relation_carry(rel, disturbance_stream, T)
     return traj
 
@@ -241,21 +215,41 @@ def run_relation_carry(
     start_tick: int = 0,
 ) -> tuple[Trajectory, ClosedLoopRelation]:
     """Like ``run_relation`` but also returns the final relation, so runs
-    compose: two runs of 50 with state carried over equal one run of 100."""
+    compose: two runs of 50 with state carried over equal one run of 100.
+    A ``DestroyedVarietyError`` names its tick as ``start_tick`` plus the
+    tick within this run.
+
+    The ticks run on local variables; the relation and its internal model
+    are rebuilt once, at the end."""
     if T < 1:
         raise ValueError(f"need at least 1 tick, got {T}")
     if len(disturbance_stream) < T:
         raise ValueError(
             f"disturbance stream has {len(disturbance_stream)} entries, need {T}"
         )
+    system, regulator = rel.system, rel.regulator
+    emission, transition, idle = system.emission, system.transition, system.idle_input
+    policy, observe, observations = regulator.policy, regulator.observe, regulator.observations
+    goal = rel.goal
+    feedback = rel.mode == LoopMode.CLOSED and regulator.comparator_enabled
+    window = None if rel.model is None else deque(rel.model.window, maxlen=rel.model.horizon)
+    s_state, r_state = rel.s_state, rel.r_state
     records = []
     for k in range(T):
-        try:
-            rel, rec = step_relation(rel, disturbance_stream[k])
-        except DestroyedVarietyError as exc:
-            raise DestroyedVarietyError(exc.symbol, tick=start_tick + k) from None
-        records.append(replace(rec, tick=k))
-    return Trajectory(tuple(records)), rel
+        phi, rho = disturbance_stream[k]
+        output = emission(s_state)
+        observed = output if observe is None else observe(output, rho)
+        if observed not in observations:
+            raise DestroyedVarietyError(observed, tick=start_tick + k)
+        next_r, control = policy(observed, r_state)
+        next_s = transition(s_state, control if feedback else idle, phi)
+        if window is not None:
+            window.append(s_state)
+        error = 0.0 if goal(output) else 1.0
+        records.append(TickRecord(k, s_state, r_state, output, error, phi, rho))
+        s_state, r_state = next_s, next_r
+    model = None if window is None else replace(rel.model, window=tuple(window))
+    return Trajectory(tuple(records)), replace(rel, s_state=s_state, r_state=r_state, model=model)
 
 
 def _bin_outputs(outputs: list[float], bins: int) -> list[int]:

@@ -21,6 +21,7 @@ preimage is the feedback direction. They are adjoint by construction.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -40,11 +41,13 @@ class StateSet:
     def __post_init__(self) -> None:
         if len(self.labels) == 0:
             raise ValueError("a state set must be non-empty")
-        if len(set(self.labels)) != len(self.labels):
+        members = frozenset(self.labels)
+        if len(members) != len(self.labels):
             raise ValueError("state labels must be pairwise distinct")
+        object.__setattr__(self, "_members", members)  # O(1) membership
 
     def __contains__(self, label: Label) -> bool:
-        return label in set(self.labels)
+        return label in self._members
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -148,8 +151,9 @@ def requisite_variety_check(m: StateMapping) -> VarietyVerdict:
     over-covered system label."""
     cls = classify_mapping(m)
     if cls.tag is MappingTag.ALIASED:
+        preimages = Counter(s for _, s in m.pairs)
         for s in m.s_states.labels:
-            if len(inverse_apply(m, s)) > 1:
+            if preimages[s] > 1:
                 return VarietyVerdict(False, f"aliasing: system state {s!r} has multiple regulator preimages")
         return VarietyVerdict(False, "aliasing")
     return VarietyVerdict(True)

@@ -122,7 +122,7 @@ def test_criterion_05_smoothing():
 
 def test_criterion_06_pid():
     out, _ = pid_step(PidGains(kp=2.0), PidState(), error=0.5, dt=0.01)
-    ok = out.value == 1.0
+    ok = out == 1.0
 
     p_traj = simulate_pid(
         PidGains(kp=1.0), 1.0, setpoint=1.0, x0=0.0, dt=0.01, T=10_000, disturbance=-0.5
@@ -144,7 +144,7 @@ def test_criterion_06_pid():
         outs = []
         for e in seq:
             o, st = pid_step(gains, st, e, 0.01)
-            outs.append(o.value)
+            outs.append(o)
         return outs
 
     base = run_seq(errors)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from regulab.cli import build_parser, dispatch, finite_float
+from regulab.cli import build_parser, dispatch, finite_float, positive_int
 
 
 def digest(path: Path) -> str:
@@ -268,6 +268,58 @@ def test_nonfinite_float_flag_is_usage_error_and_writes_nothing(tmp_path, words,
     # --flag=value, because argparse reads a separate "-inf" as an option name.
     assert run([*words, f"{flag}={value}", "--seed", 0, "-o", tmp_path / "out.csv"]) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+COUNT_FLAGS = [
+    (words, action.option_strings[0])
+    for words, leaf in leaf_parsers(build_parser())
+    for action in leaf._actions
+    if action.type is positive_int
+]
+
+
+def test_every_int_flag_but_seed_is_a_count():
+    int_flags = [(words, action.option_strings[0])
+                 for words, leaf in leaf_parsers(build_parser())
+                 for action in leaf._actions if action.type is int]
+    assert {flag for _, flag in int_flags} == {"--seed"}
+    assert (("vehicle", "run"), "--steps") in COUNT_FLAGS
+    assert (("demo", "q"), "--episodes") in COUNT_FLAGS
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("words, flag", COUNT_FLAGS,
+                         ids=[" ".join((*w, f)) for w, f in COUNT_FLAGS])
+def test_nonpositive_count_flag_is_usage_error_and_writes_nothing(tmp_path, words, flag, value):
+    assert run([*words, f"{flag}={value}", "--seed", 0, "-o", tmp_path / "out.csv"]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_switch_true_sets_the_flag(tmp_path):
+    cfg = write_config(tmp_path, "cumulative=true\n")
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    from_file, explicit = tmp_path / "a" / "n.pgm", tmp_path / "b" / "n.pgm"
+    assert run(["--config", cfg, "diffuse", "--seed", 6, "-o", from_file]) == 0
+    assert run(["diffuse", "--cumulative", "--seed", 6, "-o", explicit]) == 0
+    for name in ("n_stats.csv", "n_4.pgm"):
+        assert digest(tmp_path / "a" / name) == digest(tmp_path / "b" / name)
+
+
+def test_config_switch_false_leaves_the_flag_off(tmp_path):
+    cfg = write_config(tmp_path, "ascending=false\nn=50\n")
+    from_file, plain = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(["--config", cfg, "avalanche", "rank", "--seed", 3, "-o", from_file]) == 0
+    assert run(["avalanche", "rank", "--n", 50, "--seed", 3, "-o", plain]) == 0
+    assert from_file.read_text() == plain.read_text()
+
+
+@pytest.mark.parametrize("value", ["yes", "1", "True", ""])
+def test_config_switch_other_value_is_usage_error(tmp_path, capsys, value):
+    cfg = write_config(tmp_path, f"cumulative={value}\n")
+    assert run(["--config", cfg, "diffuse", "--seed", 6, "-o", tmp_path / "n.pgm"]) == 2
+    assert "true or false" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg]
 
 
 def test_pid_negative_ti_is_usage_error(tmp_path):

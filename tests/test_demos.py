@@ -1,11 +1,14 @@
 """Gradient descent and Q-learning demos against closed forms and a
 value-iteration oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
 from regulab.demos import (
     ACTION_NAMES,
+    ACTIONS,
     GdDivergenceError,
     QConfig,
     RoleAnnotation,
@@ -13,6 +16,7 @@ from regulab.demos import (
     q_regulate,
     value_iteration_policy,
 )
+from regulab.rng import SplitMix64
 
 
 # --- gradient descent ---------------------------------------------------------
@@ -152,6 +156,62 @@ def test_q_config_validation():
         QConfig(width=0, height=3, goal_cell=(0, 0))
     with pytest.raises(ValueError):
         QConfig(width=3, height=3, goal_cell=(0, 0), discount=1.0)
+
+
+@pytest.mark.parametrize("name", ["step_reward", "goal_reward", "init_value"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_q_config_rejects_nonfinite_values(name, value):
+    with pytest.raises(ValueError, match=name.replace("_", " ")):
+        QConfig(width=3, height=3, goal_cell=(2, 2), **{name: value})
+
+
+@pytest.mark.parametrize("episodes", [0, -1])
+def test_q_config_rejects_nonpositive_episodes(episodes):
+    with pytest.raises(ValueError, match="episode"):
+        QConfig(width=3, height=3, goal_cell=(2, 2), episodes=episodes)
+
+
+def reference_q_table(cfg, seed):
+    """``q_regulate``'s table learned with one numpy row per cell."""
+    rng = SplitMix64(seed)
+    cells = [(x, y) for y in range(cfg.height) for x in range(cfg.width)]
+    q = {c: np.full(len(ACTIONS), cfg.init_value, dtype=float) for c in cells}
+    q[cfg.goal_cell] = np.zeros(len(ACTIONS))
+    starts = [c for c in cells if c != cfg.goal_cell]
+    for _ in range(cfg.episodes):
+        cell = starts[rng.next_below(len(starts))]
+        for _ in range(cfg.max_episode_steps or 8 * cfg.width * cfg.height):
+            if rng.next_float() < cfg.exploration:
+                a = rng.next_below(len(ACTIONS))
+            else:
+                a = int(np.argmax(q[cell]))
+            dx, dy = ACTIONS[a]
+            nxt = (min(max(cell[0] + dx, 0), cfg.width - 1), min(max(cell[1] + dy, 0), cfg.height - 1))
+            done = nxt == cfg.goal_cell
+            reward = cfg.goal_reward if done else cfg.step_reward
+            best_next = 0.0 if done else float(np.max(q[nxt]))
+            q[cell][a] += cfg.learn_rate * (reward + cfg.discount * best_next - q[cell][a])
+            cell = nxt
+            if done:
+                break
+    return q
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_q_matches_numpy_reference_bit_for_bit(seed):
+    r = np.random.default_rng(seed)
+    w, h = (int(n) for n in r.integers(2, 7, 2))
+    cfg = QConfig(width=w, height=h, goal_cell=(int(r.integers(w)), int(r.integers(h))),
+                  learn_rate=float(r.uniform(0.1, 1.0)), discount=float(r.uniform(0, 0.99)),
+                  exploration=float(r.uniform(0, 0.5)), episodes=300,
+                  init_value=float(r.choice([0.0, 1.0, -2.5])))
+    policy, q, _ = q_regulate(cfg, seed)
+    want = reference_q_table(cfg, seed)
+    assert sorted(q) == sorted(want)
+    for cell in q:
+        assert q[cell].tobytes() == want[cell].tobytes()
+        if cell != cfg.goal_cell:
+            assert policy[cell] == int(np.argmax(want[cell]))
 
 
 def test_q_determinism():

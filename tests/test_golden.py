@@ -8,6 +8,10 @@ output bytes consistently.
 
 A change that is meant to alter output bytes re-pins them with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why in CHANGES.md.
+
+The ``lur*`` and ``vehicle*`` hashes hold for one numpy BLAS/LAPACK build:
+those kernels' 2x2 products, dot products and solves round as that build's
+kernels do (with fused multiply-adds or without).
 """
 
 import hashlib
@@ -42,15 +46,23 @@ CASES = {
                             "--seed", "0"],
     "pid": ["pid", "--kp", "1", "--ti", "1", "--dt", "0.01", "--steps", "2000",
             "--disturbance", "-0.5", "--seed", "0"],
+    # Integral term disabled, derivative term on.
+    "pid-derivative": ["pid", "--kp", "1", "--ti", "0", "--td", "0.05", "--dt", "0.01",
+                       "--steps", "2000", "--disturbance", "-0.5", "--seed", "0"],
     "diffuse-power": ["diffuse", "--mode", "power", "--seed", "5"],
     "diffuse-uniform-cumulative": ["diffuse", "--mode", "uniform", "--cumulative",
                                    "--seed", "6"],
     "diffuse-input-levels": ["diffuse", "--input", "face.pgm", "--mode", "power",
                              "--levels", "0.9,0.05", "--alpha", "0.5", "--seed", "9"],
     "lur": ["lur", "run", "--phases", "0:30,90:30,0:30", "--seed", "3"],
+    # No noise: the reach learner draws nothing and adds no kick.
+    "lur-noise0": ["lur", "run", "--phases", "0:30,90:30,0:30", "--noise", "0", "--seed", "3"],
     "vehicle": ["vehicle", "run", "--steps", "500", "--seed", "4"],
+    # Radius 0 never parks, so the vehicle runs into the edges and is clamped.
+    "vehicle-edge": ["vehicle", "run", "--steps", "2000", "--goal-radius", "0", "--seed", "4"],
     "demo-gd": ["demo", "gd", "--lr", "0.5", "--iters", "32", "--seed", "0"],
     "demo-q": ["demo", "q", "--grid", "3x3", "--episodes", "300", "--seed", "11"],
+    "demo-q-8x8": ["demo", "q", "--grid", "8x8", "--episodes", "2000", "--seed", "11"],
     "relation-feedforward": ["relation", "--mode", "feedforward", "--ticks", "32", "--seed", "0"],
     "relation-closed": ["relation", "--mode", "closed", "--ticks", "64", "--seed", "0"],
     "variety-aliased": ["variety", "--pairs", "aliased.csv", "--seed", "0"],

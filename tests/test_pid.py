@@ -22,7 +22,7 @@ def run_sequence(gains, errors, dt):
     outs = []
     for e in errors:
         out, st_ = pid_step(gains, st_, e, dt)
-        outs.append(out.value)
+        outs.append(out)
     return outs
 
 
@@ -33,7 +33,7 @@ def test_zero_error_zero_output():
 
 def test_proportional_only_exact():
     out, _ = pid_step(PidGains(kp=2.0), PidState(), error=0.5, dt=0.1)
-    assert out.value == 1.0
+    assert out == 1.0
 
 
 def test_integral_accumulation_closed_form():
@@ -49,7 +49,7 @@ def test_reduction_to_pure_gain_is_bit_exact():
     st_ = PidState()
     for e in [0.3, -2.5, 1e-8, 0.0, 7.25]:
         out, st_ = pid_step(gains, st_, e, dt=0.05)
-        assert struct.pack("<d", out.value) == struct.pack("<d", 1.7 * e)
+        assert struct.pack("<d", out) == struct.pack("<d", 1.7 * e)
 
 
 def test_proportional_only_stateless():
@@ -57,15 +57,15 @@ def test_proportional_only_stateless():
     fresh, _ = pid_step(gains, PidState(), 0.75, dt=0.1)
     _, warm_state = pid_step(gains, PidState(), -5.0, dt=0.1)
     warm, _ = pid_step(gains, warm_state, 0.75, dt=0.1)
-    assert fresh.value == warm.value
+    assert fresh == warm
 
 
 def test_first_step_derivative_is_zero():
     gains = PidGains(kp=0.0, ti=math.inf, td=1.0)
     out, st_ = pid_step(gains, PidState(), error=5.0, dt=0.1)
-    assert out.value == 0.0
+    assert out == 0.0
     out2, _ = pid_step(gains, st_, error=6.0, dt=0.1)
-    assert out2.value == pytest.approx((6.0 - 5.0) / 0.1)
+    assert out2 == pytest.approx((6.0 - 5.0) / 0.1)
 
 
 def test_rectangular_integral_matches_running_sum():
@@ -79,7 +79,7 @@ def test_rectangular_integral_matches_running_sum():
         out, st_ = pid_step(gains, st_, float(e), dt)
         running += float(e) * dt
         if running != 0:
-            worst = max(worst, abs(out.value - running) / abs(running))
+            worst = max(worst, abs(out - running) / abs(running))
     assert worst <= 1e-10
 
 
@@ -107,7 +107,40 @@ def test_step_input_validation():
         PidGains(kp=1.0, ti=0.0)
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
+def test_step_size_must_be_positive_and_finite(dt):
+    with pytest.raises(ValueError, match="dt"):
+        pid_step(PidGains(kp=1.0), PidState(), error=1.0, dt=dt)
+    with pytest.raises(ValueError, match="dt"):
+        simulate_pid(PidGains(kp=1.0), 1.0, setpoint=1.0, x0=0.0, dt=dt, T=10)
+
+
 # --- closed loop --------------------------------------------------------------
+
+
+def reference_simulation(g, plant_gain, setpoint, x0, dt, T, disturbance):
+    """``simulate_pid`` written as a plain loop over the three terms."""
+    x, integral, prev, rows = float(x0), 0.0, None, []
+    for _ in range(T):
+        e = setpoint - x
+        integral = integral + e * dt
+        u = g.kp * e
+        if math.isfinite(g.ti):
+            u += integral / g.ti
+        if g.td != 0.0 and prev is not None:
+            u += g.td * (e - prev) / dt
+        rows.append((x, u, e))
+        x = x + dt * (plant_gain * u + disturbance)
+        prev = e
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("gains", [PidGains(kp=1.0), PidGains(kp=1.0, ti=1.0),
+                                   PidGains(kp=0.7, ti=0.4, td=0.05), PidGains(kp=2.0, td=0.1)])
+def test_simulation_matches_plain_loop_bit_for_bit(gains):
+    traj = simulate_pid(gains, 1.3, setpoint=1.0, x0=-0.2, dt=0.01, T=3000, disturbance=-0.5)
+    want = reference_simulation(gains, 1.3, 1.0, -0.2, 0.01, 3000, -0.5)
+    assert np.column_stack([traj.x, traj.u, traj.e]).tobytes() == want.tobytes()
 
 
 def test_already_at_setpoint():

@@ -6,12 +6,14 @@ metrics are asserted against those swept values.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from regulab.procedural import (
+    CmykField,
     CmykPoint,
     CurlField,
     LurSchedule,
@@ -29,6 +31,7 @@ from regulab.procedural import (
     vehicle_distance,
     vehicle_step,
 )
+from regulab.rng import SplitMix64
 
 ORIGIN = np.zeros(2)
 EAST = np.array([1.0, 0.0])
@@ -115,6 +118,75 @@ def test_run_trial_validation():
         run_trial(ReachLearner(), CurlField(1.0, 0.0), ORIGIN, ORIGIN, 60, 0.01)
     with pytest.raises(ValueError):
         run_trial(ReachLearner(), CurlField(1.0, 0.0), ORIGIN, EAST, 0, 0.01)
+
+
+NOT_POSITIVE_FINITE = [0.0, -0.01, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("dt", NOT_POSITIVE_FINITE)
+def test_step_size_must_be_positive_and_finite(dt):
+    with pytest.raises(ValueError, match="dt"):
+        run_trial(ReachLearner(), CurlField(1.0, 0.0), ORIGIN, EAST, 60, dt)
+    field = equilateral_field()
+    with pytest.raises(ValueError, match="dt"):
+        vehicle_step(fixture_vehicle(field), field, dt)
+
+
+@pytest.mark.parametrize("name, value", [
+    *(("sensor_offset", v) for v in NOT_POSITIVE_FINITE),
+    *(("speed_gain", v) for v in NOT_POSITIVE_FINITE),
+    ("turn_gain", -1.0), ("turn_gain", math.nan), ("turn_gain", math.inf),
+    ("heading", math.nan), ("position", np.array([0.5, math.nan])), ("position", np.zeros(3)),
+])
+def test_vehicle_rejects_bad_offset_or_gain(name, value):
+    with pytest.raises(ValueError):
+        fixture_vehicle(equilateral_field(), **{name: value})
+
+
+def reference_run_trial(l, f, start, target, steps, dt, tracking_gain=12.0, noise=0.0,
+                        rng=None):
+    """``run_trial`` as a loop of numpy vector operations, one draw per kick."""
+    span = target - start
+    v_des = span / (steps * dt)
+    field_m = f.matrix
+    fast, slow = l.fast.copy(), l.slow.copy()
+    pos, pos_des, vel = start.copy(), start.copy(), v_des.copy()
+    dev_sum = 0.0
+    for _ in range(steps):
+        residual = field_m @ vel - (fast + slow) @ vel
+        felt = residual
+        if noise > 0.0 and rng is not None:
+            felt = residual + noise * np.array(
+                [2.0 * rng.next_float() - 1.0, 2.0 * rng.next_float() - 1.0]
+            )
+        update = np.outer(felt, vel) / (float(vel @ vel) + 1e-12)
+        fast += l.rate * update
+        slow += l.slow_rate * update
+        vel = vel + dt * (residual + tracking_gain * (v_des - vel))
+        pos = pos + dt * vel
+        pos_des = pos_des + dt * v_des
+        dev_sum += float(np.linalg.norm(pos - pos_des))
+    fast *= l.fast_retention
+    return replace(l, fast=fast, slow=slow), dev_sum / steps
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_run_trial_matches_numpy_reference_bit_for_bit(seed):
+    r = np.random.default_rng(seed)
+    learner = ReachLearner(rate=float(r.uniform(0.001, 0.4)), slow_rate=float(r.uniform(0, 0.04)),
+                           fast_retention=float(r.uniform(0.5, 1.0)),
+                           fast=r.standard_normal((2, 2)), slow=0.1 * r.standard_normal((2, 2)))
+    f = CurlField(float(r.uniform(0, 3)), float(r.uniform(0, 360)))
+    start = r.standard_normal(2)
+    target = start + r.standard_normal(2)
+    noise = (0.0, 0.02, 0.5)[seed % 3]
+    rngs = SplitMix64(seed), SplitMix64(seed)
+    got_l, got = run_trial(learner, f, start, target, 60, 0.01, 9.0, noise, rngs[0])
+    want_l, want = reference_run_trial(learner, f, start, target, 60, 0.01, 9.0, noise, rngs[1])
+    assert got == want
+    assert got_l.fast.tobytes() == want_l.fast.tobytes()
+    assert got_l.slow.tobytes() == want_l.slow.tobytes()
+    assert rngs[0]._state == rngs[1]._state
 
 
 def test_delta_rule_converges_to_field_matrix():
@@ -300,6 +372,64 @@ def test_vehicle_recovers_from_bad_heading():
             reached = True
             break
     assert reached
+
+
+def reference_sample(field, pos):
+    """``sample_cmyk`` as numpy vector operations, one point at a time."""
+    a, b, c = field.vertices
+
+    def bary(p):
+        uv = np.linalg.solve(np.column_stack([b - a, c - a]), p - a)
+        return np.array([1.0 - uv[0] - uv[1], uv[0], uv[1]])
+
+    p = np.asarray(pos, dtype=float)
+    if not np.all(bary(p) >= -1e-12):
+        best, best_d = None, math.inf
+        for i in range(3):
+            s, e = field.vertices[i], field.vertices[(i + 1) % 3]
+            side = e - s
+            t = float(np.clip((p - s) @ side / (side @ side), 0.0, 1.0))
+            q = s + t * side
+            d = float(np.linalg.norm(p - q))
+            if d < best_d:
+                best, best_d = q, d
+        p = best
+    cc, m, y = np.clip(bary(p), 0.0, 1.0)
+    return p, CmykPoint(float(cc), float(m), float(y), float(1.0 - max(cc, m, y)))
+
+
+def reference_vehicle_step(v, field, dt):
+    h = v.heading
+    fwd = np.array([math.cos(h), math.sin(h)])
+    left_at = v.position + v.sensor_offset * np.array([math.sin(h), -math.cos(h)])
+    right_at = v.position + v.sensor_offset * np.array([-math.sin(h), math.cos(h)])
+    d_left = cmyk_distance(reference_sample(field, left_at)[1], v.target)
+    d_right = cmyk_distance(reference_sample(field, right_at)[1], v.target)
+    d_body = cmyk_distance(reference_sample(field, v.position)[1], v.target)
+    speed = v.speed_gain * d_body
+    new_heading = h + dt * v.turn_gain * (d_left - d_right)
+    new_pos, _ = reference_sample(field, v.position + dt * speed * fwd)
+    return replace(v, position=new_pos, heading=new_heading)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_vehicle_matches_numpy_reference_bit_for_bit(seed):
+    # A coarse step and a far target drive the vehicle into the edges, so
+    # the clamp path runs as well as the interior one.
+    r = np.random.default_rng(seed)
+    field = equilateral_field() if seed % 2 else CmykField(r.uniform(-1, 1, (3, 2)))
+    v = fixture_vehicle(field, position=field.vertices.mean(axis=0), heading=float(r.uniform(-3, 3)),
+                        sensor_offset=float(r.uniform(0.01, 0.3)), turn_gain=float(r.uniform(0, 20)),
+                        target=sample_cmyk(field, field.vertices[seed % 3]))
+    want = v
+    for _ in range(150):
+        v = vehicle_step(v, field, 0.1)
+        want = reference_vehicle_step(want, field, 0.1)
+        assert v.position.tobytes() == want.position.tobytes()
+        assert v.heading == want.heading
+    for pos in [*r.uniform(-1.5, 1.5, (200, 2)), *field.vertices, np.array([-0.0, 0.0])]:
+        assert sample_cmyk(field, pos) == reference_sample(field, pos)[1]
+        assert field.clamp(pos).tobytes() == reference_sample(field, pos)[0].tobytes()
 
 
 # --- expanding goals --------------------------------------------------------------------

@@ -179,6 +179,15 @@ def test_internal_model_frequencies_sum_to_one():
     assert est["s0"] > 0.9
 
 
+def test_run_leaves_the_model_one_observe_state_per_tick_would():
+    rel = replace(toggle_benchmark(mode=LoopMode.FEEDFORWARD), model=InternalModel(horizon=5))
+    traj, final = run_relation_carry(rel, [("kick", "-")] * 12, 12)
+    model = rel.model
+    for rec in traj.records:
+        model = model.observe_state(rec.s_state)
+    assert final.model == model
+
+
 def test_internal_model_window_caps_at_horizon():
     m = InternalModel(horizon=3)
     for s in ("a", "b", "c", "d"):
