@@ -8,6 +8,12 @@ earlier one, recording the tool version, subcommand, resolved parameters,
 seed, output files, RNG algorithm, and wall time. The CSV ``# params:``
 line and the manifest are both derived from the parsed flags.
 
+A CSV holds the ``# params:`` line, a header, then one row per sample.
+Floats are written as ``format(v, ".17g")`` writes them (17 significant
+digits, enough to read back the same double), integers and any other item
+as ``str`` writes them. ``regulab.csvtext`` builds the rows with numpy, a
+chunk of rows at a time, and gives those bytes exactly.
+
 Exit codes: 0 success, 2 usage or parameter error (one-line reason on
 stderr), 1 runtime error. Every float flag must be a finite number and every
 count flag a positive integer; nan, ±inf, 0 or a negative count exits 2
@@ -84,27 +90,13 @@ def _params_line(a: argparse.Namespace, **shown) -> str:
     return f"# params: {body}\n"
 
 
-# Rows formatted per chunk: bounds the text held at once for a long series.
-_CSV_CHUNK_ROWS = 4096
-
-
-def _csv(a: argparse.Namespace, header: str, *columns, **shown) -> Iterator[str]:
+def _csv(a: argparse.Namespace, header: str, *columns, **shown) -> Iterator[str | bytes]:
     """CSV text in chunks: the ``# params:`` line of ``a`` (with ``shown``),
-    the header, then row k made of item k of every column.
+    the header, then the rows ``csvtext.rows`` builds from the columns."""
+    from . import csvtext  # on first use: importing the CLI loads no writer code
 
-    Columns are equal-length ranges, tuples, lists or numpy arrays. A column
-    whose first item is a float is written at 17 significant digits, any
-    other with ``str``.
-    """
     yield _params_line(a, **shown) + header + "\n"
-    if not columns:
-        return
-    row = ",".join("{:.17g}" if isinstance(c[0], float) else "{}" for c in columns) + "\n"
-    for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-        stop = start + _CSV_CHUNK_ROWS
-        chunk = [c[start:stop].tolist() if isinstance(c, np.ndarray) else c[start:stop]
-                 for c in columns]
-        yield "".join(map(row.format, *chunk))
+    yield from csvtext.rows(*columns)
 
 
 def emit_manifest(a: argparse.Namespace, outputs: list[Path], wall_time_s: float,
@@ -257,7 +249,7 @@ def _cmd_vehicle(a) -> tuple[list[Path], dict]:
     reached = None
     for step in range(a.steps):
         vehicle = proc.vehicle_step(vehicle, field_, a.dt)
-        color = proc.sample_cmyk(field_, vehicle.position)
+        color = vehicle.color
         dist = proc.cmyk_distance(color, target)
         rows.append((step, *vehicle.position.tolist(), color.c, color.m, color.y, color.k, dist))
         if dist <= a.goal_radius:

@@ -174,42 +174,45 @@ def run_trial(
     denom = float(v_des @ v_des) + 1e-12
     dev_sum = 0.0
     vecdot, sqrt = np.vecdot, math.sqrt
-    for k in range(steps):
-        comp[:] = (f00 + s00, f01 + s01, f10 + s10, f11 + s11)
-        vel[0] = vx
-        vel[1] = vy
-        field_x, field_y, comp_x, comp_y = (rows @ vel).tolist()
-        rx = field_x - comp_x
-        ry = field_y - comp_y
-        if kicks is None:
-            fx, fy = rx, ry
-        else:
-            fx = rx + kicks[2 * k]
-            fy = ry + kicks[2 * k + 1]
-        u00 = fx * vx / denom
-        u01 = fx * vy / denom
-        u10 = fy * vx / denom
-        u11 = fy * vy / denom
-        f00 += rate * u00
-        f01 += rate * u01
-        f10 += rate * u10
-        f11 += rate * u11
-        s00 += slow_rate * u00
-        s01 += slow_rate * u01
-        s10 += slow_rate * u10
-        s11 += slow_rate * u11
-        vx = vx + dt * (rx + tracking_gain * (vdx - vx))
-        vy = vy + dt * (ry + tracking_gain * (vdy - vy))
-        px = px + dt * vx
-        py = py + dt * vy
-        qx = qx + dt * vdx
-        qy = qy + dt * vdy
-        end_values[:] = (vx, vy, px, py, px - qx, py - qy)
-        vv, pp, ee = vecdot(ends, ends).tolist()
-        if sqrt(pp) > 1e6:
-            raise ReachDivergenceError("reach diverged, |position| > 1e6")
-        dev_sum += sqrt(ee)
-        denom = vv + 1e-12
+    # An overflow (to inf) ends the reach: the divergence check of the same
+    # step raises on it, so numpy need not warn first.
+    with np.errstate(over="ignore"):
+        for k in range(steps):
+            comp[:] = (f00 + s00, f01 + s01, f10 + s10, f11 + s11)
+            vel[0] = vx
+            vel[1] = vy
+            field_x, field_y, comp_x, comp_y = (rows @ vel).tolist()
+            rx = field_x - comp_x
+            ry = field_y - comp_y
+            if kicks is None:
+                fx, fy = rx, ry
+            else:
+                fx = rx + kicks[2 * k]
+                fy = ry + kicks[2 * k + 1]
+            u00 = fx * vx / denom
+            u01 = fx * vy / denom
+            u10 = fy * vx / denom
+            u11 = fy * vy / denom
+            f00 += rate * u00
+            f01 += rate * u01
+            f10 += rate * u10
+            f11 += rate * u11
+            s00 += slow_rate * u00
+            s01 += slow_rate * u01
+            s10 += slow_rate * u10
+            s11 += slow_rate * u11
+            vx = vx + dt * (rx + tracking_gain * (vdx - vx))
+            vy = vy + dt * (ry + tracking_gain * (vdy - vy))
+            px = px + dt * vx
+            py = py + dt * vy
+            qx = qx + dt * vdx
+            qy = qy + dt * vdy
+            end_values[:] = (vx, vy, px, py, px - qx, py - qy)
+            vv, pp, ee = vecdot(ends, ends).tolist()
+            if not sqrt(pp) <= 1e6:  # nan too
+                raise ReachDivergenceError("reach diverged, |position| > 1e6")
+            dev_sum += sqrt(ee)
+            denom = vv + 1e-12
     r = l.fast_retention
     fast = np.array([[f00 * r, f01 * r], [f10 * r, f11 * r]])
     slow = np.array([[s00, s01], [s10, s11]])
@@ -341,6 +344,16 @@ def _inside(weights: tuple[float, float, float], tol: float = 1e-12) -> bool:
     return weights[0] >= -tol and weights[1] >= -tol and weights[2] >= -tol
 
 
+def _color(weights: tuple[float, float, float]) -> tuple[float, float, float, float]:
+    """(c, m, y, k) of barycentric weights."""
+    c, m, y = _clip01(weights[0]), _clip01(weights[1]), _clip01(weights[2])
+    return c, m, y, 1.0 - max(c, m, y)
+
+
+class VehicleDivergenceError(RuntimeError):
+    """A vehicle step went too far past the arena to be clamped back."""
+
+
 @dataclass(frozen=True)
 class CmykField:
     """Triangle carrying pure C, M, Y at its vertices; colors elsewhere are
@@ -393,7 +406,12 @@ class CmykField:
                 feet.append((fx, fy))
                 gaps.append((x - fx, y - fy))
         gaps = np.array(gaps)
-        dist = list(map(math.sqrt, np.vecdot(gaps, gaps).tolist()))
+        with np.errstate(over="ignore"):  # checked on the next line
+            squares = np.vecdot(gaps, gaps).tolist()
+        if not all(map(math.isfinite, squares)):
+            raise VehicleDivergenceError("vehicle step diverged: a point is too far from the arena "
+                                         "to clamp (its squared distance overflows)")
+        dist = list(map(math.sqrt, squares))
         nearest = []
         for j in range(0, len(feet), 3):
             best = min(range(j, j + 3), key=dist.__getitem__)  # first of equal minima
@@ -424,11 +442,18 @@ class CmykField:
             clamped = self._boundary_points([points[i] for i in outside])
             for i, w in zip(outside, self._barycentric(clamped)):
                 weights[i] = w
-        colors = []
-        for w in weights:
-            c, m, y = _clip01(w[0]), _clip01(w[1]), _clip01(w[2])
-            colors.append((c, m, y, 1.0 - max(c, m, y)))
-        return colors
+        return list(map(_color, weights))
+
+    def _settle(self, point: tuple[float, float]) -> tuple[tuple[float, float],
+                                                          tuple[float, float, float, float]]:
+        """``clamp`` of one (x, y) point and the color there, with one solve
+        for a point inside the triangle: the containment solve's weights are
+        the ones ``_colors`` would solve for again."""
+        weights = self._barycentric([point])[0]
+        if _inside(weights):
+            return point, _color(weights)
+        on_edge = self._boundary_points([point])[0]
+        return on_edge, self._colors([on_edge])[0]
 
 
 def sample_cmyk(field_: CmykField, pos: np.ndarray) -> CmykPoint:
@@ -454,6 +479,9 @@ class Vehicle:
     turn_gain: float = 8.0
     target: CmykPoint = None
     goal_radius: float = 0.05
+    # The color at ``position``, set by ``vehicle_step``, which finds it
+    # while clamping; None on any vehicle made otherwise (``replace`` too).
+    color: CmykPoint | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self) -> None:
         # Written so that nan fails every check.
@@ -473,7 +501,8 @@ class Vehicle:
 
 
 def vehicle_step(v: Vehicle, field_: CmykField, dt: float) -> Vehicle:
-    """One Euler step of the sensor-drive loop."""
+    """One Euler step of the sensor-drive loop. The new vehicle carries the
+    color at its new position."""
     check_dt(dt)
     h = v.heading
     cos_h, sin_h = math.cos(h), math.sin(h)
@@ -489,8 +518,10 @@ def vehicle_step(v: Vehicle, field_: CmykField, dt: float) -> Vehicle:
     speed = v.speed_gain * d_body
     new_heading = h + dt * v.turn_gain * (d_left - d_right)
     ahead = dt * speed
-    new_pos = field_.clamp((x + ahead * cos_h, y + ahead * sin_h))
-    return replace(v, position=new_pos, heading=new_heading)
+    new_pos, color = field_._settle((x + ahead * cos_h, y + ahead * sin_h))
+    moved = replace(v, position=np.array(new_pos), heading=new_heading)
+    object.__setattr__(moved, "color", CmykPoint(*color))
+    return moved
 
 
 def vehicle_distance(v: Vehicle, field_: CmykField) -> float:

@@ -31,10 +31,10 @@ bins). Both use equal-width bins over the observed output range.
 
 from __future__ import annotations
 
-import io
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Callable, Hashable, Optional
 
 from .variety import StateSet
@@ -309,14 +309,22 @@ def path_regulation_score(traj: Trajectory, order: int, bins: int) -> float:
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Serialize with header ``tick,s_state,r_state,output,error,phi,rho``,
-    UTF-8 text with LF line endings and 17-significant-digit floats."""
-    buf = io.StringIO()
-    buf.write("tick,s_state,r_state,output,error,phi,rho\n")
-    for r in traj.records:
-        buf.write(
-            f"{r.tick},{r.s_state},{r.r_state},{r.output:.17g},{r.error:.17g},{r.phi},{r.rho}\n"
-        )
-    return buf.getvalue()
+    UTF-8 text with LF line endings and 17-significant-digit floats
+    (``output`` and ``error`` are written as floats and the symbols as text,
+    whatever their types)."""
+    from . import csvtext  # on first use: importing the module loads no writer code
+
+    def column(name: str) -> list:
+        return list(map(attrgetter(name), traj.records))
+
+    def text(name: str) -> list[str]:  # as "{}" writes it, a float symbol too
+        return list(map(format, column(name)))
+
+    body = b"".join(csvtext.rows(
+        column("tick"), text("s_state"), text("r_state"), column("output"), column("error"),
+        text("phi"), text("rho"), floats=(3, 4),
+    ))
+    return "tick,s_state,r_state,output,error,phi,rho\n" + body.decode("utf-8")
 
 
 def toggle_benchmark(mode: str = LoopMode.CLOSED) -> ClosedLoopRelation:

@@ -3,9 +3,15 @@
 import argparse
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regulab.cli import build_parser, dispatch, finite_float, positive_int
 
@@ -270,6 +276,17 @@ def test_nonfinite_float_flag_is_usage_error_and_writes_nothing(tmp_path, words,
     assert list(tmp_path.iterdir()) == []
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FLOAT_FLAGS), st.sampled_from([math.nan, math.inf, -math.inf]),
+       st.sampled_from([str, str.upper, str.title]))
+def test_any_nonfinite_float_flag_spelling_is_usage_error(flag, value, spell):
+    words, option = flag
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        assert run([*words, f"{option}={spell(repr(value))}", "--seed", 0, "-o", out]) == 2
+        assert list(Path(tmp).iterdir()) == []
+
+
 COUNT_FLAGS = [
     (words, action.option_strings[0])
     for words, leaf in leaf_parsers(build_parser())
@@ -340,3 +357,20 @@ def test_lur_manifest_is_strict_json_with_too_few_phases(tmp_path, phases, inter
     assert (extra["interference"] is not None) == interference
     assert extra["savings"] is None
     assert extra["null_reason"] == "interference needs >= 2 phases, savings needs >= 3"
+
+
+@pytest.mark.parametrize("argv", [
+    ["lur", "run", "--gain", "1e300", "--seed", "1"],
+    ["vehicle", "run", "--dt", "1e300", "--steps", "3", "--seed", "1"],
+])
+def test_overflowing_run_is_one_stderr_line(tmp_path, argv):
+    # A fresh interpreter, so that numpy's warnings reach stderr as they
+    # would for a user.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-m", "regulab.cli", *argv, "-o", "out.csv"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("regulab: runtime error: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []

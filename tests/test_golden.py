@@ -44,6 +44,9 @@ CASES = {
                          "--interval-max", "10", "--seed", "7"],
     "avalanche-threshold": ["avalanche", "threshold", "--n", "2000", "--e-model", "0.1",
                             "--seed", "0"],
+    # e_model 50: most values carry three-digit exponents (e-166).
+    "avalanche-threshold-e50": ["avalanche", "threshold", "--n", "2000", "--e-model", "50",
+                                "--seed", "0"],
     "pid": ["pid", "--kp", "1", "--ti", "1", "--dt", "0.01", "--steps", "2000",
             "--disturbance", "-0.5", "--seed", "0"],
     # Integral term disabled, derivative term on.

@@ -217,6 +217,22 @@ def test_csv_header_and_precision():
     assert "\r" not in text
 
 
+def test_csv_matches_per_record_formatting_for_any_field_types():
+    # The record line as an f-string writes it: "{:.17g}" forced on output and
+    # error (ints, bools and -0.0 included), "{}" on the symbols (floats too).
+    fields = [
+        (0.1, "s", 1.0 / 3.0, 0.0, "p", "q"),
+        (True, 1, 10**17, -0.0, 0.5, None),
+        ("é", (1, 2), True, float("nan"), -0.0, 1e-300),
+        (1.0, "s", -2, float("-inf"), "p", 7),
+    ]
+    traj = Trajectory(tuple(TickRecord(k, *f) for k, f in enumerate(fields)))
+    want = "tick,s_state,r_state,output,error,phi,rho\n" + "".join(
+        f"{r.tick},{r.s_state},{r.r_state},{r.output:.17g},{r.error:.17g},{r.phi},{r.rho}\n"
+        for r in traj.records)
+    assert trajectory_to_csv(traj) == want
+
+
 # --- entropy scores ---------------------------------------------------------------
 
 
