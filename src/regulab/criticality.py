@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise, repeat
 
 import numpy as np
 
-from .rng import SplitMix64
+from .rng import _BLOCK, SplitMix64
 
 # Exponents at or above this produce a series so sparse it resembles
 # black noise; the generator refuses them.
@@ -65,6 +66,11 @@ class BurstSchedule:
                 f"need 1 <= interval_min <= interval_max, got "
                 f"[{self.interval_min}, {self.interval_max}]"
             )
+        if self.interval_max - self.interval_min >= 2**64:
+            raise ValueError(
+                f"gap range [{self.interval_min}, {self.interval_max}] holds more "
+                f"than 2**64 values"
+            )
 
 
 def gen_power_series(n: int, e: float, seed: int) -> PowerSeries:
@@ -82,10 +88,11 @@ def gen_power_series(n: int, e: float, seed: int) -> PowerSeries:
         )
     if not (0 < e < MAX_EXPONENT):
         raise ValueError(f"exponent must be in (0, {MAX_EXPONENT}), got {e}")
-    # Python float pow, not numpy's power, which differs in the last ulp on AVX-512.
-    values = [float(t) ** -e for t in range(1, n + 1)]
-    SplitMix64(seed).shuffle(values)
-    samples = np.asarray(values, dtype=float)
+    # libm pow, not numpy's power, which differs in the last ulp on AVX-512.
+    # math.pow and float ** call the same libm pow, so the values still
+    # depend on which pow variant (FMA or not) the C library picks.
+    samples = np.fromiter(map(math.pow, range(1, n + 1), repeat(-e)), float, n)
+    SplitMix64(seed).shuffle(samples)
     samples.flags.writeable = False
     return PowerSeries(samples=samples, exponent=e, n=n, seed=seed)
 
@@ -106,6 +113,30 @@ def nfb_map(s: np.ndarray) -> np.ndarray:
     return np.abs(s[:-1] - s[1:])
 
 
+def _release_ticks(n: int, sched: BurstSchedule, rng: SplitMix64) -> np.ndarray:
+    """Running sums of gaps ``next_int(interval_min, interval_max)`` up to
+    ``n``; ``rng`` ends right after the first gap past ``n``. The bound never
+    changes, so a draw that ``next_below`` would reject is simply dropped."""
+    lo, m = sched.interval_min, sched.interval_max - sched.interval_min + 1
+    last_ok = np.uint64((2**64 // m) * m - 1)
+    chunks, tick = [], 0
+    while True:
+        u = rng.u64s(min(_BLOCK, (n - tick) // lo + 1))
+        kept = np.flatnonzero(u <= last_ok)
+        offsets = u[kept] if m == 2**64 else u[kept] % np.uint64(m)
+        # Any gap past n ends the series, so clipping both terms to n + 1
+        # keeps the sums in int64 without changing where they pass n.
+        gaps = np.minimum(offsets, n + 1).astype(np.int64) + min(lo, n + 1)
+        ticks = tick + np.cumsum(gaps)
+        inside = int(np.searchsorted(ticks, n, side="right"))
+        chunks.append(ticks[:inside])
+        if inside < ticks.size:
+            rng.rewind(u.size - 1 - int(kept[inside]))
+            return np.concatenate(chunks)
+        if ticks.size:
+            tick = int(ticks[-1])
+
+
 def accumulate_release(
     input_series: np.ndarray, sched: BurstSchedule, seed: int
 ) -> tuple[np.ndarray, AvalancheEvents]:
@@ -121,24 +152,23 @@ def accumulate_release(
     s = np.asarray(input_series, dtype=float)
     if s.size == 0:
         raise ValueError("input series must be non-empty")
-    rng = SplitMix64(seed)
+    ends = _release_ticks(s.size, sched, SplitMix64(seed))
+    # Each burst is summed from 0.0 in index order, as the accumulator does
+    # (not with sum(), which compensates its rounding from Python 3.12 on).
+    values = s.tolist()
+    magnitudes = []
+    for start, end in pairwise([0, *ends.tolist()]):
+        acc = 0.0
+        for v in values[start:end]:
+            acc += v
+        magnitudes.append(acc)
+    times = ends - 1
     bursts = np.zeros(s.size, dtype=float)
-    times: list[int] = []
-    magnitudes: list[float] = []
-    acc = 0.0
-    next_release = rng.next_int(sched.interval_min, sched.interval_max)
-    for i in range(s.size):
-        acc += s[i]
-        if i + 1 == next_release:
-            bursts[i] = acc
-            times.append(i)
-            magnitudes.append(acc)
-            acc = 0.0
-            next_release += rng.next_int(sched.interval_min, sched.interval_max)
+    bursts[times] = magnitudes
     events = AvalancheEvents(
-        times=np.asarray(times, dtype=int),
+        times=times,
         magnitudes=np.asarray(magnitudes, dtype=float),
-        intervals=np.diff(np.asarray(times, dtype=int)),
+        intervals=np.diff(times),
     )
     return bursts, events
 

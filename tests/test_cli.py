@@ -374,3 +374,17 @@ def test_overflowing_run_is_one_stderr_line(tmp_path, argv):
     assert proc.stderr.startswith("regulab: runtime error: ")
     assert len(proc.stderr.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_gap_range_wider_than_two_to_the_64_is_usage_error(tmp_path):
+    # Such a bound once made every draw a rejection, and the run never ended.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    argv = ["avalanche", "bursts", "--n", "10", "--interval-max", "99999999999999999999999",
+            "--seed", "0", "-o", "i.csv"]
+    proc = subprocess.run([sys.executable, "-m", "regulab.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert "2**64" in proc.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regulab import criticality
 from regulab.criticality import (
     AvalancheEvents,
     BurstSchedule,
@@ -21,6 +22,7 @@ from regulab.criticality import (
     threshold_model,
 )
 from regulab.rng import SplitMix64
+from test_rng import scalar_shuffle
 
 
 # --- generator ------------------------------------------------------------
@@ -48,6 +50,14 @@ def test_multiset_invariance_across_exponents(e):
     expected = np.array([t ** -e for t in range(1, n + 1)])
     ordered = np.sort(ps.samples)[::-1]
     assert np.max(np.abs(ordered - expected) / expected) <= 1e-12
+
+
+@pytest.mark.parametrize("n,e,seed", [(1, 1.0, 0), (2, 0.5, 7), (3000, 0.1, 1),
+                                      (70_001, 1.7, 12), (5000, 5.9, 3)])
+def test_series_matches_python_pow_and_scalar_shuffle(n, e, seed):
+    values = [float(t) ** -e for t in range(1, n + 1)]
+    scalar_shuffle(values, SplitMix64(seed))
+    assert gen_power_series(n, e, seed).samples.tobytes() == np.array(values).tobytes()
 
 
 def test_seeded_determinism():
@@ -171,6 +181,103 @@ def test_schedule_validation():
         BurstSchedule(0, 4)
     with pytest.raises(ValueError):
         BurstSchedule(5, 4)
+    BurstSchedule(1, 2**64)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        BurstSchedule(1, 2**64 + 1)
+
+
+# The scalar loop accumulate_release replaced: one next_int per gap.
+
+
+def reference_accumulate_release(s, sched, rng):
+    bursts = np.zeros(s.size, dtype=float)
+    times, magnitudes = [], []
+    acc = 0.0
+    next_release = rng.next_int(sched.interval_min, sched.interval_max)
+    for i in range(s.size):
+        acc += s[i]
+        if i + 1 == next_release:
+            bursts[i] = acc
+            times.append(i)
+            magnitudes.append(acc)
+            acc = 0.0
+            next_release += rng.next_int(sched.interval_min, sched.interval_max)
+    return bursts, np.asarray(times, dtype=int), np.asarray(magnitudes, dtype=float)
+
+
+class ForgedStream(SplitMix64):
+    """SplitMix64 whose draw number ``FORGE_AT`` (counted from the seed) is
+    2**64 - 1, which next_below rejects for any bound that is not a power
+    of two. Scalar and block draws see the same stream."""
+
+    FORGE_AT = None
+    made = []
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.drawn = 0
+        ForgedStream.made.append(self)
+
+    def next_u64(self):
+        u = super().next_u64()
+        self.drawn += 1
+        return 2**64 - 1 if self.drawn - 1 == self.FORGE_AT else u
+
+    def u64s(self, n):
+        u = super().u64s(n)
+        if self.FORGE_AT is not None and 0 <= self.FORGE_AT - self.drawn < n:
+            u[self.FORGE_AT - self.drawn] = np.uint64(2**64 - 1)
+        self.drawn += n
+        return u
+
+    def rewind(self, k):
+        super().rewind(k)
+        self.drawn -= k
+
+
+def assert_release_matches_reference(s, sched, seed, monkeypatch, forge_at=None):
+    monkeypatch.setattr(ForgedStream, "FORGE_AT", forge_at)
+    monkeypatch.setattr(ForgedStream, "made", [])
+    monkeypatch.setattr(criticality, "SplitMix64", ForgedStream)
+    bursts, events = accumulate_release(s, sched, seed)
+    ref_rng = SplitMix64(seed) if forge_at is None else ForgedStream(seed)
+    ref_bursts, ref_times, ref_magnitudes = reference_accumulate_release(s, sched, ref_rng)
+    assert bursts.tobytes() == ref_bursts.tobytes()
+    assert events.times.dtype == ref_times.dtype
+    assert events.times.tolist() == ref_times.tolist()
+    assert events.magnitudes.tobytes() == ref_magnitudes.tobytes()
+    assert events.intervals.tolist() == np.diff(ref_times).tolist()
+    assert ForgedStream.made[0]._state == ref_rng._state
+
+
+@pytest.mark.parametrize("n,lo,hi", [
+    (1, 1, 1), (3, 10, 20), (50, 50, 50), (51, 50, 50), (5000, 1, 1), (70000, 1, 3),
+    (70000, 1, 1), (2000, 4, 10), (300, 1, 2**64), (300, 2**70, 2**70 + 5),
+    (3000, 1, 2**63 + 1),  # rejects about half of all draws
+])
+def test_release_matches_scalar_loop(n, lo, hi, monkeypatch):
+    s = SplitMix64(n).floats(n)
+    assert_release_matches_reference(s, BurstSchedule(lo, hi), 9, monkeypatch)
+
+
+def test_release_matches_scalar_loop_on_signed_zeros(monkeypatch):
+    s = np.array([-0.0, 0.0, -0.0, -0.0, 1.0, -1.0, -0.0] * 40)
+    for lo, hi in ((1, 1), (1, 2), (2, 2), (1, 4)):
+        assert_release_matches_reference(s, BurstSchedule(lo, hi), 3, monkeypatch)
+
+
+@pytest.mark.parametrize("forge_at", [0, 1, 7])
+def test_release_drops_a_rejected_gap_draw(forge_at, monkeypatch):
+    s = SplitMix64(1).floats(400)
+    assert_release_matches_reference(s, BurstSchedule(3, 9), 5, monkeypatch, forge_at)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 400), st.integers(1, 30), st.integers(0, 30), st.integers(0, 2**64 - 1))
+def test_release_matches_scalar_loop_property(n, lo, width, seed):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        s = SplitMix64(seed).floats(n) - 0.5
+        assert_release_matches_reference(s, BurstSchedule(lo, lo + width), seed, monkeypatch)
 
 
 # --- rank order -------------------------------------------------------------

@@ -42,6 +42,20 @@ CASES = {
     "avalanche-smooth": ["avalanche", "smooth", "--n", "2000", "--factor", "100", "--seed", "7"],
     "avalanche-bursts": ["avalanche", "bursts", "--n", "1001", "--interval-min", "4",
                          "--interval-max", "10", "--seed", "7"],
+    # The first gap is longer than the series: no release at all.
+    "avalanche-bursts-none": ["avalanche", "bursts", "--n", "3", "--interval-min", "10",
+                              "--interval-max", "20", "--seed", "7"],
+    # A one-value range: a release on every tick, every draw accepted.
+    "avalanche-bursts-every": ["avalanche", "bursts", "--n", "5000", "--interval-min", "1",
+                               "--interval-max", "1", "--seed", "7"],
+    # About 35,000 short gaps.
+    "avalanche-bursts-70k": ["avalanche", "bursts", "--n", "70000", "--interval-min", "1",
+                             "--interval-max", "3", "--seed", "12"],
+    # 70,000 gaps of one tick: more gaps than one draw block.
+    "avalanche-bursts-every-70k": ["avalanche", "bursts", "--n", "70000", "--interval-min",
+                                   "1", "--interval-max", "1", "--seed", "12"],
+    # The smallest series that is shuffled at all.
+    "avalanche-gen-2": ["avalanche", "gen", "--n", "2", "--seed", "7"],
     "avalanche-threshold": ["avalanche", "threshold", "--n", "2000", "--e-model", "0.1",
                             "--seed", "0"],
     # e_model 50: most values carry three-digit exponents (e-166).

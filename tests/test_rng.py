@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from regulab.rng import _BLOCK, SplitMix64
 
@@ -45,6 +45,15 @@ def test_next_int_inclusive_bounds():
 def test_next_below_rejects_nonpositive():
     with pytest.raises(ValueError):
         SplitMix64(0).next_below(0)
+
+
+def test_next_below_bounds_up_to_two_to_the_64():
+    # A wider bound would make every draw a rejection, so it is refused.
+    g = SplitMix64(0)
+    with pytest.raises(ValueError):
+        g.next_below(2**64 + 1)
+    assert g._state == 0
+    assert g.next_below(2**64) == SEED0_STREAM[0]
 
 
 @given(st.lists(st.integers(), min_size=0, max_size=50), st.integers(0, 2**64 - 1))
@@ -100,15 +109,27 @@ def test_floats_match_next_float(seed):
         assert block._state == scalar._state
 
 
+def assert_shuffle_matches_scalar(seed, n):
+    scalar = SplitMix64(seed)
+    expected = [float(v) for v in range(n)]
+    scalar_shuffle(expected, scalar)
+    for items in ([float(v) for v in range(n)], np.arange(n, dtype=float)):
+        block = SplitMix64(seed)
+        block.shuffle(items)
+        assert list(items) == expected
+        assert block._state == scalar._state
+
+
 @pytest.mark.parametrize("n", BLOCK_SIZES)
 @pytest.mark.parametrize("seed", BLOCK_SEEDS[:3])
 def test_shuffle_matches_scalar_reference(seed, n):
-    block, scalar = SplitMix64(seed), SplitMix64(seed)
-    a, b = list(range(n)), list(range(n))
-    block.shuffle(a)
-    scalar_shuffle(b, scalar)
-    assert a == b
-    assert block._state == scalar._state
+    assert_shuffle_matches_scalar(seed, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3000), st.integers(0, 2**64 - 1))
+def test_shuffle_matches_scalar_reference_any_length(n, seed):
+    assert_shuffle_matches_scalar(seed, n)
 
 
 class RejectingOnce(SplitMix64):
