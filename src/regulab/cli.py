@@ -22,10 +22,10 @@ before any file is written.
 Flags override a config file, which overrides built-in defaults. The file
 is given as ``--config path`` or ``--config=path`` before the subcommand and
 holds ``key=value`` lines (blank lines and ``#`` comments are skipped). A key
-is a flag name of the subcommand, written with ``_`` or ``-``; ``seed`` and
-``output`` may come from the file too. A switch such as ``cumulative`` takes
-``true`` (on) or ``false`` (off). A key the subcommand does not accept, or a
-value its flag rejects, exits 2.
+is a flag name of the subcommand, written with ``_`` or ``-``; any flag may
+come from the file, ``seed``, ``output`` and ``pairs`` included. A switch such
+as ``cumulative`` takes ``true`` (on) or ``false`` (off). A key the subcommand
+does not accept, or a value its flag rejects, exits 2.
 """
 
 from __future__ import annotations
@@ -134,12 +134,8 @@ def _cmd_variety(a) -> tuple[list[Path], dict]:
     mapping = var.load_mapping_csv(a.pairs)
     cls = var.classify_mapping(mapping)
     verdict = var.requisite_variety_check(mapping)
-    row = (
-        cls.tag.value,
-        f"{cls.variety_ratio.numerator}/{cls.variety_ratio.denominator}",
-        "Satisfied" if verdict.satisfied else "Violated",
-        verdict.reason or "",
-    )
+    row = (cls.tag.value, f"{cls.variety_ratio.numerator}/{cls.variety_ratio.denominator}",
+           "Satisfied" if verdict.satisfied else "Violated", verdict.reason or "")
     _atomic_write(a.output, _csv(a, "class,variety_ratio,verdict,reason", *zip(row)))
     return [a.output], {}
 
@@ -147,9 +143,8 @@ def _cmd_variety(a) -> tuple[list[Path], dict]:
 def _cmd_pid(a) -> tuple[list[Path], dict]:
     # --ti 0 disables the integral term; any other value reaches PidGains' check.
     gains = pidmod.PidGains(kp=a.kp, ti=math.inf if a.ti == 0 else a.ti, td=a.td)
-    traj = pidmod.simulate_pid(
-        gains, a.plant_gain, a.setpoint, a.x0, a.dt, a.steps, disturbance=a.disturbance
-    )
+    traj = pidmod.simulate_pid(gains, a.plant_gain, a.setpoint, a.x0, a.dt, a.steps,
+                               disturbance=a.disturbance)
     _atomic_write(a.output, _csv(a, "tick,x,u,e", traj.ticks, traj.x, traj.u, traj.e))
     return [a.output], {"final_error": float(traj.e[-1])}
 
@@ -237,14 +232,8 @@ def _cmd_vehicle(a) -> tuple[list[Path], dict]:
     target = proc.sample_cmyk(field_, field_.vertices[0])
     to_c = field_.vertices[0] - centroid
     vehicle = proc.Vehicle(
-        position=centroid,
-        heading=math.atan2(to_c[1], to_c[0]),
-        sensor_offset=a.sensor_offset,
-        speed_gain=a.speed_gain,
-        turn_gain=a.turn_gain,
-        target=target,
-        goal_radius=a.goal_radius,
-    )
+        position=centroid, heading=math.atan2(to_c[1], to_c[0]), sensor_offset=a.sensor_offset,
+        speed_gain=a.speed_gain, turn_gain=a.turn_gain, target=target, goal_radius=a.goal_radius)
     rows = []
     reached = None
     for step in range(a.steps):
@@ -262,26 +251,24 @@ def _cmd_vehicle(a) -> tuple[list[Path], dict]:
 def _cmd_demo(a) -> tuple[list[Path], dict]:
     if a.which == "gd":
         traj, annotation = demos.gd_regulate((a.tx, a.ty), (a.x0, a.y0), a.lr, a.iters)
-        rows = [(k, float(x), float(y), math.hypot(x - a.tx, y - a.ty))
-                for k, (x, y) in enumerate(traj)]
+        rows = [(k, x, y, math.hypot(x - a.tx, y - a.ty))
+                for k, (x, y) in enumerate(traj.tolist())]
+        bad = [k for k, *_, error in rows if not math.isfinite(error)]
+        if bad:
+            raise demos.GdOverflowError(f"error is not finite at iteration {bad[0]}")
         _atomic_write(a.output, _csv(a, "iter,x0,x1,error", *zip(*rows), tx=None, ty=None,
                                      y0=None, target=f"{a.tx};{a.ty}", x0=f"{a.x0};{a.y0}"))
     else:
         w, _, h = a.grid.partition("x")
-        cfg = demos.QConfig(
-            width=int(w), height=int(h), goal_cell=(int(w) - 1, int(h) - 1),
-            episodes=a.episodes, exploration=a.epsilon,
-        )
+        cfg = demos.QConfig(width=int(w), height=int(h), goal_cell=(int(w) - 1, int(h) - 1),
+                            episodes=a.episodes, exploration=a.epsilon)
         policy, q, annotation = demos.q_regulate(cfg, a.seed)
         rows = [(x, y, demos.ACTION_NAMES[action], float(np.max(q[(x, y)])))
                 for (x, y), action in sorted(policy.items())]
         _atomic_write(a.output, _csv(a, "x,y,greedy_action,value", *zip(*rows)))
     roles_path = a.output.with_name(a.output.stem + "_roles.jsonl")
-    lines = [
-        json.dumps({"component": comp, "role": role, "interpretive": annotation.interpretive},
-                   sort_keys=True)
-        for comp, role in sorted(annotation.assignments.items())
-    ]
+    lines = [json.dumps({"component": comp, "role": role, "interpretive": annotation.interpretive},
+                        sort_keys=True) for comp, role in sorted(annotation.assignments.items())]
     _atomic_write(roles_path, ["\n".join(lines) + "\n"])
     return [a.output, roles_path], {}
 
@@ -325,106 +312,86 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Default of a flag every run needs. Not argparse's required=True: the value
+# may come from the config file, so _parse checks for it after the merge.
+_REQUIRED = object()
+
+_COMMON = (("seed", int, _REQUIRED), ("output", Path, _REQUIRED))
+_SERIES = (("n", positive_int, 10_000), ("e", finite_float, 1.0))
+
+# Subcommand path -> (handler, help, flags); a group's handler is instead the
+# name its next word is stored under. A flag is (name, kind, default[, help]),
+# kind an argparse type, a tuple of choices or bool for a switch, and its dest
+# the name with "_" for "-". Every leaf also takes the _COMMON flags.
+_COMMANDS = {
+    (): ("subcommand", None, (("config", str, None, "key=value defaults file"),)),
+    ("relation",): (_cmd_relation, "toggle benchmark trajectory", (
+        ("mode", ("closed", "feedforward"), "closed"), ("ticks", positive_int, 32))),
+    ("variety",): (_cmd_variety, "classify a state mapping CSV", (
+        ("pairs", str, _REQUIRED, "CSV with header r_state,s_state"),)),
+    ("pid",): (_cmd_pid, "closed-loop setpoint tracking", (
+        ("kp", finite_float, 1.0), ("ti", finite_float, 0.0, "integral time, 0 disables"),
+        ("td", finite_float, 0.0), ("dt", finite_float, 0.01), ("steps", positive_int, 1000),
+        ("setpoint", finite_float, 1.0), ("plant-gain", finite_float, 1.0),
+        ("x0", finite_float, 0.0), ("disturbance", finite_float, 0.0))),
+    ("avalanche",): ("action", "power-law series tools", ()),
+    ("avalanche", "gen"): (_cmd_avalanche, "permuted power-law series", _SERIES),
+    ("avalanche", "pfb"): (_cmd_avalanche, "adjacent-mean map of a series", _SERIES),
+    ("avalanche", "nfb"): (_cmd_avalanche, "absolute adjacent-difference map", _SERIES),
+    ("avalanche", "rank"): (_cmd_avalanche, "series sorted by magnitude", (
+        *_SERIES, ("ascending", bool, False))),
+    ("avalanche", "smooth"): (_cmd_avalanche, "block means of a series", (
+        *_SERIES, ("factor", positive_int, 100))),
+    ("avalanche", "bursts"): (_cmd_avalanche, "accumulate-and-release bursts", (
+        ("n", positive_int, 1001), ("interval-min", positive_int, 4),
+        ("interval-max", positive_int, 10))),
+    ("avalanche", "threshold"): (_cmd_avalanche, "power-curve detection threshold", (
+        ("n", positive_int, 10_000), ("e-model", finite_float, 0.1))),
+    ("diffuse",): (_cmd_diffuse, "forward image noising", (
+        ("input", str, None, "PGM image; omitted uses a built-in test image"),
+        ("mode", ("uniform", "power"), "uniform"),
+        ("levels", str, None, "comma list of alphas (uniform) or shapes (power)"),
+        ("alpha", finite_float, 0.75, "blend fraction for power mode"),
+        ("cumulative", bool, False))),
+    ("lur",): ("action", "learning-unlearning-relearning protocol", ()),
+    ("lur", "run"): (_cmd_lur, "reach phases under rotated force fields", (
+        ("phases", str, "0:200,90:200,0:200", "angle:trials,..."), ("gain", finite_float, 1.0),
+        ("rate", finite_float, 0.005), ("slow-rate", finite_float, 7e-5),
+        ("retention", finite_float, 0.94), ("noise", finite_float, 0.02))),
+    ("vehicle",): ("action", "color-gradient vehicle run", ()),
+    ("vehicle", "run"): (_cmd_vehicle, "drive to the target color", (
+        ("steps", positive_int, 10_000), ("dt", finite_float, 0.02),
+        ("sensor-offset", finite_float, 0.05), ("speed-gain", finite_float, 0.5),
+        ("turn-gain", finite_float, 8.0), ("goal-radius", finite_float, 0.05))),
+    ("demo",): ("which", "optimizers annotated as regulators", ()),
+    ("demo", "gd"): (_cmd_demo, "gradient descent on a quadratic bowl", (
+        ("lr", finite_float, 0.5), ("iters", positive_int, 32), ("tx", finite_float, 1.0),
+        ("ty", finite_float, -0.5), ("x0", finite_float, 0.0), ("y0", finite_float, 0.0))),
+    ("demo", "q"): (_cmd_demo, "tabular Q-learning on a gridworld", (
+        ("grid", str, "3x3"), ("episodes", positive_int, 2000), ("epsilon", finite_float, 0.1))),
+}
+
+
 @functools.cache
 def build_parser() -> _Parser:
-    """The argument parser, built once per process. Parsing never changes
-    it, so every call returns the same one."""
-    p = _Parser(prog="regulab", description=__doc__, add_help=True)
-    p.add_argument("--config", default=None, help="key=value defaults file")
-    sub = p.add_subparsers(dest="subcommand", required=True)
-
-    # Every leaf subcommand's --seed and --output. Not required=True: they may
-    # come from the config file, so _parse checks them after the merge.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--output", "-o", type=Path)
-
-    sp = sub.add_parser("relation", parents=[common], help="toggle benchmark trajectory")
-    sp.add_argument("--mode", choices=("closed", "feedforward"), default="closed")
-    sp.add_argument("--ticks", type=positive_int, default=32)
-    sp.set_defaults(func=_cmd_relation)
-
-    sp = sub.add_parser("variety", parents=[common], help="classify a state mapping CSV")
-    sp.add_argument("--pairs", required=True, help="CSV with header r_state,s_state")
-    sp.set_defaults(func=_cmd_variety)
-
-    sp = sub.add_parser("pid", parents=[common], help="closed-loop setpoint tracking")
-    sp.add_argument("--kp", type=finite_float, default=1.0)
-    sp.add_argument("--ti", type=finite_float, default=0.0, help="integral time, 0 disables")
-    sp.add_argument("--td", type=finite_float, default=0.0)
-    sp.add_argument("--dt", type=finite_float, default=0.01)
-    sp.add_argument("--steps", type=positive_int, default=1000)
-    sp.add_argument("--setpoint", type=finite_float, default=1.0)
-    sp.add_argument("--plant-gain", dest="plant_gain", type=finite_float, default=1.0)
-    sp.add_argument("--x0", type=finite_float, default=0.0)
-    sp.add_argument("--disturbance", type=finite_float, default=0.0)
-    sp.set_defaults(func=_cmd_pid)
-
-    ap = sub.add_parser("avalanche", help="power-law series tools")
-    asub = ap.add_subparsers(dest="action", required=True)
-    for action in ("gen", "pfb", "nfb", "rank", "smooth"):
-        sp = asub.add_parser(action, parents=[common])
-        sp.add_argument("--n", type=positive_int, default=10_000)
-        sp.add_argument("--e", type=finite_float, default=1.0)
-        if action == "rank":
-            sp.add_argument("--ascending", action="store_true")
-        if action == "smooth":
-            sp.add_argument("--factor", type=positive_int, default=100)
-    sp = asub.add_parser("bursts", parents=[common])
-    sp.add_argument("--n", type=positive_int, default=1001)
-    sp.add_argument("--interval-min", dest="interval_min", type=positive_int, default=4)
-    sp.add_argument("--interval-max", dest="interval_max", type=positive_int, default=10)
-    sp = asub.add_parser("threshold", parents=[common])
-    sp.add_argument("--n", type=positive_int, default=10_000)
-    sp.add_argument("--e-model", dest="e_model", type=finite_float, default=0.1)
-    ap.set_defaults(func=_cmd_avalanche)
-
-    sp = sub.add_parser("diffuse", parents=[common], help="forward image noising")
-    sp.add_argument("--input", default=None, help="PGM image; omitted uses a built-in test image")
-    sp.add_argument("--mode", choices=("uniform", "power"), default="uniform")
-    sp.add_argument("--levels", default=None, help="comma list of alphas (uniform) or shapes (power)")
-    sp.add_argument("--alpha", type=finite_float, default=0.75, help="blend fraction for power mode")
-    sp.add_argument("--cumulative", action="store_true")
-    sp.set_defaults(func=_cmd_diffuse)
-
-    lp = sub.add_parser("lur", help="learning-unlearning-relearning protocol")
-    lsub = lp.add_subparsers(dest="action", required=True)
-    sp = lsub.add_parser("run", parents=[common])
-    sp.add_argument("--phases", default="0:200,90:200,0:200", help="angle:trials,...")
-    sp.add_argument("--gain", type=finite_float, default=1.0)
-    sp.add_argument("--rate", type=finite_float, default=0.005)
-    sp.add_argument("--slow-rate", dest="slow_rate", type=finite_float, default=7e-5)
-    sp.add_argument("--retention", type=finite_float, default=0.94)
-    sp.add_argument("--noise", type=finite_float, default=0.02)
-    sp.set_defaults(func=_cmd_lur)
-
-    vp = sub.add_parser("vehicle", help="color-gradient vehicle run")
-    vsub = vp.add_subparsers(dest="action", required=True)
-    sp = vsub.add_parser("run", parents=[common])
-    sp.add_argument("--steps", type=positive_int, default=10_000)
-    sp.add_argument("--dt", type=finite_float, default=0.02)
-    sp.add_argument("--sensor-offset", dest="sensor_offset", type=finite_float, default=0.05)
-    sp.add_argument("--speed-gain", dest="speed_gain", type=finite_float, default=0.5)
-    sp.add_argument("--turn-gain", dest="turn_gain", type=finite_float, default=8.0)
-    sp.add_argument("--goal-radius", dest="goal_radius", type=finite_float, default=0.05)
-    sp.set_defaults(func=_cmd_vehicle)
-
-    dp = sub.add_parser("demo", help="optimizers annotated as regulators")
-    dsub = dp.add_subparsers(dest="which", required=True)
-    sp = dsub.add_parser("gd", parents=[common])
-    sp.add_argument("--lr", type=finite_float, default=0.5)
-    sp.add_argument("--iters", type=positive_int, default=32)
-    sp.add_argument("--tx", type=finite_float, default=1.0)
-    sp.add_argument("--ty", type=finite_float, default=-0.5)
-    sp.add_argument("--x0", type=finite_float, default=0.0)
-    sp.add_argument("--y0", type=finite_float, default=0.0)
-    sp = dsub.add_parser("q", parents=[common])
-    sp.add_argument("--grid", default="3x3")
-    sp.add_argument("--episodes", type=positive_int, default=2000)
-    sp.add_argument("--epsilon", type=finite_float, default=0.1)
-    dp.set_defaults(func=_cmd_demo)
-
-    return p
+    """The argument parser, built once per process from ``_COMMANDS``.
+    Parsing never changes it, so every call returns the same one."""
+    root = _Parser(prog="regulab", description=__doc__)
+    groups = {}
+    for path, (handler, help_, flags) in _COMMANDS.items():
+        parser = groups[path[:-1]].add_parser(path[-1], help=help_) if path else root
+        if isinstance(handler, str):
+            groups[path] = parser.add_subparsers(dest=handler, required=True)
+        else:
+            parser.set_defaults(func=handler)
+            flags = (*_COMMON, *flags)
+        for name, kind, default, *help_text in flags:
+            options = ({"action": "store_true"} if kind is bool else
+                       {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+            parser.add_argument(f"--{name}", *(("-o",) if name == "output" else ()),
+                                default=default, help=help_text[0] if help_text else None,
+                                **options)
+    return root
 
 
 def _config_flags(args: argparse.Namespace, values: dict[str, str]) -> list[str]:
@@ -458,8 +425,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
             at += 1 if "=" in argv[at] else 2
         at += 2 if hasattr(args, "action") or hasattr(args, "which") else 1
         args = parser.parse_args([*argv[:at], *flags, *argv[at:]])
-    missing = [flag for flag, value in (("--seed", args.seed), ("--output/-o", args.output))
-               if value is None]
+    missing = [f"--{k.replace('_', '-')}" for k, v in vars(args).items() if v is _REQUIRED]
     if missing:
         raise UsageError(f"the following arguments are required: {', '.join(missing)}")
     return args

@@ -5,8 +5,7 @@ scatters it over time with a seeded Fisher-Yates permutation, giving a
 scale-free series whose rank-order plot is the exact power curve. On top
 of that sit the comparator maps (adjacent mean and absolute adjacent
 difference), an accumulate-and-release burst process, a closed-form
-threshold detection curve, block-mean smoothing, and a configurable
-threshold detector for burst events.
+threshold detection curve, and block-mean smoothing.
 """
 
 from __future__ import annotations
@@ -214,28 +213,3 @@ def smooth_model(s: np.ndarray, factor: int) -> np.ndarray:
     if s.size % factor != 0:
         raise ValueError(f"factor {factor} does not divide series length {s.size}")
     return s.reshape(-1, factor).mean(axis=1)
-
-
-def detect_avalanches(s: np.ndarray, level: float) -> AvalancheEvents:
-    """Events at every tick whose sample exceeds ``level``.
-
-    The detection rule is an explicit parameter on purpose: burst counts
-    depend entirely on where the level is set.
-    """
-    s = np.asarray(s, dtype=float)
-    if s.size == 0:
-        raise ValueError("cannot detect events in an empty series")
-    times = np.flatnonzero(s > level)
-    return AvalancheEvents(
-        times=times,
-        magnitudes=s[times],
-        intervals=np.diff(times),
-    )
-
-
-def series_mass_above(s: np.ndarray, level: float) -> float:
-    """Fraction of samples strictly above ``level``."""
-    s = np.asarray(s, dtype=float)
-    if s.size == 0:
-        raise ValueError("empty series")
-    return float(np.count_nonzero(s > level)) / s.size

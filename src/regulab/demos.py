@@ -37,6 +37,10 @@ class GdDivergenceError(ValueError):
     """Step size too large for the quadratic objective; iterates diverge."""
 
 
+class GdOverflowError(RuntimeError):
+    """A gradient, or an iterate's distance to the target, is not finite."""
+
+
 def gd_regulate(
     target: tuple[float, float],
     x0: tuple[float, float],
@@ -46,7 +50,8 @@ def gd_regulate(
     """Gradient descent on 0.5 * ||x - target||^2.
 
     x_{k+1} = x_k - lr * (x_k - target); the contraction factor is |1 - lr|,
-    so lr >= 2 is rejected up front rather than silently blowing up. Returns
+    so lr >= 2 is rejected up front rather than silently blowing up, and a
+    gradient x_k - target that overflows raises ``GdOverflowError``. Returns
     the iterate trajectory, shape (iters + 1, 2), including x0.
     """
     if lr <= 0:
@@ -62,9 +67,13 @@ def gd_regulate(
     x = np.asarray(x0, dtype=float)
     traj = np.empty((iters + 1, 2), dtype=float)
     traj[0] = x
-    for k in range(iters):
-        x = x - lr * (x - t)
-        traj[k + 1] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(iters):
+            x = x - lr * (x - t)
+            traj[k + 1] = x
+        bad = np.flatnonzero(~np.isfinite(traj - t).all(axis=1))
+    if bad.size:
+        raise GdOverflowError(f"gradient x - target is not finite at iterate {bad[0]}")
     annotation = RoleAnnotation(
         assignments={
             "objective_landscape": "S",

@@ -173,17 +173,6 @@ def image_stats(img: GrayImage) -> tuple[float, float, np.ndarray]:
     return mean, var, hist
 
 
-def luminance(rgb: np.ndarray) -> GrayImage:
-    """Collapse an (h, w, 3) float array in [0, 1] to grayscale by the
-    Rec. 601 luma weights."""
-    arr = np.asarray(rgb, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ValueError(f"expected (h, w, 3), got {arr.shape}")
-    gray = arr[..., 0] * 0.299 + arr[..., 1] * 0.587 + arr[..., 2] * 0.114
-    gray = np.clip(gray, 0.0, 1.0)
-    return GrayImage(width=arr.shape[1], height=arr.shape[0], pixels=gray)
-
-
 def pgm_bytes(img: GrayImage) -> bytes:
     """Binary P5 encoding, maxval 255, pixel = round(value * 255)."""
     quant = np.rint(img.pixels * 255.0).astype(np.uint8)
@@ -227,17 +216,25 @@ def read_pgm(path: str | Path) -> GrayImage:
             raise ValueError("truncated PGM header")
         tokens.append(data[start:pos])
     w, h, maxval = (int(t) for t in tokens)
+    if w < 1 or h < 1:
+        raise ValueError(f"PGM size must be at least 1x1, got {w}x{h}")
     if maxval < 1 or maxval > 255:
         raise ValueError(f"unsupported maxval {maxval}")
 
     if magic == b"P5":
         pos += 1  # single whitespace byte after maxval
+        found = len(data) - pos
+        if found < w * h:
+            raise ValueError(f"expected {w * h} pixels, found {max(found, 0)}")
         raster = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=pos)
     else:
         values = data[pos:].split()
         if len(values) < w * h:
             raise ValueError(f"expected {w * h} pixels, found {len(values)}")
-        raster = np.array([int(v) for v in values[: w * h]], dtype=np.uint8)
+        raster = np.array([int(v) for v in values[: w * h]])
+    lo, hi = raster.min(), raster.max()
+    if lo < 0 or hi > maxval:
+        raise ValueError(f"PGM pixel value {lo if lo < 0 else hi} is outside 0..{maxval}")
     pixels = raster.astype(float).reshape(h, w) / float(maxval)
     return GrayImage(width=w, height=h, pixels=pixels)
 

@@ -101,7 +101,8 @@ def simulate_pid(
     """Setpoint tracking on the first-order plant
     x[k+1] = x[k] + dt * (plant_gain * u[k] + disturbance).
 
-    Aborts with a diagnostic naming the tick if |x| exceeds 1e12.
+    Aborts with a diagnostic naming the tick if |x| exceeds 1e12 or the
+    control output u is not finite.
     """
     if T < 1:
         raise ValueError(f"need at least 1 step, got {T}")
@@ -120,6 +121,8 @@ def simulate_pid(
         e = setpoint - x
         integral = integral + e * dt
         u = _control(g, integral, prev_error, e, dt)
+        if not math.isfinite(u):
+            raise PidDivergenceError(f"control output u = {u} is not finite at tick {k}")
         xs[k] = x
         us[k] = u
         es[k] = e

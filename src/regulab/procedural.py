@@ -68,13 +68,6 @@ class CurlField:
         return self.gain * rotation_matrix(self.angle)
 
 
-def field_force(f: CurlField, velocity: np.ndarray) -> np.ndarray:
-    v = np.asarray(velocity, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"velocity must be finite, got {v}")
-    return f.matrix @ v
-
-
 @dataclass(frozen=True)
 class ReachLearner:
     """Linear compensator comp = fast + slow, trained by a normalized delta

@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, replace
-from operator import attrgetter
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Hashable, Optional
 
 from .variety import StateSet
@@ -46,13 +45,11 @@ class DestroyedVarietyError(ValueError):
     """An observation fell outside the regulator policy's declared range,
     so the regulator cannot answer it."""
 
-    def __init__(self, symbol: object, tick: int | None = None) -> None:
+    def __init__(self, symbol: object, tick: int) -> None:
         self.symbol = symbol
         self.tick = tick
-        at = f" at tick {tick}" if tick is not None else ""
-        super().__init__(
-            f"observation {symbol!r}{at} is outside the regulator policy's declared range"
-        )
+        super().__init__(f"observation {symbol!r} at tick {tick} is outside the regulator "
+                         "policy's declared range")
 
 
 @dataclass(frozen=True)
@@ -175,27 +172,27 @@ class TickRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    records: tuple[TickRecord, ...]
+    """One column per field of a tick; row k is tick k."""
+
+    s_state: tuple[Symbol, ...]
+    r_state: tuple[Symbol, ...]
+    output: tuple[float, ...]
+    error: tuple[float, ...]
+    phi: tuple[Symbol, ...]
+    rho: tuple[Symbol, ...]
 
     def __post_init__(self) -> None:
-        for i, rec in enumerate(self.records):
-            if rec.tick != i:
-                raise ValueError(f"record {i} carries tick {rec.tick}")
+        lengths = [len(getattr(self, f.name)) for f in fields(self)]
+        if len(set(lengths)) > 1:
+            raise ValueError(f"columns differ in length: {lengths}")
 
-    def outputs(self) -> list[float]:
-        return [r.output for r in self.records]
+    @property
+    def records(self) -> tuple[TickRecord, ...]:
+        columns = (getattr(self, f.name) for f in fields(self))
+        return tuple(map(TickRecord, range(len(self)), *columns))
 
     def __len__(self) -> int:
-        return len(self.records)
-
-
-def step_relation(
-    rel: ClosedLoopRelation, disturbance: tuple[Symbol, Symbol]
-) -> tuple[ClosedLoopRelation, TickRecord]:
-    """Execute one tick and return the successor relation plus its record,
-    whose tick index is 0."""
-    traj, nxt = run_relation_carry(rel, [disturbance], 1)
-    return nxt, traj.records[0]
+        return len(self.output)
 
 
 def run_relation(
@@ -224,9 +221,7 @@ def run_relation_carry(
     if T < 1:
         raise ValueError(f"need at least 1 tick, got {T}")
     if len(disturbance_stream) < T:
-        raise ValueError(
-            f"disturbance stream has {len(disturbance_stream)} entries, need {T}"
-        )
+        raise ValueError(f"disturbance stream has {len(disturbance_stream)} entries, need {T}")
     system, regulator = rel.system, rel.regulator
     emission, transition, idle = system.emission, system.transition, system.idle_input
     policy, observe, observations = regulator.policy, regulator.observe, regulator.observations
@@ -234,7 +229,7 @@ def run_relation_carry(
     feedback = rel.mode == LoopMode.CLOSED and regulator.comparator_enabled
     window = None if rel.model is None else deque(rel.model.window, maxlen=rel.model.horizon)
     s_state, r_state = rel.s_state, rel.r_state
-    records = []
+    rows = []
     for k in range(T):
         phi, rho = disturbance_stream[k]
         output = emission(s_state)
@@ -246,13 +241,13 @@ def run_relation_carry(
         if window is not None:
             window.append(s_state)
         error = 0.0 if goal(output) else 1.0
-        records.append(TickRecord(k, s_state, r_state, output, error, phi, rho))
+        rows.append((s_state, r_state, output, error, phi, rho))
         s_state, r_state = next_s, next_r
     model = None if window is None else replace(rel.model, window=tuple(window))
-    return Trajectory(tuple(records)), replace(rel, s_state=s_state, r_state=r_state, model=model)
+    return Trajectory(*zip(*rows)), replace(rel, s_state=s_state, r_state=r_state, model=model)
 
 
-def _bin_outputs(outputs: list[float], bins: int) -> list[int]:
+def _bin_outputs(outputs: tuple[float, ...], bins: int) -> list[int]:
     lo = min(outputs)
     hi = max(outputs)
     if hi == lo:
@@ -278,7 +273,7 @@ def point_regulation_score(traj: Trajectory, bins: int) -> float:
         raise ValueError(f"need at least 2 bins, got {bins}")
     if len(traj) == 0:
         raise ValueError("cannot score an empty trajectory")
-    symbols = _bin_outputs(traj.outputs(), bins)
+    symbols = _bin_outputs(traj.output, bins)
     return _entropy_bits(Counter(symbols))
 
 
@@ -296,10 +291,8 @@ def path_regulation_score(traj: Trajectory, order: int, bins: int) -> float:
     if bins < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
     if len(traj) <= order:
-        raise ValueError(
-            f"trajectory of {len(traj)} ticks is too short for order {order}"
-        )
-    symbols = _bin_outputs(traj.outputs(), bins)
+        raise ValueError(f"trajectory of {len(traj)} ticks is too short for order {order}")
+    symbols = _bin_outputs(traj.output, bins)
     n = len(symbols)
     wrapped = symbols + symbols[:order]
     blocks_hi = Counter(tuple(wrapped[i : i + order + 1]) for i in range(n))
@@ -314,15 +307,12 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     whatever their types)."""
     from . import csvtext  # on first use: importing the module loads no writer code
 
-    def column(name: str) -> list:
-        return list(map(attrgetter(name), traj.records))
-
-    def text(name: str) -> list[str]:  # as "{}" writes it, a float symbol too
-        return list(map(format, column(name)))
+    def text(column: tuple) -> list[str]:  # as "{}" writes it, a float symbol too
+        return list(map(format, column))
 
     body = b"".join(csvtext.rows(
-        column("tick"), text("s_state"), text("r_state"), column("output"), column("error"),
-        text("phi"), text("rho"), floats=(3, 4),
+        range(len(traj)), text(traj.s_state), text(traj.r_state), traj.output, traj.error,
+        text(traj.phi), text(traj.rho), floats=(3, 4),
     ))
     return "tick,s_state,r_state,output,error,phi,rho\n" + body.decode("utf-8")
 

@@ -231,6 +231,30 @@ def test_config_supplies_seed(tmp_path):
     assert json.loads((tmp_path / "out.csv.manifest.jsonl").read_text())["seed"] == 5
 
 
+def test_config_supplies_pairs(tmp_path):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("r_state,s_state\nr1,s1\nr2,s2\n", encoding="utf-8")
+    cfg = write_config(tmp_path, f"pairs={pairs}\n")
+    out = tmp_path / "verdict.csv"
+    assert run(["--config", cfg, "variety", "--seed", 0, "-o", out]) == 0
+    assert out.read_text().splitlines()[2].startswith("Isomorphic,1/1,Satisfied")
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["avalanche", "gen", "-o", "x.csv"], "--seed"),
+    (["avalanche", "gen", "--seed", "1"], "--output"),
+    (["variety", "--seed", "1", "-o", "x.csv"], "--pairs"),
+    (["variety"], "--seed, --output, --pairs"),
+])
+def test_missing_required_flag_is_one_line_usage_error(tmp_path, monkeypatch, capsys, argv,
+                                                       missing):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"regulab: usage error: the following arguments are required: {missing}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("line", ["bogus=1", "kp=2.0"])  # unknown; belongs to pid
 def test_config_key_the_subcommand_lacks_is_usage_error(tmp_path, line):
     cfg = write_config(tmp_path, line + "\n")
@@ -257,6 +281,22 @@ def leaf_parsers(parser, words=()):
     for action in subparsers:
         for name, child in action.choices.items():
             yield from leaf_parsers(child, (*words, name))
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every command in the README's "Command line" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("regulab ")]
+
+
+def test_readme_commands_parse_and_cover_every_leaf_subcommand():
+    parser = build_parser()
+    commands = readme_commands()
+    for argv in commands:
+        parser.parse_args(argv)  # a flag or value the parser rejects raises UsageError
+    for words, _ in leaf_parsers(parser):
+        assert any(argv[:len(words)] == list(words) for argv in commands), words
 
 
 FLOAT_FLAGS = [
@@ -344,6 +384,24 @@ def test_pid_negative_ti_is_usage_error(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b"P2\n2 1\n255\n300 4\n", "pixel value 300 is outside 0..255"),
+    (b"P2\n2 1\n255\n-1 4\n", "pixel value -1 is outside 0..255"),
+    (b"P5\n2 1\n100\n\x00\xc8", "pixel value 200 is outside 0..100"),
+    (b"P2\n0 2\n255\n", "at least 1x1, got 0x2"),
+    (b"P5\n2 -1\n255\n\x00", "at least 1x1, got 2x-1"),
+    (b"P5\n2 2\n255\n\x00\x01", "expected 4 pixels, found 2"),
+    (b"P5\n2 2\n255", "expected 4 pixels, found 0"),
+])
+def test_bad_pgm_input_is_one_line_usage_error(tmp_path, capsys, content, reason):
+    pgm = tmp_path / "in.pgm"
+    pgm.write_bytes(content)
+    assert run(["diffuse", "--input", pgm, "--seed", 0, "-o", tmp_path / "o.pgm"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and reason in err
+    assert list(tmp_path.iterdir()) == [pgm]
+
+
 def reject_constant(name):
     raise ValueError(f"not strict JSON: {name}")
 
@@ -362,6 +420,10 @@ def test_lur_manifest_is_strict_json_with_too_few_phases(tmp_path, phases, inter
 @pytest.mark.parametrize("argv", [
     ["lur", "run", "--gain", "1e300", "--seed", "1"],
     ["vehicle", "run", "--dt", "1e300", "--steps", "3", "--seed", "1"],
+    ["demo", "gd", "--tx", "1e308", "--x0=-1e308", "--lr", "0.5", "--iters", "2", "--seed", "0"],
+    # Finite gradients whose length, the error column, overflows.
+    ["demo", "gd", "--tx", "1.5e308", "--ty=-1.5e308", "--iters", "2", "--seed", "0"],
+    ["pid", "--kp", "1e300", "--setpoint", "1e10", "--steps", "1", "--seed", "0"],
 ])
 def test_overflowing_run_is_one_stderr_line(tmp_path, argv):
     # A fresh interpreter, so that numpy's warnings reach stderr as they

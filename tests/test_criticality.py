@@ -12,12 +12,10 @@ from regulab.criticality import (
     AvalancheEvents,
     BurstSchedule,
     accumulate_release,
-    detect_avalanches,
     gen_power_series,
     nfb_map,
     pfb_map,
     rank_order,
-    series_mass_above,
     smooth_model,
     threshold_model,
 )
@@ -85,7 +83,7 @@ def test_exponent_behavior_mass_thins_as_e_grows():
     for e in (0.1, 1.0, 5.0):
         ps = gen_power_series(n, e, seed=5)
         assert np.max(ps.samples) == 1.0
-        fractions.append(series_mass_above(ps.samples, 0.1))
+        fractions.append(np.mean(ps.samples > 0.1))
     assert fractions[0] > fractions[1] > fractions[2]
     means = [np.mean(gen_power_series(n, e, seed=5).samples) for e in (0.1, 1.0, 5.0)]
     assert means[0] > means[1] > means[2]
@@ -171,9 +169,9 @@ def test_burst_events_match_burst_series():
     rng = SplitMix64(2)
     s = np.array([rng.next_float() for _ in range(500)])
     bursts, events = accumulate_release(s, BurstSchedule(3, 7), seed=5)
-    detected = detect_avalanches(bursts, level=0.0)
-    assert np.array_equal(detected.times, events.times)
-    assert np.allclose(detected.magnitudes, events.magnitudes, atol=0)
+    times = np.flatnonzero(bursts > 0)
+    assert np.array_equal(times, events.times)
+    assert np.array_equal(bursts[times], events.magnitudes)
 
 
 def test_schedule_validation():
@@ -356,15 +354,7 @@ def test_smooth_rejects_non_divisor():
         smooth_model(np.arange(10.0), 3)
 
 
-# --- detection ----------------------------------------------------------------
-
-
-def test_detect_avalanches_extremes():
-    s = np.array([0.1, 0.5, 0.3])
-    assert len(detect_avalanches(s, level=1.0).times) == 0
-    everything = detect_avalanches(s, level=-1.0)
-    assert everything.times.tolist() == [0, 1, 2]
-    assert np.all(everything.intervals == 1)
+# --- events -------------------------------------------------------------------
 
 
 def test_events_invariants():

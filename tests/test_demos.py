@@ -10,6 +10,7 @@ from regulab.demos import (
     ACTION_NAMES,
     ACTIONS,
     GdDivergenceError,
+    GdOverflowError,
     QConfig,
     RoleAnnotation,
     gd_regulate,
@@ -56,6 +57,15 @@ def test_gd_divergent_rate_is_diagnosed():
         gd_regulate((0.0, 0.0), (1.0, 1.0), lr=2.1, iters=10)
     with pytest.raises(ValueError):
         gd_regulate((0.0, 0.0), (1.0, 1.0), lr=-0.5, iters=10)
+
+
+def test_gd_overflowing_gradient_is_diagnosed_at_its_iterate():
+    # x0 - target = -2e308 overflows at once; later iterates are inf.
+    with np.errstate(all="raise"), pytest.raises(GdOverflowError, match="iterate 0"):
+        gd_regulate((1e308, 0.0), (-1e308, 0.0), lr=0.5, iters=2)
+    # The gradient 1e308 is finite, but lr * 1e308 is not: iterate 1 is -inf.
+    with np.errstate(all="raise"), pytest.raises(GdOverflowError, match="iterate 1"):
+        gd_regulate((0.0, 0.0), (1e308, 0.0), lr=1.9, iters=3)
 
 
 def test_gd_role_annotation_total():

@@ -14,7 +14,6 @@ from regulab.diffusion import (
     blend,
     gen_noise_field,
     image_stats,
-    luminance,
     power_schedule,
     read_pgm,
     run_schedule,
@@ -236,10 +235,3 @@ def test_image_validation():
         GrayImage(width=2, height=2, pixels=np.array([[0.0, 2.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         GrayImage(width=3, height=2, pixels=np.zeros((2, 2)))
-
-
-def test_luminance_conversion():
-    rgb = np.zeros((2, 2, 3))
-    rgb[..., 1] = 1.0  # pure green
-    img = luminance(rgb)
-    assert np.allclose(img.pixels, 0.587)

@@ -181,6 +181,12 @@ def test_divergence_guard_names_tick():
         simulate_pid(PidGains(kp=500.0), 1.0, setpoint=1.0, x0=0.0, dt=1.0, T=1000)
 
 
+def test_nonfinite_control_output_is_divergence_at_its_tick():
+    # kp * e overflows to inf on the first step, while |x| is still 0.
+    with pytest.raises(PidDivergenceError, match="u = inf is not finite at tick 0"):
+        simulate_pid(PidGains(kp=1e300), 1.0, setpoint=1e10, x0=0.0, dt=0.01, T=1)
+
+
 def test_trajectory_shape():
     traj = simulate_pid(PidGains(kp=1.0), 1.0, 1.0, 0.0, dt=0.1, T=1)
     assert isinstance(traj, PidTrajectory)

@@ -22,7 +22,6 @@ from regulab.procedural import (
     Vehicle,
     cmyk_distance,
     equilateral_field,
-    field_force,
     rotation_matrix,
     run_expanding_goal,
     run_lur,
@@ -46,24 +45,24 @@ FAST = dict(rate=0.35, slow_rate=0.035)
 
 def test_zero_gain_field_is_null():
     f = CurlField(gain=0.0, angle=123.0)
-    assert np.array_equal(field_force(f, np.array([3.0, -4.0])), np.zeros(2))
+    assert np.array_equal(f.matrix @ np.array([3.0, -4.0]), np.zeros(2))
 
 
 def test_quarter_turn_field():
     f = CurlField(gain=1.0, angle=90.0)
-    force = field_force(f, EAST)
+    force = f.matrix @ EAST
     assert force == pytest.approx([0.0, 1.0], abs=1e-12)
 
 
 def test_opposite_angles_cancel():
     v = np.array([0.7, -1.3])
-    total = field_force(CurlField(1.5, 0.0), v) + field_force(CurlField(1.5, 180.0), v)
+    total = CurlField(1.5, 0.0).matrix @ v + CurlField(1.5, 180.0).matrix @ v
     assert np.max(np.abs(total)) <= 1e-12
 
 
 def test_force_magnitude_scales_with_gain():
     v = np.array([2.0, 1.0])
-    f = field_force(CurlField(2.5, 37.0), v)
+    f = CurlField(2.5, 37.0).matrix @ v
     assert np.linalg.norm(f) == pytest.approx(2.5 * np.linalg.norm(v), rel=1e-12)
 
 

@@ -12,13 +12,11 @@ from regulab.relation import (
     InternalModel,
     LoopMode,
     Regulator,
-    TickRecord,
     Trajectory,
     path_regulation_score,
     point_regulation_score,
     run_relation,
     run_relation_carry,
-    step_relation,
     toggle_benchmark,
     trajectory_to_csv,
 )
@@ -45,13 +43,15 @@ def identity_relation(goal=lambda y: y == 0.0):
 
 def outputs_trajectory(outputs):
     """Wrap a raw output list as a trajectory for the entropy estimators."""
-    return Trajectory(
-        tuple(
-            TickRecord(tick=i, s_state="s", r_state="r", output=float(y), error=0.0,
-                       phi="p", rho="q")
-            for i, y in enumerate(outputs)
-        )
-    )
+    n = len(outputs)
+    return Trajectory(("s",) * n, ("r",) * n, tuple(map(float, outputs)), (0.0,) * n,
+                      ("p",) * n, ("q",) * n)
+
+
+def first_record(rel, disturbance):
+    """The record of one tick of ``rel`` under ``disturbance``."""
+    traj, _ = run_relation_carry(rel, [disturbance], 1)
+    return traj.records[0]
 
 
 # --- stepping ---------------------------------------------------------------
@@ -116,7 +116,7 @@ def test_observation_outside_range_raises_structured_error():
     )
     rel = ClosedLoopRelation(system=system, regulator=regulator, goal=lambda y: True)
     with pytest.raises(DestroyedVarietyError) as exc_info:
-        step_relation(rel, ("-", "-"))
+        run_relation_carry(rel, [("-", "-")], 1)
     assert exc_info.value.symbol == 42.0
     assert "42.0" in str(exc_info.value)
 
@@ -128,11 +128,11 @@ def test_regulator_disturbance_channel_corrupts_observation():
         rel.regulator, observe=lambda y, rho: 1.0 - y if rho == "flip" else y
     )
     rel = replace(rel, regulator=corrupting)
-    _, rec_clean = step_relation(rel, ("kick", "calm"))
+    rec_clean = first_record(rel, ("kick", "calm"))
     assert rec_clean.output == 1.0
     # with corruption the regulator sees 0 and still pins the system; the
     # record stores the true emission
-    _, rec_corrupt = step_relation(rel, ("kick", "flip"))
+    rec_corrupt = first_record(rel, ("kick", "flip"))
     assert rec_corrupt.output == 1.0
     assert rec_corrupt.rho == "flip"
 
@@ -196,12 +196,10 @@ def test_internal_model_window_caps_at_horizon():
     assert m.estimate == {"b": 1 / 3, "c": 1 / 3, "d": 1 / 3}
 
 
-def test_trajectory_tick_invariant():
-    with pytest.raises(ValueError):
-        Trajectory(
-            (TickRecord(tick=1, s_state="s", r_state="r", output=0.0, error=0.0,
-                        phi="p", rho="q"),)
-        )
+def test_trajectory_columns_must_have_equal_length():
+    with pytest.raises(ValueError, match="length"):
+        Trajectory(("s", "s"), ("r", "r"), (0.0,), (0.0, 0.0), ("p", "p"), ("q", "q"))
+    assert [r.tick for r in outputs_trajectory([0.0, 1.0, 2.0]).records] == [0, 1, 2]
 
 
 # --- serialization ---------------------------------------------------------------
@@ -226,7 +224,7 @@ def test_csv_matches_per_record_formatting_for_any_field_types():
         ("é", (1, 2), True, float("nan"), -0.0, 1e-300),
         (1.0, "s", -2, float("-inf"), "p", 7),
     ]
-    traj = Trajectory(tuple(TickRecord(k, *f) for k, f in enumerate(fields)))
+    traj = Trajectory(*zip(*fields))
     want = "tick,s_state,r_state,output,error,phi,rho\n" + "".join(
         f"{r.tick},{r.s_state},{r.r_state},{r.output:.17g},{r.error:.17g},{r.phi},{r.rho}\n"
         for r in traj.records)
