@@ -17,7 +17,8 @@ chunk of rows at a time, and gives those bytes exactly.
 Exit codes: 0 success, 2 usage or parameter error (one-line reason on
 stderr), 1 runtime error. Every float flag must be a finite number and every
 count flag a positive integer; nan, ±inf, 0 or a negative count exits 2
-before any file is written.
+before any file is written, as does a count too large to index. Running out
+of memory exits 1.
 
 Flags override a config file, which overrides built-in defaults. The file
 is given as ``--config path`` or ``--config=path`` before the subcommand and
@@ -441,11 +442,11 @@ def dispatch(argv: list[str]) -> int:
     except UsageError as exc:
         print(f"regulab: usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OverflowError) as exc:
         print(f"regulab: invalid parameters: {exc}", file=sys.stderr)
         return 2
-    except (OSError, RuntimeError) as exc:
-        print(f"regulab: runtime error: {exc}", file=sys.stderr)
+    except (OSError, RuntimeError, MemoryError) as exc:  # a bare MemoryError has no text
+        print(f"regulab: runtime error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import pairwise, repeat
+from itertools import pairwise
 
 import numpy as np
 
@@ -87,10 +87,11 @@ def gen_power_series(n: int, e: float, seed: int) -> PowerSeries:
         )
     if not (0 < e < MAX_EXPONENT):
         raise ValueError(f"exponent must be in (0, {MAX_EXPONENT}), got {e}")
-    # libm pow, not numpy's power, which differs in the last ulp on AVX-512.
-    # math.pow and float ** call the same libm pow, so the values still
-    # depend on which pow variant (FMA or not) the C library picks.
-    samples = np.fromiter(map(math.pow, range(1, n + 1), repeat(-e)), float, n)
+    # float_power's float64 loop calls libm pow on each element, as math.pow
+    # and float ** do; numpy's power differs in the last ulp on AVX-512. The
+    # values still depend on which pow variant (FMA or not) libm picks.
+    samples = np.arange(1, n + 1, dtype=np.float64)
+    np.float_power(samples, -e, out=samples)
     SplitMix64(seed).shuffle(samples)
     samples.flags.writeable = False
     return PowerSeries(samples=samples, exponent=e, n=n, seed=seed)

@@ -94,9 +94,6 @@ class NoiseSchedule:
 DEFAULT_UNIFORM_ALPHAS = (0.2, 0.375, 0.55, 0.725, 0.9)
 DEFAULT_POWER_SHAPES = (0.8, 0.6, 0.4, 0.2, 0.01)
 
-# Pixels raised to the power at a time: bounds the Python floats alive at once.
-_POW_CHUNK = 4096
-
 
 def uniform_schedule(alphas=DEFAULT_UNIFORM_ALPHAS) -> NoiseSchedule:
     return NoiseSchedule(tuple(UniformBlend(a) for a in alphas))
@@ -116,10 +113,10 @@ def gen_noise_field(w: int, h: int, spec: NoiseSpec, seed: int) -> GrayImage:
     elif isinstance(spec, PowerMask):
         inv = 1.0 / spec.shape
         flat = rng.floats(w * h)
-        # Python float pow, not numpy's power, which differs in the last ulp on AVX-512.
-        for start in range(0, flat.size, _POW_CHUNK):
-            chunk = flat[start : start + _POW_CHUNK]
-            chunk[:] = [u ** inv for u in chunk.tolist()]
+        # float_power's float64 loop calls libm pow on each element, as float **
+        # does; numpy's power differs in the last ulp on AVX-512. The values
+        # still depend on which pow variant (FMA or not) libm picks.
+        np.float_power(flat, inv, out=flat)
     else:
         raise TypeError(f"unknown noise spec: {spec!r}")
     return GrayImage(width=w, height=h, pixels=flat.reshape(h, w))

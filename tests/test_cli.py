@@ -438,6 +438,43 @@ def test_overflowing_run_is_one_stderr_line(tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["relation", "--ticks", "100000000000000000000"], "cannot fit 'int'"),
+    (["avalanche", "gen", "--n", "100000000000000000000"], "Maximum allowed size exceeded"),
+    (["avalanche", "bursts", "--n", "100000000000000000000"], "Maximum allowed"),
+    (["pid", "--steps", "100000000000000000000"], "Maximum allowed"),
+])
+def test_count_too_large_to_index_is_one_line_usage_error(tmp_path, capsys, argv, reason):
+    assert run([*argv, "--seed", 0, "-o", tmp_path / "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("regulab: invalid parameters: ") and reason in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["avalanche", "gen", "--n", "10000000000000"], "Unable to allocate 72.8 TiB"),
+    # A list too long for memory raises a MemoryError with no text.
+    (["relation", "--ticks", "10000000000000"], "out of memory"),
+])
+def test_run_out_of_memory_is_one_line_runtime_error(tmp_path, argv, reason):
+    import resource
+
+    def cap_address_space():  # the child can never get the 73 TiB it asks for
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-m", "regulab.cli", *argv, "--seed", "0", "-o",
+                           "x.csv"], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=60, preexec_fn=cap_address_space)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("regulab: runtime error: ") and reason in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gap_range_wider_than_two_to_the_64_is_usage_error(tmp_path):
     # Such a bound once made every draw a rejection, and the run never ended.
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -2,6 +2,7 @@
 oracles, burst conservation, threshold and smoothing closed forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,11 +52,17 @@ def test_multiset_invariance_across_exponents(e):
 
 
 @pytest.mark.parametrize("n,e,seed", [(1, 1.0, 0), (2, 0.5, 7), (3000, 0.1, 1),
-                                      (70_001, 1.7, 12), (5000, 5.9, 3)])
+                                      (70_001, 1.7, 12), (5000, 5.9, 3),
+                                      # The smallest exponent makes every value round to 1.
+                                      (5000, 5e-324, 4), (70_001, 0.001, 9),
+                                      (5000, 5.999999, 1)])
 def test_series_matches_python_pow_and_scalar_shuffle(n, e, seed):
     values = [float(t) ** -e for t in range(1, n + 1)]
     scalar_shuffle(values, SplitMix64(seed))
-    assert gen_power_series(n, e, seed).samples.tobytes() == np.array(values).tobytes()
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        samples = gen_power_series(n, e, seed).samples
+    assert samples.tobytes() == np.array(values).tobytes()
 
 
 def test_seeded_determinism():

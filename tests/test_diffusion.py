@@ -1,5 +1,7 @@
 """Noise fields, blending, schedules, stats, PGM round-trips."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from regulab.diffusion import (
     uniform_schedule,
     write_pgm,
 )
+from regulab.rng import SplitMix64
 
 
 def flat_image(w, h, value):
@@ -58,6 +61,18 @@ def test_power_mass_shifts_toward_one_with_shape():
         field = gen_noise_field(400, 250, PowerMask(shape=a), seed=4)
         fracs.append(float(np.mean(field.pixels > 0.5)))
     assert fracs[0] < fracs[1] < fracs[2]
+
+
+# 5e-324 makes 1 / shape infinite; 1e300 makes it about 1e-300.
+@pytest.mark.parametrize("a", [5e-324, 1e-300, 0.01, 0.2, 1 / 3, 1.0, 3.0, 1e300])
+def test_power_field_matches_python_pow(a):
+    # 97 x 61 = 5917 pixels: an odd count, which no even chunk size divides.
+    want = [u ** (1.0 / a) for u in SplitMix64(8).floats(97 * 61).tolist()]
+    # float ** rounds an underflow to 0 silently, as numpy does by default.
+    with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+        warnings.simplefilter("error")
+        field = gen_noise_field(97, 61, PowerMask(shape=a), seed=8)
+    assert field.pixels.tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("shape", [0.0, -1.0, float("nan"), float("inf")])

@@ -11,7 +11,11 @@ A change that is meant to alter output bytes re-pins them with
 
 The ``lur*`` and ``vehicle*`` hashes hold for one numpy BLAS/LAPACK build:
 those kernels' 2x2 products, dot products and solves round as that build's
-kernels do (with fused multiply-adds or without).
+kernels do (with fused multiply-adds or without). The ``avalanche-gen*``,
+``-pfb``, ``-nfb``, ``-rank*`` and ``-smooth`` hashes and those of the
+power-mode ``diffuse`` cases hold for one libm ``pow`` variant, and the
+``avalanche-threshold*`` ones for numpy's SIMD ``power`` on one set of CPU
+features.
 """
 
 import hashlib
@@ -56,6 +60,9 @@ CASES = {
                                    "1", "--interval-max", "1", "--seed", "12"],
     # The smallest series that is shuffled at all.
     "avalanche-gen-2": ["avalanche", "gen", "--n", "2", "--seed", "7"],
+    # Just below MAX_EXPONENT: values fall from 1 to about 6.4e-23.
+    "avalanche-gen-e-near-max": ["avalanche", "gen", "--n", "5000", "--e", "5.999999",
+                                 "--seed", "1"],
     "avalanche-threshold": ["avalanche", "threshold", "--n", "2000", "--e-model", "0.1",
                             "--seed", "0"],
     # e_model 50: most values carry three-digit exponents (e-166).
@@ -67,6 +74,9 @@ CASES = {
     "pid-derivative": ["pid", "--kp", "1", "--ti", "0", "--td", "0.05", "--dt", "0.01",
                        "--steps", "2000", "--disturbance", "-0.5", "--seed", "0"],
     "diffuse-power": ["diffuse", "--mode", "power", "--seed", "5"],
+    # Shape 5e-324 makes 1/shape infinite (u^inf); 1e300 makes it about 1e-300.
+    "diffuse-power-extreme-shapes": ["diffuse", "--mode", "power", "--levels",
+                                     "5e-324,1e-300,0.01,1,1e300", "--seed", "3"],
     "diffuse-uniform-cumulative": ["diffuse", "--mode", "uniform", "--cumulative",
                                    "--seed", "6"],
     "diffuse-input-levels": ["diffuse", "--input", "face.pgm", "--mode", "power",
