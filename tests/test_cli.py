@@ -487,3 +487,15 @@ def test_gap_range_wider_than_two_to_the_64_is_usage_error(tmp_path):
     assert len(proc.stderr.splitlines()) == 1
     assert "2**64" in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_building_the_parser_loads_no_csv_writer():
+    # A fresh interpreter: the writer is imported on first use, so that
+    # commands writing no CSV text never compile it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = ("import sys, regulab.cli; regulab.cli.build_parser(); "
+            "print('regulab.csvtext' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -118,13 +118,34 @@ def test_ints_mixed_into_a_float_column():
     assert_same([0.5, 1, -3, 10**17, 2**53 + 1, True, 0, -(2**63), 7.0])
 
 
+# Floats that take the format() fallback, and -0.0, which is written directly.
+SEAM_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-300, 1e300, 2.0**-25]
+
+
 def test_columns_of_every_kind_across_chunks():
-    n = 2 * csvtext.CHUNK_ROWS + 3
+    step = csvtext.chunk_rows(8)
+    n = 2 * step + 20
     r = np.random.default_rng(5)
     floats = r.standard_normal(n) * 10.0 ** r.integers(-30, 30, n)
-    assert_same(range(n), floats, tuple(r.integers(-10**6, 10**6, n).tolist()),
-                [f"s{i % 7}" for i in range(n)], r.random(n).astype(np.float32),
-                r.random(n) < 0.5, np.arange(n, dtype=np.uint8), tuple(floats.tolist()))
+    ints = r.integers(-10**6, 10**6, n).tolist()
+    symbols = [f"s{i % 7}" for i in range(n)]
+    rest = r.random(n).astype(np.float32), r.random(n) < 0.5, np.arange(n, dtype=np.uint8)
+    assert_same(range(n), floats, tuple(ints), symbols, *rest, tuple(floats.tolist()))
+    # The same columns with values of every other route on both sides of each
+    # chunk boundary.
+    special = SEAM_FLOATS + near_ties()[:1]
+    for boundary in (step, 2 * step):
+        for at in range(boundary - len(special), boundary + len(special)):
+            floats[at] = special[at % len(special)]
+            ints[at] = -(2**63) if at % 2 else 2**63 - 1
+            symbols[at] = "é€😀"
+    assert_same(range(n), floats, tuple(ints), symbols, *rest, tuple(floats.tolist()))
+
+
+def test_a_long_series_is_written_in_chunks_of_at_most_a_mebibyte():
+    chunks = list(csvtext.rows(range(10**6), np.random.default_rng(6).random(10**6)))
+    assert len(chunks) > 1
+    assert max(map(len, chunks)) <= 2**20
 
 
 def test_text_columns_keep_any_character():
