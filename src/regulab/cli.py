@@ -6,7 +6,8 @@ its CSV/PGM outputs atomically (temp file, then rename), and finishes by
 writing a one-line JSON-lines manifest beside the outputs, replacing any
 earlier one, recording the tool version, subcommand, resolved parameters,
 seed, output files, RNG algorithm, and wall time. The CSV ``# params:``
-line and the manifest are both derived from the parsed flags.
+line and the manifest are both derived from the parsed flags. A command
+imports its own simulation family when it runs, and no other.
 
 A CSV holds the ``# params:`` line, a header, then one row per sample.
 Floats are written as ``format(v, ".17g")`` writes them (17 significant
@@ -46,13 +47,6 @@ import numpy as np
 
 from . import __version__
 from .rng import RNG_ALGORITHM, SplitMix64
-from . import criticality as crit
-from . import demos
-from . import diffusion as diff
-from . import pid as pidmod
-from . import procedural as proc
-from . import relation as rel
-from . import variety as var
 
 
 class UsageError(ValueError):
@@ -122,6 +116,7 @@ def emit_manifest(a: argparse.Namespace, outputs: list[Path], wall_time_s: float
 
 
 def _cmd_relation(a) -> tuple[list[Path], dict]:
+    from . import relation as rel
     mode = rel.LoopMode.CLOSED if a.mode == "closed" else rel.LoopMode.FEEDFORWARD
     relation = rel.toggle_benchmark(mode=mode)
     stream = [("kick", "calm")] * a.ticks
@@ -132,6 +127,7 @@ def _cmd_relation(a) -> tuple[list[Path], dict]:
 
 
 def _cmd_variety(a) -> tuple[list[Path], dict]:
+    from . import variety as var
     mapping = var.load_mapping_csv(a.pairs)
     cls = var.classify_mapping(mapping)
     verdict = var.requisite_variety_check(mapping)
@@ -142,6 +138,7 @@ def _cmd_variety(a) -> tuple[list[Path], dict]:
 
 
 def _cmd_pid(a) -> tuple[list[Path], dict]:
+    from . import pid as pidmod
     # --ti 0 disables the integral term; any other value reaches PidGains' check.
     gains = pidmod.PidGains(kp=a.kp, ti=math.inf if a.ti == 0 else a.ti, td=a.td)
     traj = pidmod.simulate_pid(gains, a.plant_gain, a.setpoint, a.x0, a.dt, a.steps,
@@ -155,6 +152,7 @@ _AVALANCHE_HEADERS = {"bursts": "tick,burst", "rank": "rank,value",
 
 
 def _cmd_avalanche(a) -> tuple[list[Path], dict]:
+    from . import criticality as crit
     extras: dict = {}
     shown: dict = {}
     if a.action == "bursts":
@@ -181,6 +179,7 @@ def _cmd_avalanche(a) -> tuple[list[Path], dict]:
 
 
 def _cmd_diffuse(a) -> tuple[list[Path], dict]:
+    from . import diffusion as diff
     img = diff.read_pgm(a.input) if a.input else diff.synthetic_portrait()
     levels = [float(x) for x in a.levels.split(",")] if a.levels else None
     if a.mode == "uniform":
@@ -208,6 +207,7 @@ def _cmd_diffuse(a) -> tuple[list[Path], dict]:
 
 
 def _cmd_lur(a) -> tuple[list[Path], dict]:
+    from . import procedural as proc
     phases = []
     for chunk in a.phases.split(","):
         angle_s, _, trials_s = chunk.partition(":")
@@ -228,6 +228,7 @@ def _cmd_lur(a) -> tuple[list[Path], dict]:
 
 
 def _cmd_vehicle(a) -> tuple[list[Path], dict]:
+    from . import procedural as proc
     field_ = proc.equilateral_field()
     centroid = field_.vertices.mean(axis=0)
     target = proc.sample_cmyk(field_, field_.vertices[0])
@@ -250,6 +251,7 @@ def _cmd_vehicle(a) -> tuple[list[Path], dict]:
 
 
 def _cmd_demo(a) -> tuple[list[Path], dict]:
+    from . import demos
     if a.which == "gd":
         traj, annotation = demos.gd_regulate((a.tx, a.ty), (a.x0, a.y0), a.lr, a.iters)
         rows = [(k, x, y, math.hypot(x - a.tx, y - a.ty))

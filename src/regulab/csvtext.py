@@ -228,13 +228,18 @@ def _float_field(x: np.ndarray, field: np.ndarray, scratch: list) -> None:
                   field[:, 0])
     np.bitwise_or(base[:, 3], exponent[:, _EXP_WORD].view(np.uint64), field[:, 3])
     # Digits after the dot's byte move up a byte (w + moved * 255 is w with
-    # moved shifted up), the top byte of a word into the next word.
-    moved, word = f2.view(np.uint64), f5.view(np.uint64)
-    for w in (2, 1):
-        np.bitwise_and(digits[:, w - 1], exponent[:, _MOVE + w - 1].view(np.uint64), moved)
-        np.bitwise_or(base[:, w], np.add(digits[:, w - 1], np.multiply(moved, 255, word), word),
-                      field[:, w])
-        field[:, w + 1] |= np.right_shift(moved, 56, moved)
+    # moved shifted up), the top byte of a word into the next word. A row
+    # moves digits only if 1 <= E <= 15, exactly when its word-2 mask is not 0.
+    if not exponent[:, _MOVE + 1].any():  # word by word: a 2-wide 2-D ufunc call is slower
+        for w in (1, 2):
+            np.bitwise_or(base[:, w], digits[:, w - 1], field[:, w])
+    else:
+        moved, word = f2.view(np.uint64), f5.view(np.uint64)
+        for w in (2, 1):
+            np.bitwise_and(digits[:, w - 1], exponent[:, _MOVE + w - 1].view(np.uint64), moved)
+            np.bitwise_or(base[:, w], np.add(digits[:, w - 1], np.multiply(moved, 255, word), word),
+                          field[:, w])
+            field[:, w + 1] |= np.right_shift(moved, 56, moved)
 
     if not ok.all():
         fallback = np.flatnonzero(np.logical_not(ok, tmp))

@@ -253,6 +253,10 @@ def _bin_outputs(outputs: tuple[float, ...], bins: int) -> list[int]:
     if hi == lo:
         return [0] * len(outputs)
     width = (hi - lo) / bins
+    if width in (0.0, math.inf) and -math.inf < lo < hi < math.inf:
+        # The range under- or overflows: bin the values scaled by a power of two.
+        scale = 0.5 if width else 2.0**1000
+        return _bin_outputs([y * scale for y in outputs], bins)
     return [min(int((y - lo) / width), bins - 1) for y in outputs]
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regulab.cli import build_parser, dispatch, finite_float, positive_int
+from regulab.cli import _COMMANDS, build_parser, dispatch, finite_float, positive_int
 
 
 def digest(path: Path) -> str:
@@ -489,13 +489,46 @@ def test_gap_range_wider_than_two_to_the_64_is_usage_error(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_building_the_parser_loads_no_csv_writer():
-    # A fresh interpreter: the writer is imported on first use, so that
-    # commands writing no CSV text never compile it.
+FAMILIES = ("criticality", "demos", "diffusion", "pid", "procedural", "relation", "variety")
+
+# A group's help, from a fresh interpreter: ``regulab <words> --help``.
+GROUP_HELPS = """
+import contextlib, io, json, sys
+from regulab.cli import _COMMANDS, build_parser
+helps = {}
+for path, (handler, *_) in _COMMANDS.items():
+    if isinstance(handler, str):
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.suppress(SystemExit):
+            build_parser().parse_args([*path, "--help"])
+        helps[" ".join(path)] = out.getvalue()
+print(json.dumps([sorted(sys.modules), helps]))
+"""
+
+
+def test_building_the_parser_loads_no_csv_writer(tmp_path):
+    # Fresh interpreters: each command imports its own family, and the CSV
+    # writer, when it runs, so building the parser loads neither and a run
+    # loads no other family.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    code = ("import sys, regulab.cli; regulab.cli.build_parser(); "
-            "print('regulab.csvtext' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+
+    def fresh(code: str) -> str:
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    modules, helps = json.loads(fresh(GROUP_HELPS))
+    assert [m for m in modules if m.split(".")[0] == "regulab"] == [
+        "regulab", "regulab.cli", "regulab.rng"]
+    assert "numpy" in modules
+    for group, help_text in helps.items():
+        words = tuple(group.split())
+        names = [path[-1] for path in _COMMANDS if path and path[:-1] == words]
+        assert "{" + ",".join(names) + "}" in help_text, group
+    assert {path[:-1] for path in _COMMANDS if path} == {tuple(g.split()) for g in helps}
+
+    argv = ["pid", "--steps", "10", "--seed", "0", "-o", str(tmp_path / "p.csv")]
+    loaded = fresh(f"import sys; from regulab.cli import dispatch; assert dispatch({argv!r}) == 0; "
+                   "print(*sys.modules)").split()
+    assert {f for f in FAMILIES if f"regulab.{f}" in loaded} == {"pid"}

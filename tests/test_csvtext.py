@@ -127,6 +127,11 @@ def test_columns_of_every_kind_across_chunks():
     n = 2 * step + 20
     r = np.random.default_rng(5)
     floats = r.standard_normal(n) * 10.0 ** r.integers(-30, 30, n)
+    # No value of the middle chunk has a dot among its digits (1 <= E <= 15),
+    # and the last chunk has its dots only after digit 8 (8 <= E <= 15).
+    exponents = r.choice([-20, -3, 0, 16, 20], step)
+    floats[step:2 * step] = r.choice([-1.0, 1.0], step) * r.uniform(1, 10, step) * 10.0**exponents
+    floats[2 * step:] = r.uniform(1, 10, 20) * 10.0 ** r.integers(8, 16, 20)
     ints = r.integers(-10**6, 10**6, n).tolist()
     symbols = [f"s{i % 7}" for i in range(n)]
     rest = r.random(n).astype(np.float32), r.random(n) < 0.5, np.arange(n, dtype=np.uint8)

@@ -3,7 +3,7 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from regulab.relation import (
     ClosedLoopRelation,
@@ -13,6 +13,7 @@ from regulab.relation import (
     LoopMode,
     Regulator,
     Trajectory,
+    _bin_outputs,
     path_regulation_score,
     point_regulation_score,
     run_relation,
@@ -285,8 +286,17 @@ def test_path_score_too_short():
     st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=300),
     st.integers(2, 8),
 )
+@example([0.0, 5e-324], 2)  # the range's width underflows to 0
+@example([-1.7e308, 1.7e308], 2)  # the range overflows to inf
 def test_entropy_ordering_universal(outputs, bins):
     traj = outputs_trajectory(outputs)
     point = point_regulation_score(traj, bins=bins)
     path = path_regulation_score(traj, order=1, bins=bins)
     assert 0.0 <= path <= point + 1e-9
+
+
+def test_an_overflowing_range_is_binned_as_its_half():
+    outputs = [-1.7e308, -1e308, 0.0, 1e308, 1.7e308]
+    assert _bin_outputs(outputs, 4) == _bin_outputs([y / 2 for y in outputs], 4) == [0, 0, 2, 3, 3]
+    traj = outputs_trajectory(outputs)
+    assert point_regulation_score(traj, bins=4) == pytest.approx(1.5219280948873621)
