@@ -6,8 +6,8 @@ avalanche-style power-law series, forward noising of grayscale images,
 procedural motor learning under alternating force fields, a color-gradient
 vehicle, and two toy optimizers annotated as regulators. All randomness
 flows through one seeded generator, so every run is reproducible
-byte-for-byte; the reach-learning and vehicle outputs also depend on
-numpy's BLAS/LAPACK build, so theirs are reproducible per BLAS build.
+byte-for-byte; the reach learner and the vehicle compute on plain floats,
+so their outputs do not depend on numpy's BLAS/LAPACK build.
 """
 
 __version__ = "0.1.0"

@@ -16,10 +16,11 @@ as ``str`` writes them. ``regulab.csvtext`` builds the rows with numpy, a
 chunk of rows at a time, and gives those bytes exactly.
 
 Exit codes: 0 success, 2 usage or parameter error (one-line reason on
-stderr), 1 runtime error. Every float flag must be a finite number and every
-count flag a positive integer; nan, ±inf, 0 or a negative count exits 2
-before any file is written, as does a count too large to index. Running out
-of memory exits 1.
+stderr), 1 runtime error. Every float flag must be a finite number, every
+count flag a positive integer and ``--seed`` an integer in [0, 2**64); nan,
+±inf, 0 or a negative count exits 2 before any file is written, as does a
+count too large to index or a ``lur`` schedule over its trial budget. Running
+out of memory exits 1.
 
 Flags override a config file, which overrides built-in defaults. The file
 is given as ``--config path`` or ``--config=path`` before the subcommand and
@@ -302,6 +303,15 @@ def finite_float(text: str) -> float:
     return value
 
 
+def seed(text: str) -> int:
+    """argparse type of --seed: an integer in [0, 2**64), one SplitMix64
+    state, so no two spellings name the same stream."""
+    value = int(text)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64), got {text!r}")
+    return value
+
+
 def positive_int(text: str) -> int:
     """argparse type of every count flag: an integer of at least 1."""
     value = int(text)
@@ -319,7 +329,7 @@ class _Parser(argparse.ArgumentParser):
 # may come from the config file, so _parse checks for it after the merge.
 _REQUIRED = object()
 
-_COMMON = (("seed", int, _REQUIRED), ("output", Path, _REQUIRED))
+_COMMON = (("seed", seed, _REQUIRED), ("output", Path, _REQUIRED))
 _SERIES = (("n", positive_int, 10_000), ("e", finite_float, 1.0))
 
 # Subcommand path -> (handler, help, flags); a group's handler is instead the

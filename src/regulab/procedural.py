@@ -30,12 +30,52 @@ steering at the nearest unvisited target.
 from __future__ import annotations
 
 import math
+from math import fsum
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._checks import check_dt
 from .rng import SplitMix64
+
+
+# ---------------------------------------------------------------------------
+# Fused multiply-add on plain floats
+# ---------------------------------------------------------------------------
+
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
+_PRODUCT_MIN = 2.0**-968  # a smaller product's low half can underflow
+_PRODUCT_MAX = 2.0**1019  # below it, no partial product nor fsum's sum with a like c overflows
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """``a * b + c`` rounded once, as a fused multiply-add rounds it.
+
+    The reach learner's and the vehicle's outputs were first computed with
+    BLAS and LAPACK kernels that fuse their multiply-adds; ``_fma`` gives
+    those roundings in plain floats, the same on every host. Dekker's
+    TwoProduct (1971) writes ``a * b`` exactly as ``h + l``, and ``math.fsum``
+    rounds ``h + l + c`` correctly (Shewchuk 1997). TwoProduct is exact
+    while no split overflows and the product neither underflows nor comes
+    near overflow; outside that range the exact rational is rounded."""
+    ah = _SPLIT * a - (_SPLIT * a - a)  # Veltkamp's split: a = ah + (a - ah) exactly
+    bh = _SPLIT * b - (_SPLIT * b - b)
+    p = ah * bh  # nan if a split overflowed
+    if _PRODUCT_MIN < abs(p) < _PRODUCT_MAX > abs(c):  # then fsum cannot overflow either
+        h = a * b
+        al = a - ah
+        bl = b - bh
+        return fsum((h, p - h + ah * bl + al * bh + al * bl, c))
+    if a == 0.0 or b == 0.0 or not (math.isfinite(a) and math.isfinite(b)):
+        return a * b + c  # the product is exact: a signed zero, an infinity or nan
+    if not math.isfinite(c):
+        return c  # a finite product does not change it
+    from fractions import Fraction  # here only: importing it costs every run otherwise
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    try:
+        return float(exact)  # correctly rounded; an exact zero is +0, as IEEE rounds it
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -114,17 +154,9 @@ class TrialParams:
     noise: float = 0.0
 
 
-def run_trial(
-    l: ReachLearner,
-    f: CurlField,
-    start: np.ndarray,
-    target: np.ndarray,
-    steps: int,
-    dt: float,
-    tracking_gain: float = 12.0,
-    noise: float = 0.0,
-    rng: SplitMix64 | None = None,
-) -> tuple[ReachLearner, float]:
+def run_trial(l: ReachLearner, f: CurlField, start: np.ndarray, target: np.ndarray, steps: int,
+              dt: float, tracking_gain: float = 12.0, noise: float = 0.0,
+              rng: SplitMix64 | None = None) -> tuple[ReachLearner, float]:
     """One reach. Returns the post-trial learner (fast process decayed) and
     the trial error: the mean deviation of the hand from the straight-path
     position schedule. Deviation is measured against the moving desired
@@ -137,75 +169,90 @@ def run_trial(
     if steps < 1:
         raise ValueError(f"need at least 1 step, got {steps}")
     check_dt(dt)
-    start = np.asarray(start, dtype=float)
-    target = np.asarray(target, dtype=float)
-    span = target - start
-    if float(np.linalg.norm(span)) == 0.0:
+    px, py = np.asarray(start, dtype=float).tolist()
+    tx, ty = np.asarray(target, dtype=float).tolist()
+    span_x, span_y = tx - px, ty - py
+    if _fma(span_y, span_y, span_x * span_x) == 0.0:
         raise ValueError("start and target coincide")
-    v_des = span / (steps * dt)
+    vdx, vdy = span_x / (steps * dt), span_y / (steps * dt)
     kicks = None
     if noise > 0.0 and rng is not None:
         kicks = (noise * (2.0 * rng.floats(2 * steps) - 1.0)).tolist()
 
-    # The 2x2 algebra runs on floats; only the matrix-vector product and the
-    # dot products stay numpy calls, because numpy's BLAS fuses their
-    # multiply-adds and the outputs are pinned to those bits. Rows 0-1 of
-    # ``rows`` hold the field matrix, rows 2-3 the compensator fast + slow.
-    rows = np.empty((4, 2))
-    rows[:2] = f.matrix
-    comp = rows.reshape(-1)[4:]
-    vel = np.empty(2)
-    ends = np.empty((3, 2))  # velocity, position, deviation after a step
-    end_values = ends.reshape(-1)
+    # Each matrix-vector row and squared length is ``_fma`` written out, with
+    # the splits of vx and of the field's first column hoisted out of the
+    # loop; ``_fma`` itself runs wherever the fast path's guard fails.
+    (m00, m01), (m10, m11) = f.matrix.tolist()
+    m00h, m10h = _SPLIT * m00 - (_SPLIT * m00 - m00), _SPLIT * m10 - (_SPLIT * m10 - m10)
+    m00l, m10l = m00 - m00h, m10 - m10h
     f00, f01, f10, f11 = np.asarray(l.fast, dtype=float).ravel().tolist()
     s00, s01, s10, s11 = np.asarray(l.slow, dtype=float).ravel().tolist()
     rate, slow_rate = l.rate, l.slow_rate
-    vdx, vdy = v_des.tolist()
     vx, vy = vdx, vdy
-    px, py = start.tolist()
     qx, qy = px, py  # desired position
-    denom = float(v_des @ v_des) + 1e-12
+    denom = _fma(vdy, vdy, vdx * vdx) + 1e-12
     dev_sum = 0.0
-    vecdot, sqrt = np.vecdot, math.sqrt
-    # An overflow (to inf) ends the reach: the divergence check of the same
-    # step raises on it, so numpy need not warn first.
-    with np.errstate(over="ignore"):
-        for k in range(steps):
-            comp[:] = (f00 + s00, f01 + s01, f10 + s10, f11 + s11)
-            vel[0] = vx
-            vel[1] = vy
-            field_x, field_y, comp_x, comp_y = (rows @ vel).tolist()
-            rx = field_x - comp_x
-            ry = field_y - comp_y
-            if kicks is None:
-                fx, fy = rx, ry
-            else:
-                fx = rx + kicks[2 * k]
-                fy = ry + kicks[2 * k + 1]
-            u00 = fx * vx / denom
-            u01 = fx * vy / denom
-            u10 = fy * vx / denom
-            u11 = fy * vy / denom
-            f00 += rate * u00
-            f01 += rate * u01
-            f10 += rate * u10
-            f11 += rate * u11
-            s00 += slow_rate * u00
-            s01 += slow_rate * u01
-            s10 += slow_rate * u10
-            s11 += slow_rate * u11
-            vx = vx + dt * (rx + tracking_gain * (vdx - vx))
-            vy = vy + dt * (ry + tracking_gain * (vdy - vy))
-            px = px + dt * vx
-            py = py + dt * vy
-            qx = qx + dt * vdx
-            qy = qy + dt * vdy
-            end_values[:] = (vx, vy, px, py, px - qx, py - qy)
-            vv, pp, ee = vecdot(ends, ends).tolist()
-            if not sqrt(pp) <= 1e6:  # nan too
-                raise ReachDivergenceError("reach diverged, |position| > 1e6")
-            dev_sum += sqrt(ee)
-            denom = vv + 1e-12
+    sqrt = math.sqrt
+    lo, hi = _PRODUCT_MIN, _PRODUCT_MAX
+    for k in range(steps):
+        vxh = _SPLIT * vx - (_SPLIT * vx - vx)
+        vxl = vx - vxh
+        # (field_x, field_y) = field @ (vx, vy)
+        c, p, h = m01 * vy, m00h * vxh, m00 * vx
+        field_x = (fsum((h, p - h + m00h * vxl + m00l * vxh + m00l * vxl, c))
+                   if lo < abs(p) < hi > abs(c) else _fma(m00, vx, c))
+        c, p, h = m11 * vy, m10h * vxh, m10 * vx
+        field_y = (fsum((h, p - h + m10h * vxl + m10l * vxh + m10l * vxl, c))
+                   if lo < abs(p) < hi > abs(c) else _fma(m10, vx, c))
+        # (comp_x, comp_y) = (fast + slow) @ (vx, vy)
+        a = f00 + s00
+        ah = _SPLIT * a - (_SPLIT * a - a)
+        al = a - ah
+        c, p, h = (f01 + s01) * vy, ah * vxh, a * vx
+        comp_x = (fsum((h, p - h + ah * vxl + al * vxh + al * vxl, c))
+                  if lo < abs(p) < hi > abs(c) else _fma(a, vx, c))
+        a = f10 + s10
+        ah = _SPLIT * a - (_SPLIT * a - a)
+        al = a - ah
+        c, p, h = (f11 + s11) * vy, ah * vxh, a * vx
+        comp_y = (fsum((h, p - h + ah * vxl + al * vxh + al * vxl, c))
+                  if lo < abs(p) < hi > abs(c) else _fma(a, vx, c))
+        rx = field_x - comp_x
+        ry = field_y - comp_y
+        fx, fy = (rx, ry) if kicks is None else (rx + kicks[2 * k], ry + kicks[2 * k + 1])
+        u00 = fx * vx / denom
+        u01 = fx * vy / denom
+        u10 = fy * vx / denom
+        u11 = fy * vy / denom
+        f00 += rate * u00
+        f01 += rate * u01
+        f10 += rate * u10
+        f11 += rate * u11
+        s00 += slow_rate * u00
+        s01 += slow_rate * u01
+        s10 += slow_rate * u10
+        s11 += slow_rate * u11
+        vx = vx + dt * (rx + tracking_gain * (vdx - vx))
+        vy = vy + dt * (ry + tracking_gain * (vdy - vy))
+        px = px + dt * vx
+        py = py + dt * vy
+        qx = qx + dt * vdx
+        qy = qy + dt * vdy
+        # |p| <= 7e5 * sqrt(2) < 1e6 needs no exact length.
+        if not (-7e5 <= px <= 7e5 and -7e5 <= py <= 7e5) and not sqrt(_fma(py, py, px * px)) <= 1e6:
+            raise ReachDivergenceError("reach diverged, |position| > 1e6")
+        # |p - q|, and |v|**2 for the next step's delta rule
+        ex, ey = px - qx, py - qy
+        ah = _SPLIT * ey - (_SPLIT * ey - ey)
+        al = ey - ah
+        c, p, h = ex * ex, ah * ah, ey * ey
+        dev_sum += sqrt(fsum((h, p - h + 2.0 * ah * al + al * al, c))
+                        if lo < p < hi > c else _fma(ey, ey, c))
+        ah = _SPLIT * vy - (_SPLIT * vy - vy)
+        al = vy - ah
+        c, p, h = vx * vx, ah * ah, vy * vy
+        denom = (fsum((h, p - h + 2.0 * ah * al + al * al, c))
+                 if lo < p < hi > c else _fma(vy, vy, c)) + 1e-12
     r = l.fast_retention
     fast = np.array([[f00 * r, f01 * r], [f10 * r, f11 * r]])
     slow = np.array([[s00, s01], [s10, s11]])
@@ -216,9 +263,13 @@ class ReachDivergenceError(RuntimeError):
     """Reach simulation left the workspace."""
 
 
+MAX_TRIALS = 1_000_000  # per schedule: about three minutes of reaches here
+
+
 @dataclass(frozen=True)
 class LurSchedule:
-    """Ordered (field angle, trial count) phases."""
+    """Ordered (field angle, trial count) phases, at most ``MAX_TRIALS``
+    trials in all."""
 
     phases: tuple[tuple[float, int], ...]
 
@@ -228,6 +279,9 @@ class LurSchedule:
         for angle, trials in self.phases:
             if trials < 1:
                 raise ValueError(f"each phase needs >= 1 trial, got {trials}")
+        total = sum(trials for _, trials in self.phases)
+        if total > MAX_TRIALS:
+            raise ValueError(f"a schedule holds at most {MAX_TRIALS} trials, got {total}")
 
 
 @dataclass(frozen=True)
@@ -237,13 +291,8 @@ class LurResult:
     savings: float
 
 
-def run_lur(
-    l: ReachLearner,
-    sched: LurSchedule,
-    trial_params: TrialParams,
-    gain: float = 1.0,
-    seed: int = 0,
-) -> LurResult:
+def run_lur(l: ReachLearner, sched: LurSchedule, trial_params: TrialParams, gain: float = 1.0,
+            seed: int = 0) -> LurResult:
     """Run the phase schedule with learner state carried across phases.
 
     Reach directions cycle around the circle (center-out), which keeps the
@@ -255,30 +304,17 @@ def run_lur(
     """
     rng = SplitMix64(seed)
     origin = np.zeros(2)
-    dirs = [
-        trial_params.reach_length
-        * np.array([math.cos(2 * math.pi * k / trial_params.directions),
-                    math.sin(2 * math.pi * k / trial_params.directions)])
-        for k in range(trial_params.directions)
-    ]
+    tp, n = trial_params, trial_params.directions
+    dirs = [tp.reach_length * np.array([math.cos(2 * math.pi * k / n),
+                                        math.sin(2 * math.pi * k / n)]) for k in range(n)]
     curves: list[tuple[float, ...]] = []
     trial_index = 0
     for angle, trials in sched.phases:
         fld = CurlField(gain=gain, angle=angle)
         errs: list[float] = []
         for _ in range(trials):
-            target = dirs[trial_index % len(dirs)]
-            l, err = run_trial(
-                l,
-                fld,
-                origin,
-                target,
-                trial_params.steps,
-                trial_params.dt,
-                tracking_gain=trial_params.tracking_gain,
-                noise=trial_params.noise,
-                rng=rng,
-            )
+            l, err = run_trial(l, fld, origin, dirs[trial_index % n], tp.steps, tp.dt,
+                               tracking_gain=tp.tracking_gain, noise=tp.noise, rng=rng)
             errs.append(err)
             trial_index += 1
         curves.append(tuple(errs))
@@ -289,18 +325,12 @@ def run_lur(
         interference = curves[1][0] - curves[0][-1]
     if len(curves) >= 3:
         criterion = curves[0][-1]
-        first_reach = next(
-            (i + 1 for i, e in enumerate(curves[0]) if e <= criterion),
-            len(curves[0]) + 1,
-        )
-        relearn_reach = next(
-            (i + 1 for i, e in enumerate(curves[2]) if e <= criterion),
-            len(curves[2]) + 1,
-        )
-        savings = float(relearn_reach - first_reach)
-    return LurResult(
-        phase_errors=tuple(curves), interference=interference, savings=savings
-    )
+
+        def reach(curve: tuple[float, ...]) -> int:
+            return next((i + 1 for i, e in enumerate(curve) if e <= criterion), len(curve) + 1)
+
+        savings = float(reach(curves[2]) - reach(curves[0]))
+    return LurResult(phase_errors=tuple(curves), interference=interference, savings=savings)
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +350,15 @@ class CmykPoint:
             if not (-1e-12 <= v <= 1.0 + 1e-12):
                 raise ValueError(f"channel {name} out of [0, 1]: {v}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c, self.m, self.y, self.k])
+
+def _distance(p: tuple[float, ...], q: tuple[float, ...]) -> float:
+    """Euclidean distance of two (c, m, y, k) tuples, its squares fused in order."""
+    g0, g1, g2, g3 = p[0] - q[0], p[1] - q[1], p[2] - q[2], p[3] - q[3]
+    return math.sqrt(_fma(g3, g3, _fma(g2, g2, _fma(g1, g1, g0 * g0))))
 
 
 def cmyk_distance(a: CmykPoint, b: CmykPoint) -> float:
-    return float(np.linalg.norm(a.as_array() - b.as_array()))
+    return _distance((a.c, a.m, a.y, a.k), (b.c, b.m, b.y, b.k))
 
 
 def _clip01(x: float) -> float:
@@ -352,108 +385,85 @@ class CmykField:
     """Triangle carrying pure C, M, Y at its vertices; colors elsewhere are
     the barycentric mix with k derived as 1 - max(c, m, y).
 
-    Internally, points are answered in batches: one numpy call per
-    reduction covers all of them, and each result is bit-identical to the
-    same call on that point alone."""
+    Barycentric weights solve the 2x2 system of the edge vectors by the LU
+    factorization LAPACK's solver uses (partial pivoting, a reciprocal
+    pivot, fused multiply-adds in the substitutions), factored once here."""
 
     vertices: np.ndarray  # shape (3, 2): C, M, Y positions
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.vertices, dtype=float)
+        v = np.asarray(self.vertices, dtype=float).copy()
         if v.shape != (3, 2):
             raise ValueError(f"need three 2-D vertices, got shape {v.shape}")
-        area2 = (v[1, 0] - v[0, 0]) * (v[2, 1] - v[0, 1]) - (v[2, 0] - v[0, 0]) * (
-            v[1, 1] - v[0, 1]
-        )
-        if abs(area2) < 1e-12:
+        corners = v.tolist()
+        (ax, ay), (bx, by), (cx, cy) = corners
+        a00, a01, a10, a11 = bx - ax, cx - ax, by - ay, cy - ay  # edge matrix [b - a, c - a]
+        if abs(a00 * a11 - a01 * a10) < 1e-12:
             raise ValueError("triangle vertices are collinear")
-        v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "vertices", v)
-        a, b, c = v
-        object.__setattr__(self, "_edges", np.column_stack([b - a, c - a]))
-        sides = np.roll(v, -1, axis=0) - v  # side i runs from vertex i to vertex i + 1
-        object.__setattr__(self, "_sides", sides)
-        object.__setattr__(self, "_side_sq", np.vecdot(sides, sides).tolist())
+        swap = abs(a10) > abs(a00)  # the first of equal pivots stays
+        if swap:
+            a00, a01, a10, a11 = a10, a11, a00, a01
+        lower = a10 * (1.0 / a00)
+        object.__setattr__(self, "_lu", (ax, ay, swap, a00, a01, lower, a11 - lower * a01))
+        # Side i runs from vertex i to vertex i + 1: (start, direction, squared length).
+        sides = []
+        for (sx, sy), (ex, ey) in zip(corners, corners[1:] + corners[:1]):
+            dx, dy = ex - sx, ey - sy
+            sides.append((sx, sy, dx, dy, _fma(dy, dy, dx * dx)))
+        object.__setattr__(self, "_sides", tuple(sides))
 
-    def _barycentric(self, points: list) -> list[tuple[float, float, float]]:
-        """(c, m, y) weights of each (x, y) point."""
-        rhs = (np.array(points) - self.vertices[0])[:, :, None]
-        # Stays numpy: LAPACK's solve (pivoting, fused multiply-adds) rounds
-        # differently from plain float formulas, and the vehicle's outputs
-        # are pinned to its bits.
-        uv = np.linalg.solve(self._edges, rhs).tolist()
-        return [(1.0 - u - w, u, w) for (u,), (w,) in uv]
+    def _barycentric(self, x: float, y: float) -> tuple[float, float, float]:
+        """(c, m, y) weights of the point (x, y)."""
+        ax, ay, swap, a00, a01, lower, u11 = self._lu
+        b0, b1 = (y - ay, x - ax) if swap else (x - ax, y - ay)
+        w = _fma(-lower, b0, b1) / u11
+        u = _fma(-a01, w, b0) / a00
+        return 1.0 - u - w, u, w
 
-    def _boundary_points(self, points: list) -> list[tuple[float, float]]:
-        """Nearest point of the triangle's boundary to each (x, y) point; the
-        first side wins a tie."""
-        corners = self.vertices.tolist()
-        rel = np.array([[(x - ax, y - ay) for ax, ay in corners] for x, y in points])
-        feet = []  # foot of each point on each side, clamped to the side
-        gaps = []
-        for (x, y), along in zip(points, np.vecdot(rel, self._sides).tolist()):
-            for (ax, ay), (bx, by), d, sq in zip(corners, self._sides.tolist(), along, self._side_sq):
-                t = _clip01(d / sq)
-                fx, fy = ax + t * bx, ay + t * by
-                feet.append((fx, fy))
-                gaps.append((x - fx, y - fy))
-        gaps = np.array(gaps)
-        with np.errstate(over="ignore"):  # checked on the next line
-            squares = np.vecdot(gaps, gaps).tolist()
-        if not all(map(math.isfinite, squares)):
-            raise VehicleDivergenceError("vehicle step diverged: a point is too far from the arena "
-                                         "to clamp (its squared distance overflows)")
-        dist = list(map(math.sqrt, squares))
-        nearest = []
-        for j in range(0, len(feet), 3):
-            best = min(range(j, j + 3), key=dist.__getitem__)  # first of equal minima
-            nearest.append(feet[best])
+    def _boundary_point(self, x: float, y: float) -> tuple[float, float]:
+        """Nearest point of the triangle's boundary to (x, y); the first
+        side wins a tie."""
+        nearest, best = None, math.inf
+        for ax, ay, dx, dy, sq in self._sides:
+            t = _clip01(_fma(y - ay, dy, (x - ax) * dx) / sq)
+            fx, fy = ax + t * dx, ay + t * dy
+            gx, gy = x - fx, y - fy
+            square = _fma(gy, gy, gx * gx)
+            if not math.isfinite(square):
+                raise VehicleDivergenceError("vehicle step diverged: a point is too far from the "
+                                             "arena to clamp (its squared distance overflows)")
+            if math.sqrt(square) < best:
+                nearest, best = (fx, fy), math.sqrt(square)
         return nearest
-
-    def barycentric(self, pos: np.ndarray) -> np.ndarray:
-        x, y = np.asarray(pos, dtype=float).tolist()
-        return np.array(self._barycentric([(x, y)])[0])
-
-    def contains(self, pos: np.ndarray, tol: float = 1e-12) -> bool:
-        x, y = np.asarray(pos, dtype=float).tolist()
-        return _inside(self._barycentric([(x, y)])[0], tol)
 
     def clamp(self, pos: np.ndarray) -> np.ndarray:
         """Nearest point of the triangle (Euclidean), identity inside."""
-        p = np.asarray(pos, dtype=float)
-        if self.contains(p):
-            return p
-        return np.array(self._boundary_points([tuple(p.tolist())])[0])
+        return np.array(self._settle(*np.asarray(pos, dtype=float).tolist())[0])
 
-    def _colors(self, points: list) -> list[tuple[float, float, float, float]]:
-        """(c, m, y, k) at each (x, y) point; a point outside the triangle
+    def _color_at(self, x: float, y: float) -> tuple[float, float, float, float]:
+        """(c, m, y, k) at the point (x, y); a point outside the triangle
         takes the color of its nearest boundary point."""
-        weights = self._barycentric(points)
-        outside = [i for i, w in enumerate(weights) if not _inside(w)]
-        if outside:
-            clamped = self._boundary_points([points[i] for i in outside])
-            for i, w in zip(outside, self._barycentric(clamped)):
-                weights[i] = w
-        return list(map(_color, weights))
+        weights = self._barycentric(x, y)
+        if not _inside(weights):
+            weights = self._barycentric(*self._boundary_point(x, y))
+        return _color(weights)
 
-    def _settle(self, point: tuple[float, float]) -> tuple[tuple[float, float],
-                                                          tuple[float, float, float, float]]:
-        """``clamp`` of one (x, y) point and the color there, with one solve
-        for a point inside the triangle: the containment solve's weights are
-        the ones ``_colors`` would solve for again."""
-        weights = self._barycentric([point])[0]
+    def _settle(self, x: float, y: float) -> tuple[tuple[float, float], tuple[float, ...]]:
+        """``clamp`` of the point (x, y) and the color there, with one solve
+        for a point inside the triangle."""
+        weights = self._barycentric(x, y)
         if _inside(weights):
-            return point, _color(weights)
-        on_edge = self._boundary_points([point])[0]
-        return on_edge, self._colors([on_edge])[0]
+            return (x, y), _color(weights)
+        on_edge = self._boundary_point(x, y)
+        return on_edge, self._color_at(*on_edge)
 
 
 def sample_cmyk(field_: CmykField, pos: np.ndarray) -> CmykPoint:
     """Color at a position; positions outside the triangle are clamped to
     its nearest boundary point first."""
-    x, y = np.asarray(pos, dtype=float).tolist()
-    return CmykPoint(*field_._colors([(x, y)])[0])
+    return CmykPoint(*field_._color_at(*np.asarray(pos, dtype=float).tolist()))
 
 
 @dataclass(frozen=True)
@@ -505,13 +515,13 @@ def vehicle_step(v: Vehicle, field_: CmykField, dt: float) -> Vehicle:
     # wiring that makes the difference drive attract rather than repel.
     left = (x + off * sin_h, y + off * -cos_h)
     right = (x + off * -sin_h, y + off * cos_h)
-    t = v.target
-    gaps = np.array(field_._colors([left, right, (x, y)])) - (t.c, t.m, t.y, t.k)
-    d_left, d_right, d_body = map(math.sqrt, np.vecdot(gaps, gaps).tolist())
+    target = (v.target.c, v.target.m, v.target.y, v.target.k)
+    d_left, d_right, d_body = (_distance(field_._color_at(*at), target)
+                               for at in (left, right, (x, y)))
     speed = v.speed_gain * d_body
     new_heading = h + dt * v.turn_gain * (d_left - d_right)
     ahead = dt * speed
-    new_pos, color = field_._settle((x + ahead * cos_h, y + ahead * sin_h))
+    new_pos, color = field_._settle(x + ahead * cos_h, y + ahead * sin_h)
     moved = replace(v, position=np.array(new_pos), heading=new_heading)
     object.__setattr__(moved, "color", CmykPoint(*color))
     return moved
@@ -548,9 +558,8 @@ def run_expanding_goal(
     """
     if not goals:
         raise ValueError("need at least one goal stage")
-    for g in goals:
-        if len(g) == 0:
-            raise ValueError("goal stages must be non-empty")
+    if any(len(g) == 0 for g in goals):
+        raise ValueError("goal stages must be non-empty")
     for earlier, later in zip(goals, goals[1:]):
         if not set(earlier).issubset(set(later)):
             raise ValueError("goal stages must be nested, each containing the last")
@@ -559,30 +568,21 @@ def run_expanding_goal(
     reports: list[StageReport] = []
     for stage in goals:
         visited: set[CmykPoint] = set()
-        for _ in range(T):
+        for step in range(T + 1):  # a last look after the stage's T steps
             here = sample_cmyk(field_, v.position)
-            for tgt in stage:
-                if tgt not in visited and cmyk_distance(here, tgt) <= v.goal_radius:
-                    visited.add(tgt)
+            visited.update(t for t in stage
+                           if t not in visited and cmyk_distance(here, t) <= v.goal_radius)
             remaining = [t for t in stage if t not in visited]
-            if not remaining:
+            if not remaining or step == T:
                 break
             nearest = min(remaining, key=lambda t: cmyk_distance(here, t))
-            v = replace(v, target=nearest)
-            v = vehicle_step(v, field_, dt)
+            v = vehicle_step(replace(v, target=nearest), field_, dt)
             path.append(np.array(v.position))
-        here = sample_cmyk(field_, v.position)
-        for tgt in stage:
-            if tgt not in visited and cmyk_distance(here, tgt) <= v.goal_radius:
-                visited.add(tgt)
         reports.append(StageReport(visited=len(visited), total=len(stage)))
     return path, reports
 
 
 def equilateral_field(side: float = 1.0) -> CmykField:
     """C at the origin, M to the right, Y above: the standard test arena."""
-    return CmykField(
-        vertices=np.array(
-            [[0.0, 0.0], [side, 0.0], [side / 2.0, side * math.sqrt(3.0) / 2.0]]
-        )
-    )
+    return CmykField(vertices=np.array(
+        [[0.0, 0.0], [side, 0.0], [side / 2.0, side * math.sqrt(3.0) / 2.0]]))

@@ -2,9 +2,8 @@
 
 Every stochastic operation in the library draws from a single pinned
 algorithm, SplitMix64, so that a seed fully determines every draw on every
-platform. No module touches ``random`` or ``numpy.random``. (The reach
-learner's and the vehicle's outputs also pass through numpy's BLAS/LAPACK
-kernels, so their bytes are pinned per BLAS build; see the README.)
+platform. No module touches ``random`` or ``numpy.random``. (What else
+can change the last digits of an output is listed in the README.)
 
 SplitMix64 reference: Steele, Lea & Flood (2014), "Fast splittable
 pseudorandom number generators". State advances by the golden-gamma

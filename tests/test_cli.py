@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regulab.cli import _COMMANDS, build_parser, dispatch, finite_float, positive_int
+from regulab.cli import _COMMANDS, build_parser, dispatch, finite_float, positive_int, seed
 
 
 def digest(path: Path) -> str:
@@ -336,10 +336,10 @@ COUNT_FLAGS = [
 
 
 def test_every_int_flag_but_seed_is_a_count():
-    int_flags = [(words, action.option_strings[0])
-                 for words, leaf in leaf_parsers(build_parser())
-                 for action in leaf._actions if action.type is int]
-    assert {flag for _, flag in int_flags} == {"--seed"}
+    kinds = {(words, action.option_strings[0]): action.type
+             for words, leaf in leaf_parsers(build_parser()) for action in leaf._actions}
+    assert int not in kinds.values()  # no flag takes an unchecked integer
+    assert {flag for (_, flag), kind in kinds.items() if kind is seed} == {"--seed"}
     assert (("vehicle", "run"), "--steps") in COUNT_FLAGS
     assert (("demo", "q"), "--episodes") in COUNT_FLAGS
 
@@ -350,6 +350,25 @@ def test_every_int_flag_but_seed_is_a_count():
 def test_nonpositive_count_flag_is_usage_error_and_writes_nothing(tmp_path, words, flag, value):
     assert run([*words, f"{flag}={value}", "--seed", 0, "-o", tmp_path / "out.csv"]) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["-1", "18446744073709551616", "-18446744073709551615"])
+def test_seed_outside_64_bits_is_one_line_usage_error(tmp_path, capsys, value):
+    # Masked to 64 bits, -1 and 2**64 - 1 once wrote the same bytes.
+    (tmp_path / "c.cfg").write_text(f"seed={value}\n")
+    words = ["pid", "--steps", 5, "-o", tmp_path / "p.csv"]
+    for argv in ([*words, f"--seed={value}"], ["--config", tmp_path / "c.cfg", *words]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("regulab: usage error: argument --seed: ") and "2**64" in err
+        assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.cfg"]
+
+
+def test_largest_seed_is_accepted(tmp_path):
+    out = tmp_path / "p.csv"
+    assert run(["pid", "--steps", 5, "--seed", 2**64 - 1, "-o", out]) == 0
+    assert json.loads(out.with_suffix(".csv.manifest.jsonl").read_text())["seed"] == 2**64 - 1
 
 
 def test_config_switch_true_sets_the_flag(tmp_path):
@@ -486,6 +505,19 @@ def test_gap_range_wider_than_two_to_the_64_is_usage_error(tmp_path):
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1
     assert "2**64" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_lur_schedule_over_the_trial_budget_is_usage_error_at_once(tmp_path):
+    # Such a schedule once ran with no output until it was killed.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    argv = ["lur", "run", "--phases", "0:1000000000000000000000", "--seed", "0", "-o", "l.csv"]
+    proc = subprocess.run([sys.executable, "-m", "regulab.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr == ("regulab: invalid parameters: a schedule holds at most 1000000 "
+                           "trials, got 1000000000000000000000\n")
     assert list(tmp_path.iterdir()) == []
 
 

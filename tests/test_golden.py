@@ -9,18 +9,16 @@ output bytes consistently.
 A change that is meant to alter output bytes re-pins them with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why in CHANGES.md.
 
-The ``lur*`` and ``vehicle*`` hashes hold for one numpy BLAS/LAPACK build:
-those kernels' 2x2 products, dot products and solves round as that build's
-kernels do (with fused multiply-adds or without). The ``avalanche-gen*``,
-``-pfb``, ``-nfb``, ``-rank*`` and ``-smooth`` hashes and those of the
-power-mode ``diffuse`` cases hold for one libm ``pow`` variant, and the
-``avalanche-threshold*`` ones for numpy's SIMD ``power`` on one set of CPU
-features.
+The ``avalanche-gen*``, ``-pfb``, ``-nfb``, ``-rank*`` and ``-smooth``
+hashes and those of the power-mode ``diffuse`` cases hold for one libm
+``pow`` variant, and the ``avalanche-threshold*`` ones for numpy's SIMD
+``power`` on one set of CPU features.
 """
 
 import hashlib
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -136,6 +134,20 @@ def test_golden_outputs(name, tmp_path):
 
 def test_every_case_is_pinned():
     assert sorted(pinned()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_reach_and_arena_cases_hold_on_other_openblas_kernels(core):
+    # The reach learner and the vehicle call no BLAS or LAPACK kernel, so
+    # OpenBLAS's choice of kernels for the CPU cannot change their bytes.
+    # The child selects only test_golden_outputs, never this test.
+    env = {**os.environ, "OPENBLAS_CORETYPE": core}
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           f"{__file__}::test_golden_outputs", "-k", "lur or vehicle"],
+                          cwd=Path(__file__).parents[1], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-3000:]
+    assert proc.stdout.splitlines()[-1].startswith("4 passed"), proc.stdout
 
 
 if __name__ == "__main__":

@@ -5,14 +5,16 @@ fixed by a parameter sweep before the tests were frozen; the protocol
 metrics are asserted against those swept values.
 """
 
+import decimal
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from regulab.procedural import (
+    MAX_TRIALS,
     CmykField,
     CmykPoint,
     CurlField,
@@ -26,6 +28,7 @@ from regulab.procedural import (
     run_expanding_goal,
     run_lur,
     run_trial,
+    _fma,
     sample_cmyk,
     vehicle_distance,
     vehicle_step,
@@ -38,6 +41,77 @@ EAST = np.array([1.0, 0.0])
 # Learner profile for fast unit-level convergence checks; the slow default
 # profile is reserved for the phase-protocol experiments.
 FAST = dict(rate=0.35, slow_rate=0.035)
+
+
+# --- fused multiply-add ------------------------------------------------------
+
+# Exact for any a * b + c of doubles (at most about 2500 digits); the result
+# is rounded once, by float(), and IEEE's infinities, nans and signed zeros
+# follow decimal's rules, which are IEEE's.
+EXACT = decimal.Context(prec=3000, traps=[decimal.Inexact])
+
+
+def reference_fma(a, b, c):
+    return float(EXACT.add(EXACT.multiply(decimal.Decimal(a), decimal.Decimal(b)),
+                           decimal.Decimal(c)))
+
+
+@st.composite
+def near_cancellations(draw):
+    """c at or next to -(a * b) rounded, where fused and unfused results part."""
+    a, b = draw(st.floats(allow_nan=False)), draw(st.floats(allow_nan=False))
+    c = -(a * b)
+    if draw(st.booleans()):
+        c = math.nextafter(c, draw(st.sampled_from([-math.inf, math.inf])))
+    return a, b, c
+
+
+ONE = 1.0 + 2.0**-52  # the double after 1
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.tuples(st.floats(), st.floats(), st.floats()), near_cancellations()))
+# Signed zeros: a zero sum is -0 only when both addends are -0.
+@example((0.0, -1.0, -0.0)).via("signed zero")
+@example((-0.0, -0.0, -0.0)).via("signed zero")
+@example((0.0, 1.0, -0.0)).via("signed zero")
+@example((1.0, 1.0, -1.0)).via("signed zero")
+@example((-1.0, 1.0, 1.0)).via("signed zero")
+@example((5e-324, -5e-324, -0.0)).via("signed zero")
+# Infinities and nans.
+@example((math.inf, 0.0, 1.0)).via("inf")
+@example((math.inf, 2.0, -math.inf)).via("inf")
+@example((-math.inf, -2.0, 1.0)).via("inf")
+@example((1e300, 1e300, -math.inf)).via("inf")
+@example((1e308, 10.0, math.inf)).via("inf")
+@example((math.nan, 1.0, 1.0)).via("nan")
+@example((1.0, 1.0, math.nan)).via("nan")
+@example((0.0, math.nan, 0.0)).via("nan")
+# Operands whose split overflows, and products that overflow.
+@example((2.0**1000, 2.0**-100, 1.0)).via("split overflow")
+@example((1.7976931348623157e308, 0.5, -8e307)).via("split overflow")
+@example((2.0**996, 2.0**-996, -1.0)).via("split overflow")
+@example((1e308, 10.0, -1e308)).via("overflow")
+@example((1e308, 2.0, -1.7e308)).via("finite result of an overflowing product")
+@example((2.0**511, 2.0**511, 1.7976931348623157e308)).via("overflowing sum")
+@example((2.0**510, 2.0**510, 2.0**1023)).via("overflowing sum")
+@example((2.0**509, 2.0**509, 1.7976931348623157e308)).via("overflowing sum")
+# Products below 2**-969, where the low half of TwoProduct underflows.
+@example((2.0**-500, 2.0**-480, 0.0)).via("underflow")
+@example((3e-200, 7e-200, 0.0)).via("underflow")
+@example((1e-300, 1e-30, -1e-330)).via("underflow")
+@example((2.0**-600 * ONE, 2.0**-400 * ONE, 2.0**-1000)).via("underflow")
+@example((5e-324, 0.5, 0.0)).via("underflow to a tie")
+@example((5e-324, 1.5, 0.0)).via("underflow to a tie")
+# Near-cancellations and ties.
+@example((ONE, ONE, -(1.0 + 2.0**-51))).via("cancellation")
+@example((0.1, 10.0, -1.0)).via("cancellation")
+@example((3.0, 0.1, -(3.0 * 0.1) * (1 - 2.0**-53))).via("cancellation")
+@example((3.0, 0.1, -(3.0 * 0.1) * (1 + 2.0**-52))).via("cancellation")
+@example((1.0 + 2.0**-27, 1.0 + 2.0**-26, -(2.0**-26 + 2.0**-27))).via("tie to even, down")
+@example((1.0 + 2.0**-27, 1.0 + 2.0**-26, 2.0**-52 - (2.0**-26 + 2.0**-27))).via("tie, up")
+def test_fma_rounds_the_exact_result_once(abc):
+    assert repr(_fma(*abc)) == repr(reference_fma(*abc))
 
 
 # --- field -------------------------------------------------------------------
@@ -251,6 +325,8 @@ def test_schedule_validation():
         LurSchedule(())
     with pytest.raises(ValueError):
         LurSchedule(((0.0, 0),))
+    with pytest.raises(ValueError, match="at most"):
+        LurSchedule(((0.0, MAX_TRIALS), (90.0, 1)))
 
 
 # --- CMYK field ----------------------------------------------------------------------
