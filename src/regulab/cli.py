@@ -19,8 +19,8 @@ Exit codes: 0 success, 2 usage or parameter error (one-line reason on
 stderr), 1 runtime error. Every float flag must be a finite number, every
 count flag a positive integer and ``--seed`` an integer in [0, 2**64); nan,
 ±inf, 0 or a negative count exits 2 before any file is written, as does a
-count too large to index or a ``lur`` schedule over its trial budget. Running
-out of memory exits 1.
+count too large to index, a ``lur`` schedule over its trial budget or a
+``demo q`` grid over its cell budget. Running out of memory exits 1.
 
 Flags override a config file, which overrides built-in defaults. The file
 is given as ``--config path`` or ``--config=path`` before the subcommand and
@@ -243,7 +243,7 @@ def _cmd_vehicle(a) -> tuple[list[Path], dict]:
         vehicle = proc.vehicle_step(vehicle, field_, a.dt)
         color = vehicle.color
         dist = proc.cmyk_distance(color, target)
-        rows.append((step, *vehicle.position.tolist(), color.c, color.m, color.y, color.k, dist))
+        rows.append((step, *vehicle.position, color.c, color.m, color.y, color.k, dist))
         if dist <= a.goal_radius:
             reached = step
             break
@@ -263,8 +263,11 @@ def _cmd_demo(a) -> tuple[list[Path], dict]:
         _atomic_write(a.output, _csv(a, "iter,x0,x1,error", *zip(*rows), tx=None, ty=None,
                                      y0=None, target=f"{a.tx};{a.ty}", x0=f"{a.x0};{a.y0}"))
     else:
-        w, _, h = a.grid.partition("x")
-        cfg = demos.QConfig(width=int(w), height=int(h), goal_cell=(int(w) - 1, int(h) - 1),
+        try:
+            w, h = map(int, a.grid.split("x"))
+        except ValueError:
+            raise UsageError(f"grid must be WIDTHxHEIGHT, got {a.grid!r}") from None
+        cfg = demos.QConfig(width=w, height=h, goal_cell=(w - 1, h - 1),
                             episodes=a.episodes, exploration=a.epsilon)
         policy, q, annotation = demos.q_regulate(cfg, a.seed)
         rows = [(x, y, demos.ACTION_NAMES[action], float(np.max(q[(x, y)])))

@@ -86,11 +86,14 @@ def gd_regulate(
     return traj, annotation
 
 
+MAX_CELLS = 100_000  # per grid: its tables are lists with one entry per cell
+
+
 @dataclass(frozen=True)
 class QConfig:
-    """Deterministic gridworld with moves N/S/E/W clamped at the walls.
-    Stepping costs ``step_reward``; entering the goal cell ends the episode
-    with ``goal_reward``."""
+    """Deterministic gridworld with moves N/S/E/W clamped at the walls, at
+    most ``MAX_CELLS`` cells. Stepping costs ``step_reward``; entering the
+    goal cell ends the episode with ``goal_reward``."""
 
     width: int
     height: int
@@ -107,6 +110,9 @@ class QConfig:
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
             raise ValueError(f"grid must be at least 1x1, got {self.width}x{self.height}")
+        if self.width * self.height > MAX_CELLS:
+            raise ValueError(f"a grid holds at most {MAX_CELLS} cells, "
+                             f"got {self.width}x{self.height}")
         gx, gy = self.goal_cell
         if not (0 <= gx < self.width and 0 <= gy < self.height):
             raise ValueError(f"goal cell {self.goal_cell} is outside the grid")

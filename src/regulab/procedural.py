@@ -268,8 +268,8 @@ MAX_TRIALS = 1_000_000  # per schedule: about three minutes of reaches here
 
 @dataclass(frozen=True)
 class LurSchedule:
-    """Ordered (field angle, trial count) phases, at most ``MAX_TRIALS``
-    trials in all."""
+    """Ordered (field angle, trial count) phases with finite angles, at
+    most ``MAX_TRIALS`` trials in all."""
 
     phases: tuple[tuple[float, int], ...]
 
@@ -277,6 +277,8 @@ class LurSchedule:
         if len(self.phases) == 0:
             raise ValueError("a schedule needs at least one phase")
         for angle, trials in self.phases:
+            if not math.isfinite(angle):  # checked here, before any phase runs
+                raise ValueError(f"angle must be finite, got {angle}")
             if trials < 1:
                 raise ValueError(f"each phase needs >= 1 trial, got {trials}")
         total = sum(trials for _, trials in self.phases)
@@ -366,16 +368,6 @@ def _clip01(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
 
-def _inside(weights: tuple[float, float, float], tol: float = 1e-12) -> bool:
-    return weights[0] >= -tol and weights[1] >= -tol and weights[2] >= -tol
-
-
-def _color(weights: tuple[float, float, float]) -> tuple[float, float, float, float]:
-    """(c, m, y, k) of barycentric weights."""
-    c, m, y = _clip01(weights[0]), _clip01(weights[1]), _clip01(weights[2])
-    return c, m, y, 1.0 - max(c, m, y)
-
-
 class VehicleDivergenceError(RuntimeError):
     """A vehicle step went too far past the arena to be clamped back."""
 
@@ -442,28 +434,22 @@ class CmykField:
         """Nearest point of the triangle (Euclidean), identity inside."""
         return np.array(self._settle(*np.asarray(pos, dtype=float).tolist())[0])
 
-    def _color_at(self, x: float, y: float) -> tuple[float, float, float, float]:
-        """(c, m, y, k) at the point (x, y); a point outside the triangle
-        takes the color of its nearest boundary point."""
-        weights = self._barycentric(x, y)
-        if not _inside(weights):
-            weights = self._barycentric(*self._boundary_point(x, y))
-        return _color(weights)
-
     def _settle(self, x: float, y: float) -> tuple[tuple[float, float], tuple[float, ...]]:
-        """``clamp`` of the point (x, y) and the color there, with one solve
-        for a point inside the triangle."""
-        weights = self._barycentric(x, y)
-        if _inside(weights):
-            return (x, y), _color(weights)
-        on_edge = self._boundary_point(x, y)
-        return on_edge, self._color_at(*on_edge)
+        """``clamp`` of the point (x, y) and the (c, m, y, k) color there: a
+        point outside the triangle moves once, to its nearest boundary
+        point, and takes the color solved there."""
+        c, m, w = self._barycentric(x, y)
+        if not (c >= -1e-12 and m >= -1e-12 and w >= -1e-12):  # nan weights move too
+            x, y = self._boundary_point(x, y)
+            c, m, w = self._barycentric(x, y)
+        c, m, w = _clip01(c), _clip01(m), _clip01(w)
+        return (x, y), (c, m, w, 1.0 - max(c, m, w))
 
 
 def sample_cmyk(field_: CmykField, pos: np.ndarray) -> CmykPoint:
     """Color at a position; positions outside the triangle are clamped to
     its nearest boundary point first."""
-    return CmykPoint(*field_._color_at(*np.asarray(pos, dtype=float).tolist()))
+    return CmykPoint(*field_._settle(*np.asarray(pos, dtype=float).tolist())[1])
 
 
 @dataclass(frozen=True)
@@ -473,17 +459,19 @@ class Vehicle:
     distance with the left sensor mounted clockwise of the heading, so the
     vehicle turns toward the side that reads closer to the target. Forward
     speed is speed_gain times the color distance at the body, so the drive
-    dies exactly on the target."""
+    dies exactly on the target.
 
-    position: np.ndarray
+    ``position`` is an (x, y) pair of floats (any finite 2-vector is taken).
+    ``color``, the color at ``position``, is recorded by the ``vehicle_step``
+    that made the vehicle; it is None on one made otherwise (``replace`` too)."""
+
+    position: tuple[float, float]
     heading: float
     sensor_offset: float = 0.05
     speed_gain: float = 0.5
     turn_gain: float = 8.0
     target: CmykPoint = None
     goal_radius: float = 0.05
-    # The color at ``position``, set by ``vehicle_step``, which finds it
-    # while clamping; None on any vehicle made otherwise (``replace`` too).
     color: CmykPoint | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -493,11 +481,13 @@ class Vehicle:
         if not (0 < self.speed_gain < math.inf and 0 <= self.turn_gain < math.inf):
             raise ValueError("gains must be positive and finite (turn gain may be 0 for a "
                              "straight roller)")
-        p = np.asarray(self.position, dtype=float).copy()
-        if p.shape != (2,) or not all(map(math.isfinite, (*p.tolist(), self.heading))):
+        try:
+            p = tuple(map(float, self.position))  # TypeError for an item that is a row
+        except TypeError:
+            p = ()
+        if len(p) != 2 or not all(map(math.isfinite, (*p, self.heading))):
             raise ValueError(f"position must be a finite 2-vector and heading finite, "
-                             f"got {p} and {self.heading}")
-        p.flags.writeable = False
+                             f"got {self.position} and {self.heading}")
         object.__setattr__(self, "position", p)
         if self.target is None:
             raise ValueError("vehicle needs a target color")
@@ -505,24 +495,26 @@ class Vehicle:
 
 def vehicle_step(v: Vehicle, field_: CmykField, dt: float) -> Vehicle:
     """One Euler step of the sensor-drive loop. The new vehicle carries the
-    color at its new position."""
+    color at its new position, which its next step reads as the body's (so
+    step it in the same field); a vehicle without one solves it here."""
     check_dt(dt)
     h = v.heading
     cos_h, sin_h = math.cos(h), math.sin(h)
-    x, y = v.position.tolist()
+    x, y = v.position
     off = v.sensor_offset
     # Left sensor mounted clockwise (heading - 90 degrees): the cross-coupled
     # wiring that makes the difference drive attract rather than repel.
     left = (x + off * sin_h, y + off * -cos_h)
     right = (x + off * -sin_h, y + off * cos_h)
     target = (v.target.c, v.target.m, v.target.y, v.target.k)
-    d_left, d_right, d_body = (_distance(field_._color_at(*at), target)
-                               for at in (left, right, (x, y)))
+    d_left, d_right = (_distance(field_._settle(*at)[1], target) for at in (left, right))
+    d_body = (_distance(field_._settle(x, y)[1], target) if v.color is None
+              else cmyk_distance(v.color, v.target))
     speed = v.speed_gain * d_body
     new_heading = h + dt * v.turn_gain * (d_left - d_right)
     ahead = dt * speed
     new_pos, color = field_._settle(x + ahead * cos_h, y + ahead * sin_h)
-    moved = replace(v, position=np.array(new_pos), heading=new_heading)
+    moved = replace(v, position=new_pos, heading=new_heading)
     object.__setattr__(moved, "color", CmykPoint(*color))
     return moved
 

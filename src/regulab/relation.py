@@ -90,7 +90,6 @@ class Regulator:
     states: StateSet
     observations: frozenset
     policy: Callable[[float, Symbol], tuple[Symbol, Symbol]]
-    comparator_enabled: bool = True
     observe: Optional[Callable[[float, Symbol], float]] = None
 
     def __post_init__(self) -> None:
@@ -226,7 +225,7 @@ def run_relation_carry(
     emission, transition, idle = system.emission, system.transition, system.idle_input
     policy, observe, observations = regulator.policy, regulator.observe, regulator.observations
     goal = rel.goal
-    feedback = rel.mode == LoopMode.CLOSED and regulator.comparator_enabled
+    feedback = rel.mode == LoopMode.CLOSED
     window = None if rel.model is None else deque(rel.model.window, maxlen=rel.model.horizon)
     s_state, r_state = rel.s_state, rel.r_state
     rows = []

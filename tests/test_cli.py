@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -518,6 +519,49 @@ def test_lur_schedule_over_the_trial_budget_is_usage_error_at_once(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr == ("regulab: invalid parameters: a schedule holds at most 1000000 "
                            "trials, got 1000000000000000000000\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_nonfinite_phase_angle_is_usage_error_before_any_trial(tmp_path, capsys, monkeypatch):
+    # A nan angle was once found only when its phase began, after every
+    # earlier reach had run: minutes for this schedule.
+    from regulab import procedural
+
+    def no_reach(*args, **kwargs):
+        raise AssertionError("a reach ran before the schedule was checked")
+
+    monkeypatch.setattr(procedural, "run_trial", no_reach)
+    started = time.perf_counter()
+    code = run(["lur", "run", "--phases", "0:999999,nan:1", "--seed", 0, "-o", tmp_path / "l.csv"])
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert capsys.readouterr().err == "regulab: invalid parameters: angle must be finite, got nan\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("grid", ["3", "3x", "x3", "3x3x3", "", "threexthree"])
+def test_malformed_grid_is_one_line_usage_error(tmp_path, capsys, grid):
+    assert run(["demo", "q", "--grid", grid, "--seed", 0, "-o", tmp_path / "q.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"regulab: usage error: grid must be WIDTHxHEIGHT, got {grid!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_over_the_cell_budget_is_usage_error_before_any_table(tmp_path, capsys, monkeypatch):
+    # 10**10 cells: the Q table of such a grid would exhaust memory.
+    from regulab import demos
+
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a Q table was built before the grid was checked")
+
+    monkeypatch.setattr(demos, "q_regulate", no_tables)
+    started = time.perf_counter()
+    code = run(["demo", "q", "--grid", "100000x100000", "--seed", 0, "-o", tmp_path / "q.csv"])
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("regulab: invalid parameters: a grid holds at most ")
+    assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

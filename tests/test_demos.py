@@ -11,6 +11,7 @@ from regulab.demos import (
     ACTIONS,
     GdDivergenceError,
     GdOverflowError,
+    MAX_CELLS,
     QConfig,
     RoleAnnotation,
     gd_regulate,
@@ -173,6 +174,17 @@ def test_q_config_validation():
 def test_q_config_rejects_nonfinite_values(name, value):
     with pytest.raises(ValueError, match=name.replace("_", " ")):
         QConfig(width=3, height=3, goal_cell=(2, 2), **{name: value})
+
+
+@pytest.mark.parametrize("width, height", [(MAX_CELLS + 1, 1), (1, MAX_CELLS + 1),
+                                           (100_000, 100_000), (10**30, 10**30)])
+def test_q_config_bounds_the_cell_count(width, height):
+    with pytest.raises(ValueError, match=f"at most {MAX_CELLS} cells"):
+        QConfig(width=width, height=height, goal_cell=(0, 0))
+
+
+def test_q_config_takes_a_grid_of_max_cells():
+    assert QConfig(width=MAX_CELLS, height=1, goal_cell=(0, 0)).width == MAX_CELLS
 
 
 @pytest.mark.parametrize("episodes", [0, -1])

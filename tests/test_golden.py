@@ -83,8 +83,14 @@ CASES = {
     # No noise: the reach learner draws nothing and adds no kick.
     "lur-noise0": ["lur", "run", "--phases", "0:30,90:30,0:30", "--noise", "0", "--seed", "3"],
     "vehicle": ["vehicle", "run", "--steps", "500", "--seed", "4"],
-    # Radius 0 never parks, so the vehicle runs into the edges and is clamped.
+    # Radius 0 never parks. Only the sensors leave the triangle: the body is
+    # clamped on none of the 2000 steps.
     "vehicle-edge": ["vehicle", "run", "--steps", "2000", "--goal-radius", "0", "--seed", "4"],
+    # Coarse steps and a steep turn: the body leaves the triangle and is
+    # clamped back onto its boundary on 283 of its 300 steps.
+    "vehicle-clamped": ["vehicle", "run", "--steps", "300", "--goal-radius", "0", "--dt", "0.3",
+                        "--speed-gain", "1", "--turn-gain", "40", "--sensor-offset", "0.3",
+                        "--seed", "4"],
     "demo-gd": ["demo", "gd", "--lr", "0.5", "--iters", "32", "--seed", "0"],
     "demo-q": ["demo", "q", "--grid", "3x3", "--episodes", "300", "--seed", "11"],
     "demo-q-8x8": ["demo", "q", "--grid", "8x8", "--episodes", "2000", "--seed", "11"],
@@ -147,7 +153,8 @@ def test_reach_and_arena_cases_hold_on_other_openblas_kernels(core):
                           cwd=Path(__file__).parents[1], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-3000:]
-    assert proc.stdout.splitlines()[-1].startswith("4 passed"), proc.stdout
+    cases = sum("lur" in name or "vehicle" in name for name in CASES)  # what -k selects
+    assert proc.stdout.splitlines()[-1].startswith(f"{cases} passed"), proc.stdout
 
 
 if __name__ == "__main__":

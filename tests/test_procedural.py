@@ -329,6 +329,12 @@ def test_schedule_validation():
         LurSchedule(((0.0, MAX_TRIALS), (90.0, 1)))
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_schedule_rejects_a_nonfinite_angle_in_any_phase(angle):
+    with pytest.raises(ValueError, match="angle must be finite"):
+        LurSchedule(((0.0, 10), (angle, 5)))
+
+
 # --- CMYK field ----------------------------------------------------------------------
 
 
@@ -500,7 +506,7 @@ def test_vehicle_matches_numpy_reference_bit_for_bit(seed):
     for _ in range(150):
         v = vehicle_step(v, field, 0.1)
         want = reference_vehicle_step(want, field, 0.1)
-        assert v.position.tobytes() == want.position.tobytes()
+        assert np.array(v.position).tobytes() == np.array(want.position).tobytes()
         assert v.heading == want.heading
     for pos in [*r.uniform(-1.5, 1.5, (200, 2)), *field.vertices, np.array([-0.0, 0.0])]:
         assert sample_cmyk(field, pos) == reference_sample(field, pos)[1]
