@@ -241,8 +241,7 @@ def _cmd_vehicle(a) -> tuple[list[Path], dict]:
     reached = None
     for step in range(a.steps):
         vehicle = proc.vehicle_step(vehicle, field_, a.dt)
-        color = vehicle.color
-        dist = proc.cmyk_distance(color, target)
+        color, dist = vehicle.color, vehicle.distance
         rows.append((step, *vehicle.position, color.c, color.m, color.y, color.k, dist))
         if dist <= a.goal_radius:
             reached = step

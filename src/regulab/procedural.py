@@ -462,8 +462,9 @@ class Vehicle:
     dies exactly on the target.
 
     ``position`` is an (x, y) pair of floats (any finite 2-vector is taken).
-    ``color``, the color at ``position``, is recorded by the ``vehicle_step``
-    that made the vehicle; it is None on one made otherwise (``replace`` too)."""
+    ``color``, the color at ``position``, and ``distance``, its color
+    distance to ``target``, are recorded by the ``vehicle_step`` that made
+    the vehicle; they are None on one made otherwise (``replace`` too)."""
 
     position: tuple[float, float]
     heading: float
@@ -473,6 +474,7 @@ class Vehicle:
     target: CmykPoint = None
     goal_radius: float = 0.05
     color: CmykPoint | None = field(default=None, init=False, compare=False)
+    distance: float | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self) -> None:
         # Written so that nan fails every check.
@@ -495,8 +497,9 @@ class Vehicle:
 
 def vehicle_step(v: Vehicle, field_: CmykField, dt: float) -> Vehicle:
     """One Euler step of the sensor-drive loop. The new vehicle carries the
-    color at its new position, which its next step reads as the body's (so
-    step it in the same field); a vehicle without one solves it here."""
+    color at its new position and its distance to the target, which its
+    next step reads as the body's (so step it in the same field); a vehicle
+    without them solves the color here."""
     check_dt(dt)
     h = v.heading
     cos_h, sin_h = math.cos(h), math.sin(h)
@@ -508,15 +511,19 @@ def vehicle_step(v: Vehicle, field_: CmykField, dt: float) -> Vehicle:
     right = (x + off * -sin_h, y + off * cos_h)
     target = (v.target.c, v.target.m, v.target.y, v.target.k)
     d_left, d_right = (_distance(field_._settle(*at)[1], target) for at in (left, right))
-    d_body = (_distance(field_._settle(x, y)[1], target) if v.color is None
-              else cmyk_distance(v.color, v.target))
+    d_body = _distance(field_._settle(x, y)[1], target) if v.distance is None else v.distance
     speed = v.speed_gain * d_body
     new_heading = h + dt * v.turn_gain * (d_left - d_right)
     ahead = dt * speed
     new_pos, color = field_._settle(x + ahead * cos_h, y + ahead * sin_h)
-    moved = replace(v, position=new_pos, heading=new_heading)
-    object.__setattr__(moved, "color", CmykPoint(*color))
-    return moved
+    return _with_color(replace(v, position=new_pos, heading=new_heading), CmykPoint(*color))
+
+
+def _with_color(v: Vehicle, color: CmykPoint) -> Vehicle:
+    """``v``, just made, recording ``color`` at its position and the distance to its target."""
+    object.__setattr__(v, "color", color)
+    object.__setattr__(v, "distance", cmyk_distance(color, v.target))
+    return v
 
 
 def vehicle_distance(v: Vehicle, field_: CmykField) -> float:
@@ -561,14 +568,16 @@ def run_expanding_goal(
     for stage in goals:
         visited: set[CmykPoint] = set()
         for step in range(T + 1):  # a last look after the stage's T steps
-            here = sample_cmyk(field_, v.position)
+            here = sample_cmyk(field_, v.position) if v.color is None else v.color
             visited.update(t for t in stage
                            if t not in visited and cmyk_distance(here, t) <= v.goal_radius)
             remaining = [t for t in stage if t not in visited]
             if not remaining or step == T:
                 break
             nearest = min(remaining, key=lambda t: cmyk_distance(here, t))
-            v = vehicle_step(replace(v, target=nearest), field_, dt)
+            if v.distance is None or nearest != v.target:  # the color depends on position alone
+                v = _with_color(replace(v, target=nearest), here)
+            v = vehicle_step(v, field_, dt)
             path.append(np.array(v.position))
         reports.append(StageReport(visited=len(visited), total=len(stage)))
     return path, reports

@@ -16,11 +16,9 @@ numbers: as easy as 1, 2, 3". ``u64s`` relies on this identity to compute a
 block of draws as one numpy ``uint64`` expression, bit-identical to the
 same number of ``next_u64`` calls.
 
-``shuffle`` draws every Fisher-Yates swap target first, then builds the
-order by grouping the steps by target and pointer jumping. Shun, Gu,
-Blelloch, Fineman & Gibbons (SODA 2015), "Sequential random permutation,
-list contraction and tree contraction are highly parallel", show that with
-the targets fixed, the steps depend on each other only O(log n) deep w.h.p.
+``shuffle`` builds its order from one sort and pointer jumping, after Shun,
+Gu, Blelloch, Fineman & Gibbons (SODA 2015), "Sequential random permutation,
+list contraction and tree contraction are highly parallel".
 """
 
 from __future__ import annotations
@@ -112,18 +110,8 @@ class SplitMix64:
         Step k, for k from len - 1 down to 1, swaps items k and the target
         ``H[k] = next_below(k + 1)``. The targets are drawn a block at a
         time; a draw that ``next_below`` would reject ends the block, and
-        the state is rewound so that ``next_below`` replays it.
-
-        The order is then built with no loop over the items (Shun et al.,
-        SODA 2015, in the module docstring). Step k moves into slot k what
-        slot H[k] holds at that moment, and slot p is written only by the
-        steps k > p with H[k] = p and by step p. So with the steps grouped
-        by target (one argsort of the unique key ``H[k] * len + k``), slot p
-        holds item ``root(p)`` when step p runs, where the parent of p is
-        the smallest step k > p with H[k] = p. Step k takes the root of the
-        next larger step with target H[k]; the largest takes item H[k],
-        which never moved. Pointer jumping (``r = r[r]`` until nothing
-        changes) finds the roots in about 6 rounds at 10**6 items.
+        the state is rewound so that ``next_below`` replays it. The order is
+        then built with no loop over the items by ``_fisher_yates_order``.
         """
         if len(items) < 2:
             return
@@ -139,14 +127,11 @@ class SplitMix64:
         i = n - 1
         while i > 0:
             bounds = np.arange(i + 1, max(i + 1 - _BLOCK, 1), -1, dtype=np.uint64)
-            u = self.u64s(bounds.size)
-            # 2**64 - 2**64 mod m - 1: the largest draw next_below accepts.
-            last_ok = np.uint64(_MASK64) - (np.uint64(_MASK64) % bounds + np.uint64(1)) % bounds
-            rejected = np.flatnonzero(u > last_ok)
-            taken = int(rejected[0]) if rejected.size else bounds.size
-            target[i + 1 - taken : i + 1] = (u[:taken] % bounds[:taken])[::-1]
+            below, accepted = _below(self.u64s(bounds.size), bounds)
+            taken = bounds.size if accepted.all() else int(accepted.argmin())
+            target[i + 1 - taken : i + 1] = below[:taken][::-1]
             i -= taken
-            if rejected.size:
+            if taken < bounds.size:  # the draw at ``taken`` is rejected
                 self.rewind(bounds.size - taken)
                 target[i] = self.next_below(i + 1)
                 i -= 1
@@ -161,31 +146,46 @@ class SplitMix64:
         return SplitMix64(self.next_u64())
 
 
+def _below(u: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``u % m``, and whether ``next_below(m)`` takes each draw: iff u - u % m <= 2**64 - m."""
+    below = u % m
+    return below, u - below <= -m  # -m wraps to 2**64 - m
+
+
 def _fisher_yates_order(target: np.ndarray) -> np.ndarray:
     """The order ``perm`` with ``items[perm]`` equal to the sequential
-    shuffle whose step k swaps items k and ``target[k]``; see
-    ``SplitMix64.shuffle``. The ``del``s free each temporary once used,
-    which takes the peak at 10**6 items from about 49 to 30 MB."""
+    shuffle whose step k swaps items k and H[k] = ``target[k]``. Step k
+    moves into slot k what slot H[k] holds then, and slot p is written only
+    by the steps k > p with H[k] = p and by step p. So slot p holds item
+    ``root(p)`` when step p runs, where the parent of p is the smallest
+    step k > p with H[k] = p; step k takes the root of the next larger step
+    with target H[k], and the largest takes item H[k], which never moved.
+    One sort of the unique keys H[k] * n + k groups the steps by target and
+    gives back each one's target (over ``target``) and step. Pointer jumping
+    on the entries still moving takes O(log n) rounds w.h.p. (Shun et al.)."""
     n, index = target.size, target.dtype
-    key = target.astype(np.int64)
-    key *= n
+    key = np.multiply(target, n, dtype=np.int64)
     key += np.arange(n, dtype=index)
-    order = np.argsort(key)
+    key.sort()  # unique keys: every sort kernel gives this order
+    grouped = np.floor_divide(key, n, out=target, casting="unsafe")
+    order = np.remainder(key, n, out=np.empty(n, dtype=index), casting="unsafe")
     del key
-    order = order.astype(index)
-    same = np.diff(target[order]) == 0
-    # following[k]: the next larger step with target H[k], or -1.
-    following = np.empty(n, dtype=index)
-    following[order[:-1]] = np.where(same, order[1:], -1)
-    following[order[-1]] = -1
-    # The parents: the first step of group p. That is p itself when
-    # H[p] = p, but then root(p) is never read.
-    first = order[np.r_[True, ~same]]
-    del order, same
+    ends = np.r_[grouped[1:] != grouped[:-1], True]
+    # Group 0 starts with step 0, whose root is unread. Narrow starts: fewer heap holes.
+    starts = np.flatnonzero(ends[:-1]).astype(index)
+    heads, first = grouped[1:][starts], order[1:][starts]
+    del starts
     root = np.arange(n, dtype=index)
-    root[target[first]] = first
-    del first
-    while not np.array_equal(jumped := root[root], root):
-        root = jumped
-    del jumped
-    return np.where(following >= 0, root[following], target)
+    root[heads] = first
+    live = heads[heads != first]  # H[p] = p: p starts group p, root(p) is unread
+    del heads, first
+    while live.size:  # a root that is a fixed point never moves again
+        parent = root[live]
+        jumped = root[parent]
+        root[live] = jumped
+        live = live[jumped != parent]
+    value = root[order]  # in sorted order: the next step's root, at a group's end H[k]
+    value[:-1] = value[1:]
+    np.copyto(value, grouped, where=ends)
+    root[order] = value  # root is read no more
+    return root

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from regulab import procedural
 from regulab.procedural import (
     MAX_TRIALS,
     CmykField,
@@ -513,6 +514,35 @@ def test_vehicle_matches_numpy_reference_bit_for_bit(seed):
         assert field.clamp(pos).tobytes() == reference_sample(field, pos)[0].tobytes()
 
 
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` to count its calls; returns the running count."""
+    calls = [0]
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_step_records_the_body_distance_once(monkeypatch):
+    field = equilateral_field()
+    v = fixture_vehicle(field, position=(0.2, 0.1), heading=1.0)
+    assert v.color is None and v.distance is None
+    distances = count_calls(monkeypatch, procedural, "_distance")
+    path = [v := vehicle_step(v, field, 0.02) for _ in range(50)]
+    # Two sensors and the new position a step; the first step also solves its body.
+    assert distances[0] == 3 * 50 + 1
+    monkeypatch.undo()
+    for v in path:
+        assert v.distance == cmyk_distance(v.color, v.target)
+        assert v.color == sample_cmyk(field, v.position)
+    moved = replace(v, target=sample_cmyk(field, field.vertices[1]))
+    assert moved.color is None and moved.distance is None
+
+
 # --- expanding goals --------------------------------------------------------------------
 
 
@@ -541,6 +571,39 @@ def test_nested_stages_full_coverage():
     v = fixture_vehicle(field, goal_radius=0.12)
     _, reports = run_expanding_goal(v, field, stage_sets(field), T=6000, dt=0.02)
     assert [r.coverage for r in reports] == [1.0, 1.0, 1.0]
+
+
+def reference_expanding_goal(v, field, goals, T, dt):
+    """``run_expanding_goal``'s path with the color at each position solved
+    afresh, for the look and for the step."""
+    path = [np.array(v.position)]
+    for stage in goals:
+        visited = set()
+        for step in range(T + 1):
+            here = sample_cmyk(field, v.position)
+            visited.update(t for t in stage if cmyk_distance(here, t) <= v.goal_radius)
+            remaining = [t for t in stage if t not in visited]
+            if not remaining or step == T:
+                break
+            nearest = min(remaining, key=lambda t: cmyk_distance(here, t))
+            v = vehicle_step(replace(v, target=nearest), field, dt)
+            path.append(np.array(v.position))
+    return path
+
+
+@pytest.mark.parametrize("radius, dt", [(0.12, 0.02), (0.05, 0.02), (0.12, 0.3)])
+def test_expanding_goal_solves_each_position_once(monkeypatch, radius, dt):
+    # The body sits on an edge on most steps (296 of 418 in the first case),
+    # so colors solved at a clamped point are carried too.
+    field = equilateral_field()
+    goals = stage_sets(field)[:2]
+    v = fixture_vehicle(field, goal_radius=radius)
+    want = reference_expanding_goal(v, field, goals, 300, dt)
+    settles = count_calls(monkeypatch, CmykField, "_settle")
+    path, _ = run_expanding_goal(v, field, goals, T=300, dt=dt)
+    assert np.array(path).tobytes() == np.array(want).tobytes()
+    # The start once, then two sensors and the new position a step.
+    assert settles[0] == 1 + 3 * (len(path) - 1)
 
 
 def test_non_nested_stages_rejected():

@@ -1,10 +1,16 @@
 """Project RNG: pinned algorithm, determinism, distribution sanity."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regulab.rng import _BLOCK, SplitMix64
+from regulab.rng import _BLOCK, SplitMix64, _below, _fisher_yates_order
 
 
 # Published splitmix64 outputs for seed 0 (Steele/Lea/Flood finalizer).
@@ -165,6 +171,90 @@ def test_shuffle_replays_rejected_draw_through_next_below():
     assert forged.blocks == 2
     assert a == b
     assert forged._state == scalar._state
+
+
+def scalar_order(target: list) -> list:
+    """Reference: the items after the swap loop of ``target``, as indices."""
+    items = list(range(len(target)))
+    for k in range(len(target) - 1, 0, -1):
+        items[k], items[target[k]] = items[target[k]], items[k]
+    return items
+
+
+def built_targets(kind: str, n: int) -> np.ndarray:
+    k = np.arange(n)
+    if kind == "zeros":  # one group: every step swaps with slot 0
+        return np.zeros(n, dtype=np.int32)
+    if kind == "identity":  # no step moves anything
+        return k.astype(np.int32)
+    if kind == "k-1":  # parent(p) = p + 1: one chain of depth n - 1, the deepest jump
+        return np.maximum(k - 1, 0).astype(np.int32)
+    # Heavy repeats: each step picks one of the 8 lowest slots it may.
+    return np.minimum(SplitMix64(n).u64s(n) % np.uint64(8), k).astype(np.int32)
+
+
+@pytest.mark.parametrize("n", [2, 3, 2**16 + 1])
+@pytest.mark.parametrize("kind", ["zeros", "identity", "k-1", "repeats"])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_order_matches_swap_loop_on_built_targets(kind, n, dtype):
+    target = built_targets(kind, n).astype(dtype)
+    want = scalar_order(target.tolist())
+    perm = _fisher_yates_order(target)
+    assert perm.dtype == dtype
+    assert perm.tolist() == want
+
+
+BOUNDS = sorted({2, 3, 2**63 + 1, 2**64 - 1} | {2**k + d for k in range(2, 65) for d in (-1, 1)}
+                - {2**64 + 1})
+
+
+def test_one_modulo_rule_matches_next_below_limit():
+    draws, bounds = [], []
+    for m in BOUNDS:
+        limit = (2**64 // m) * m
+        for u in {limit - 1, limit, 2**64 - 1} - {2**64}:
+            draws.append(u)
+            bounds.append(m)
+    below, accepted = _below(np.array(draws, dtype=np.uint64), np.array(bounds, dtype=np.uint64))
+    assert below.tolist() == [u % m for u, m in zip(draws, bounds)]
+    assert accepted.tolist() == [u < (2**64 // m) * m for u, m in zip(draws, bounds)]
+    assert not all(accepted) and any(accepted)
+
+
+SORT_CHILD = """
+import hashlib, sys
+import numpy as np
+from regulab.rng import SplitMix64
+for seed in map(int, sys.argv[1:]):
+    items = np.arange(200_001)
+    SplitMix64(seed).shuffle(items)
+    print(hashlib.sha256(items.astype("<i8").tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("features", [
+    "X86_V4 AVX512_ICL AVX512_SPR",  # numpy's AVX2 sort
+    "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",  # its scalar sort
+], ids=["npy-no-avx512", "npy-no-avx2"])
+def test_shuffle_order_does_not_depend_on_sort_dispatch(features):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": features,
+           "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                           capture_output=True, text=True, timeout=60)
+    if probe.returncode != 0:
+        last = (probe.stderr.strip().splitlines() or ["no output"])[-1]
+        pytest.skip(f"numpy does not start without {features} on this host: {last}")
+    seeds = (0, 0xDEADBEEF)
+    proc = subprocess.run([sys.executable, "-c", SORT_CHILD, *map(str, seeds)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    want = []
+    for seed in seeds:
+        items = list(range(200_001))
+        scalar_shuffle(items, SplitMix64(seed))
+        want.append(hashlib.sha256(np.array(items, dtype="<i8").tobytes()).hexdigest())
+    assert proc.stdout.split() == want
 
 
 @pytest.mark.parametrize("draw", ["u64s", "floats"])
