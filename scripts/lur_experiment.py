@@ -12,7 +12,7 @@ import argparse
 import statistics
 import sys
 
-from regulab.procedural import LurSchedule, ReachLearner, TrialParams, run_lur
+from regulab.procedural import LurSchedule, ReachLearner, run_lur
 
 
 def main() -> int:
@@ -24,11 +24,10 @@ def main() -> int:
     args = ap.parse_args()
 
     sched = LurSchedule(((0.0, args.trials), (90.0, args.trials), (0.0, args.trials)))
-    params = TrialParams(noise=args.noise)
 
     rows = []
     for seed in range(args.seeds):
-        res = run_lur(ReachLearner(), sched, params, gain=args.gain, seed=seed)
+        res = run_lur(ReachLearner(), sched, noise=args.noise, gain=args.gain, seed=seed)
         rows.append((seed, res.interference, res.savings))
 
     print(f"{'seed':>4}  {'interference':>12}  {'savings':>8}")

@@ -19,8 +19,8 @@ Exit codes: 0 success, 2 usage or parameter error (one-line reason on
 stderr), 1 runtime error. Every float flag must be a finite number, every
 count flag a positive integer and ``--seed`` an integer in [0, 2**64); nan,
 ±inf, 0 or a negative count exits 2 before any file is written, as does a
-count too large to index, a ``lur`` schedule over its trial budget or a
-``demo q`` grid over its cell budget. Running out of memory exits 1.
+count too large to index, a negative ``lur`` noise, or a ``lur`` schedule
+or ``demo q`` grid or run over its budget. Running out of memory exits 1.
 
 Flags override a config file, which overrides built-in defaults. The file
 is given as ``--config path`` or ``--config=path`` before the subcommand and
@@ -182,7 +182,10 @@ def _cmd_avalanche(a) -> tuple[list[Path], dict]:
 def _cmd_diffuse(a) -> tuple[list[Path], dict]:
     from . import diffusion as diff
     img = diff.read_pgm(a.input) if a.input else diff.synthetic_portrait()
-    levels = [float(x) for x in a.levels.split(",")] if a.levels else None
+    try:
+        levels = [float(x) for x in a.levels.split(",")] if a.levels else None
+    except ValueError:
+        raise UsageError(f"levels must be a comma list of numbers, got {a.levels!r}") from None
     if a.mode == "uniform":
         sched = diff.uniform_schedule(levels or diff.DEFAULT_UNIFORM_ALPHAS)
     else:
@@ -211,12 +214,14 @@ def _cmd_lur(a) -> tuple[list[Path], dict]:
     from . import procedural as proc
     phases = []
     for chunk in a.phases.split(","):
-        angle_s, _, trials_s = chunk.partition(":")
-        phases.append((float(angle_s), int(trials_s)))
+        try:
+            angle_s, trials_s = chunk.split(":")
+            phases.append((float(angle_s), int(trials_s)))
+        except ValueError:
+            raise UsageError(f"phase must be ANGLE:TRIALS, got {chunk!r}") from None
     sched = proc.LurSchedule(tuple(phases))
     learner = proc.ReachLearner(rate=a.rate, slow_rate=a.slow_rate, fast_retention=a.retention)
-    tp = proc.TrialParams(noise=a.noise)
-    result = proc.run_lur(learner, sched, tp, gain=a.gain, seed=a.seed)
+    result = proc.run_lur(learner, sched, noise=a.noise, gain=a.gain, seed=a.seed)
     rows = [(p, t, err) for p, curve in enumerate(result.phase_errors)
             for t, err in enumerate(curve)]
     _atomic_write(a.output, _csv(a, "phase,trial,error", *zip(*rows)))

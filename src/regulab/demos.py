@@ -87,13 +87,15 @@ def gd_regulate(
 
 
 MAX_CELLS = 100_000  # per grid: its tables are lists with one entry per cell
+MAX_Q_STEPS = 10**9  # per run: about 15 minutes at 0.9 us a step (a 300x300 grid)
 
 
 @dataclass(frozen=True)
 class QConfig:
     """Deterministic gridworld with moves N/S/E/W clamped at the walls, at
     most ``MAX_CELLS`` cells. Stepping costs ``step_reward``; entering the
-    goal cell ends the episode with ``goal_reward``."""
+    goal cell ends the episode with ``goal_reward``. An episode ends after
+    ``8 * width * height`` steps; a run takes at most ``MAX_Q_STEPS``."""
 
     width: int
     height: int
@@ -105,7 +107,6 @@ class QConfig:
     exploration: float = 0.1
     episodes: int = 500
     init_value: float = 0.0
-    max_episode_steps: int | None = None
 
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
@@ -124,6 +125,9 @@ class QConfig:
             raise ValueError(f"exploration must be in [0, 1], got {self.exploration}")
         if self.episodes < 1:
             raise ValueError(f"need at least 1 episode, got {self.episodes}")
+        if self.episodes * 8 * self.width * self.height > MAX_Q_STEPS:
+            raise ValueError(f"a run takes at most {MAX_Q_STEPS} steps, and {self.episodes} "
+                             f"episodes of up to {8 * self.width * self.height} steps exceed it")
         for name in ("step_reward", "goal_reward", "init_value"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name.replace('_', ' ')} must be finite, got {getattr(self, name)}")
@@ -164,7 +168,7 @@ def q_regulate(
     moves = [[number[_grid_step(cfg, c, a)] for a in range(len(ACTIONS))] for c in cells]
     q = [[float(cfg.init_value)] * len(ACTIONS) for _ in cells]
     q[goal] = [0.0] * len(ACTIONS)  # terminal: no future value
-    step_cap = cfg.max_episode_steps or 8 * cfg.width * cfg.height
+    step_cap = 8 * cfg.width * cfg.height
     starts = [i for i in range(len(cells)) if i != goal]
     lr, discount, exploration = cfg.learn_rate, cfg.discount, cfg.exploration
 

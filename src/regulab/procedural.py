@@ -135,25 +135,6 @@ class ReachLearner:
         return self.fast + self.slow
 
 
-@dataclass(frozen=True)
-class TrialParams:
-    """Per-trial simulation setup shared across a protocol.
-
-    Reaches run at constant desired velocity from start to target over
-    ``steps`` Euler steps of ``dt``; ``tracking_gain`` is the stiffness
-    pulling the hand's velocity back to the desired profile. ``noise``
-    scales a uniform disturbance on the felt residual force (0 keeps the
-    dynamics fully deterministic).
-    """
-
-    steps: int = 60
-    dt: float = 0.01
-    tracking_gain: float = 12.0
-    reach_length: float = 1.0
-    directions: int = 8
-    noise: float = 0.0
-
-
 def run_trial(l: ReachLearner, f: CurlField, start: np.ndarray, target: np.ndarray, steps: int,
               dt: float, tracking_gain: float = 12.0, noise: float = 0.0,
               rng: SplitMix64 | None = None) -> tuple[ReachLearner, float]:
@@ -163,21 +144,23 @@ def run_trial(l: ReachLearner, f: CurlField, start: np.ndarray, target: np.ndarr
     position, not just the path line, so collinear (0 or 180 degree) field
     perturbations register in the error exactly like orthogonal ones.
 
-    With ``noise > 0`` and an ``rng``, each step kicks the felt force by
-    ``noise * (2u - 1)`` per axis, two draws per step, drawn for the whole
-    reach up front."""
+    ``noise`` must be finite and >= 0. With ``noise > 0``, which needs an
+    ``rng``, each step kicks the felt force by ``noise * (2u - 1)`` per
+    axis, two draws per step, drawn for the whole reach up front."""
     if steps < 1:
         raise ValueError(f"need at least 1 step, got {steps}")
     check_dt(dt)
+    if not (0.0 <= noise < math.inf):  # also rejects nan
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
+    if noise > 0.0 and rng is None:
+        raise ValueError(f"noise {noise} > 0 needs an rng to draw from")
     px, py = np.asarray(start, dtype=float).tolist()
     tx, ty = np.asarray(target, dtype=float).tolist()
     span_x, span_y = tx - px, ty - py
     if _fma(span_y, span_y, span_x * span_x) == 0.0:
         raise ValueError("start and target coincide")
     vdx, vdy = span_x / (steps * dt), span_y / (steps * dt)
-    kicks = None
-    if noise > 0.0 and rng is not None:
-        kicks = (noise * (2.0 * rng.floats(2 * steps) - 1.0)).tolist()
+    kicks = (noise * (2.0 * rng.floats(2 * steps) - 1.0)).tolist() if noise > 0.0 else None
 
     # Each matrix-vector row and squared length is ``_fma`` written out, with
     # the splits of vx and of the field's first column hoisted out of the
@@ -293,30 +276,32 @@ class LurResult:
     savings: float
 
 
-def run_lur(l: ReachLearner, sched: LurSchedule, trial_params: TrialParams, gain: float = 1.0,
+def run_lur(l: ReachLearner, sched: LurSchedule, noise: float = 0.0, gain: float = 1.0,
             seed: int = 0) -> LurResult:
     """Run the phase schedule with learner state carried across phases.
 
-    Reach directions cycle around the circle (center-out), which keeps the
-    compensator excited in both dimensions. Interference is the first-trial
-    error of phase 2 minus the last-trial error of phase 1. Savings is the
-    trials phase 3 needs to re-reach phase 1's final error, minus the trials
-    phase 1 needed to first reach it; a phase that never re-reaches it
-    counts as its trial count plus one.
-    """
+    Each trial is a unit-length reach at constant desired velocity, 60 Euler
+    steps of 0.01 s, with ``run_trial``'s default tracking stiffness pulling
+    the hand's velocity back to that profile. ``noise`` (finite, >= 0) scales a
+    uniform disturbance on the felt residual force; 0 keeps the dynamics fully
+    deterministic. Reach directions cycle through 8 around the circle
+    (center-out), which keeps the compensator excited in both dimensions.
+    Interference is the first-trial error of phase 2 minus the last-trial error
+    of phase 1. Savings is the trials phase 3 needs to re-reach phase 1's final
+    error, minus the trials phase 1 needed to first reach it; a phase that
+    never re-reaches it counts as its trial count plus one."""
     rng = SplitMix64(seed)
     origin = np.zeros(2)
-    tp, n = trial_params, trial_params.directions
-    dirs = [tp.reach_length * np.array([math.cos(2 * math.pi * k / n),
-                                        math.sin(2 * math.pi * k / n)]) for k in range(n)]
+    dirs = [np.array([math.cos(2 * math.pi * k / 8), math.sin(2 * math.pi * k / 8)])
+            for k in range(8)]
     curves: list[tuple[float, ...]] = []
     trial_index = 0
     for angle, trials in sched.phases:
         fld = CurlField(gain=gain, angle=angle)
         errs: list[float] = []
         for _ in range(trials):
-            l, err = run_trial(l, fld, origin, dirs[trial_index % n], tp.steps, tp.dt,
-                               tracking_gain=tp.tracking_gain, noise=tp.noise, rng=rng)
+            l, err = run_trial(l, fld, origin, dirs[trial_index % 8], 60, 0.01, noise=noise,
+                               rng=rng)
             errs.append(err)
             trial_index += 1
         curves.append(tuple(errs))
@@ -583,7 +568,6 @@ def run_expanding_goal(
     return path, reports
 
 
-def equilateral_field(side: float = 1.0) -> CmykField:
-    """C at the origin, M to the right, Y above: the standard test arena."""
-    return CmykField(vertices=np.array(
-        [[0.0, 0.0], [side, 0.0], [side / 2.0, side * math.sqrt(3.0) / 2.0]]))
+def equilateral_field() -> CmykField:
+    """C at the origin, M to the right, Y above, sides of 1: the standard test arena."""
+    return CmykField(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]]))

@@ -208,12 +208,10 @@ def run_relation_carry(
     rel: ClosedLoopRelation,
     disturbance_stream: list[tuple[Symbol, Symbol]],
     T: int,
-    start_tick: int = 0,
 ) -> tuple[Trajectory, ClosedLoopRelation]:
     """Like ``run_relation`` but also returns the final relation, so runs
     compose: two runs of 50 with state carried over equal one run of 100.
-    A ``DestroyedVarietyError`` names its tick as ``start_tick`` plus the
-    tick within this run.
+    A ``DestroyedVarietyError`` names the tick within this run.
 
     The ticks run on local variables; the relation and its internal model
     are rebuilt once, at the end."""
@@ -234,7 +232,7 @@ def run_relation_carry(
         output = emission(s_state)
         observed = output if observe is None else observe(output, rho)
         if observed not in observations:
-            raise DestroyedVarietyError(observed, tick=start_tick + k)
+            raise DestroyedVarietyError(observed, tick=k)
         next_r, control = policy(observed, r_state)
         next_s = transition(s_state, control if feedback else idle, phi)
         if window is not None:

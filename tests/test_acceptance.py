@@ -38,7 +38,6 @@ from regulab.procedural import (
     CurlField,
     LurSchedule,
     ReachLearner,
-    TrialParams,
     equilateral_field,
     run_lur,
     run_trial,
@@ -235,11 +234,10 @@ def test_criterion_08_variety():
 
 def test_criterion_09_procedural_learning():
     sched = LurSchedule(((0.0, 200), (90.0, 200), (0.0, 200)))
-    params = TrialParams(noise=0.02)
     inter_pos = 0
     sav_neg = 0
     for seed in range(20):
-        res = run_lur(ReachLearner(), sched, params, gain=1.0, seed=seed)
+        res = run_lur(ReachLearner(), sched, noise=0.02, gain=1.0, seed=seed)
         inter_pos += res.interference > 0
         sav_neg += res.savings < 0
     ok = inter_pos == 20 and sav_neg >= 16

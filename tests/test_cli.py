@@ -547,6 +547,54 @@ def test_malformed_grid_is_one_line_usage_error(tmp_path, capsys, grid):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["lur", "run", "--phases", "0:5,90"], "phase must be ANGLE:TRIALS, got '90'"),
+    (["lur", "run", "--phases", "0:5:7"], "phase must be ANGLE:TRIALS, got '0:5:7'"),
+    (["lur", "run", "--phases", "0:5,east:5"], "phase must be ANGLE:TRIALS, got 'east:5'"),
+    (["lur", "run", "--phases", "0:2.5"], "phase must be ANGLE:TRIALS, got '0:2.5'"),
+    (["diffuse", "--levels", "0.5,"], "levels must be a comma list of numbers, got '0.5,'"),
+    (["diffuse", "--levels", "0.5;0.6"],
+     "levels must be a comma list of numbers, got '0.5;0.6'"),
+])
+def test_malformed_list_flag_says_what_it_expects(tmp_path, capsys, argv, reason):
+    # These once printed Python's own parse errors, such as "invalid literal
+    # for int() with base 10: ''".
+    assert run([*argv, "--seed", 0, "-o", tmp_path / "x.csv"]) == 2
+    assert capsys.readouterr().err == f"regulab: usage error: {reason}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_lur_noise_is_usage_error(tmp_path, capsys):
+    # Such a noise was once dropped: the rows matched --noise=0, while the
+    # params line recorded the negative value.
+    argv = ["lur", "run", "--phases", "0:50", "--noise=-0.02", "--seed", 3]
+    assert run([*argv, "-o", tmp_path / "l.csv"]) == 2
+    assert capsys.readouterr().err == ("regulab: invalid parameters: noise must be finite and "
+                                       ">= 0, got -0.02\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_q_run_over_the_step_budget_is_usage_error_before_any_table(tmp_path, capsys,
+                                                                      monkeypatch):
+    # This run once went on past a 5 s timeout with no output.
+    from regulab import demos
+
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a Q table was built before the step budget was checked")
+
+    monkeypatch.setattr(demos, "q_regulate", no_tables)
+    started = time.perf_counter()
+    code = run(["demo", "q", "--grid", "2x2", "--episodes", "1000000000000", "--seed", 0,
+                "-o", tmp_path / "q.csv"])
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"regulab: invalid parameters: a run takes at most {demos.MAX_Q_STEPS} "
+                          "steps")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_grid_over_the_cell_budget_is_usage_error_before_any_table(tmp_path, capsys, monkeypatch):
     # 10**10 cells: the Q table of such a grid would exhaust memory.
     from regulab import demos

@@ -12,6 +12,7 @@ from regulab.demos import (
     GdDivergenceError,
     GdOverflowError,
     MAX_CELLS,
+    MAX_Q_STEPS,
     QConfig,
     RoleAnnotation,
     gd_regulate,
@@ -187,6 +188,13 @@ def test_q_config_takes_a_grid_of_max_cells():
     assert QConfig(width=MAX_CELLS, height=1, goal_cell=(0, 0)).width == MAX_CELLS
 
 
+def test_q_config_bounds_the_worst_case_step_count():
+    # A 5x5 grid ends an episode after at most 200 steps.
+    assert QConfig(width=5, height=5, goal_cell=(0, 0), episodes=MAX_Q_STEPS // 200).episodes
+    with pytest.raises(ValueError, match=f"at most {MAX_Q_STEPS} steps"):
+        QConfig(width=5, height=5, goal_cell=(0, 0), episodes=MAX_Q_STEPS // 200 + 1)
+
+
 @pytest.mark.parametrize("episodes", [0, -1])
 def test_q_config_rejects_nonpositive_episodes(episodes):
     with pytest.raises(ValueError, match="episode"):
@@ -202,7 +210,7 @@ def reference_q_table(cfg, seed):
     starts = [c for c in cells if c != cfg.goal_cell]
     for _ in range(cfg.episodes):
         cell = starts[rng.next_below(len(starts))]
-        for _ in range(cfg.max_episode_steps or 8 * cfg.width * cfg.height):
+        for _ in range(8 * cfg.width * cfg.height):
             if rng.next_float() < cfg.exploration:
                 a = rng.next_below(len(ACTIONS))
             else:

@@ -21,7 +21,6 @@ from regulab.procedural import (
     CurlField,
     LurSchedule,
     ReachLearner,
-    TrialParams,
     Vehicle,
     cmyk_distance,
     equilateral_field,
@@ -194,6 +193,19 @@ def test_run_trial_validation():
         run_trial(ReachLearner(), CurlField(1.0, 0.0), ORIGIN, EAST, 0, 0.01)
 
 
+@pytest.mark.parametrize("noise", [-0.02, -math.inf, math.nan, math.inf])
+def test_run_trial_rejects_a_noise_not_finite_and_nonnegative(noise):
+    # A negative noise was once dropped: the reach ran noiseless.
+    with pytest.raises(ValueError, match="noise must be finite and >= 0"):
+        run_trial(ReachLearner(), CurlField(1.0, 0.0), ORIGIN, EAST, 60, 0.01, noise=noise,
+                  rng=SplitMix64(0))
+
+
+def test_run_trial_rejects_a_positive_noise_with_no_rng():
+    with pytest.raises(ValueError, match="needs an rng"):
+        run_trial(ReachLearner(), CurlField(1.0, 0.0), ORIGIN, EAST, 60, 0.01, noise=0.02)
+
+
 NOT_POSITIVE_FINITE = [0.0, -0.01, math.nan, math.inf]
 
 
@@ -301,13 +313,13 @@ def test_rotational_equivariance():
 def test_same_angle_schedule_no_interference():
     sched = LurSchedule(((0.0, 150), (0.0, 150), (0.0, 150)))
     learner = ReachLearner(rate=0.35, slow_rate=0.035, fast_retention=1.0)
-    res = run_lur(learner, sched, TrialParams(), gain=1.0, seed=1)
+    res = run_lur(learner, sched, noise=0.0, gain=1.0, seed=1)
     assert abs(res.interference) < 1e-6
 
 
 def test_conflicting_phase_interferes():
     sched = LurSchedule(((0.0, 200), (90.0, 200), (0.0, 200)))
-    res = run_lur(ReachLearner(), sched, TrialParams(noise=0.02), gain=1.0, seed=0)
+    res = run_lur(ReachLearner(), sched, noise=0.02, gain=1.0, seed=0)
     assert res.interference > 0
 
 
@@ -316,7 +328,7 @@ def test_relearning_is_faster_napkin_version():
     sched = LurSchedule(((0.0, 200), (90.0, 200), (0.0, 200)))
     neg = 0
     for seed in range(5):
-        res = run_lur(ReachLearner(), sched, TrialParams(noise=0.02), gain=1.0, seed=seed)
+        res = run_lur(ReachLearner(), sched, noise=0.02, gain=1.0, seed=seed)
         neg += res.savings < 0
     assert neg == 5
 
