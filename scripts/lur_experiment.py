@@ -12,23 +12,27 @@ import argparse
 import statistics
 import sys
 
+from regulab.cli import finite_float, positive_int
 from regulab.procedural import LurSchedule, ReachLearner, run_lur
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seeds", type=int, default=20)
-    ap.add_argument("--trials", type=int, default=200)
-    ap.add_argument("--gain", type=float, default=1.0)
-    ap.add_argument("--noise", type=float, default=0.02)
+    # No usage text on error: a bad argument is reported in one line.
+    ap = argparse.ArgumentParser(description=__doc__, usage=argparse.SUPPRESS)
+    ap.add_argument("--seeds", type=positive_int, default=20)
+    ap.add_argument("--trials", type=positive_int, default=200)
+    ap.add_argument("--gain", type=finite_float, default=1.0)
+    ap.add_argument("--noise", type=finite_float, default=0.02)
     args = ap.parse_args()
 
-    sched = LurSchedule(((0.0, args.trials), (90.0, args.trials), (0.0, args.trials)))
-
     rows = []
-    for seed in range(args.seeds):
-        res = run_lur(ReachLearner(), sched, noise=args.noise, gain=args.gain, seed=seed)
-        rows.append((seed, res.interference, res.savings))
+    try:
+        sched = LurSchedule(((0.0, args.trials), (90.0, args.trials), (0.0, args.trials)))
+        for seed in range(args.seeds):
+            res = run_lur(ReachLearner(), sched, noise=args.noise, gain=args.gain, seed=seed)
+            rows.append((seed, res.interference, res.savings))
+    except ValueError as exc:  # a schedule over its budget or a negative noise
+        ap.error(str(exc))
 
     print(f"{'seed':>4}  {'interference':>12}  {'savings':>8}")
     for seed, inter, sav in rows:

@@ -19,8 +19,9 @@ Exit codes: 0 success, 2 usage or parameter error (one-line reason on
 stderr), 1 runtime error. Every float flag must be a finite number, every
 count flag a positive integer and ``--seed`` an integer in [0, 2**64); nan,
 ±inf, 0 or a negative count exits 2 before any file is written, as does a
-count too large to index, a negative ``lur`` noise, or a ``lur`` schedule
-or ``demo q`` grid or run over its budget. Running out of memory exits 1.
+count too large to index, a negative ``lur`` noise, an empty ``diffuse``
+input or level list, or a ``lur`` schedule, ``demo q`` grid or run or
+``vehicle run`` over its budget. Running out of memory exits 1.
 
 Flags override a config file, which overrides built-in defaults. The file
 is given as ``--config path`` or ``--config=path`` before the subcommand and
@@ -165,7 +166,7 @@ def _cmd_avalanche(a) -> tuple[list[Path], dict]:
     elif a.action == "threshold":
         values, extras["crossing_index"] = crit.threshold_model(a.n, a.e_model)
     else:
-        values = crit.gen_power_series(a.n, a.e, a.seed).samples
+        values = crit.gen_power_series(a.n, a.e, a.seed)
         if a.action in ("pfb", "nfb"):
             values = crit.pfb_map(values) if a.action == "pfb" else crit.nfb_map(values)
             shown["map"] = a.action
@@ -181,30 +182,31 @@ def _cmd_avalanche(a) -> tuple[list[Path], dict]:
 
 def _cmd_diffuse(a) -> tuple[list[Path], dict]:
     from . import diffusion as diff
-    img = diff.read_pgm(a.input) if a.input else diff.synthetic_portrait()
-    try:
-        levels = [float(x) for x in a.levels.split(",")] if a.levels else None
-    except ValueError:
-        raise UsageError(f"levels must be a comma list of numbers, got {a.levels!r}") from None
-    if a.mode == "uniform":
-        sched = diff.uniform_schedule(levels or diff.DEFAULT_UNIFORM_ALPHAS)
+    if a.input == "":
+        raise UsageError("input must be a PGM path, got ''")
+    img = diff.synthetic_portrait() if a.input is None else diff.read_pgm(a.input)
+    if a.levels is None:
+        levels = diff.DEFAULT_UNIFORM_ALPHAS if a.mode == "uniform" else diff.DEFAULT_POWER_SHAPES
     else:
-        sched = diff.power_schedule(levels or diff.DEFAULT_POWER_SHAPES, alpha=a.alpha)
+        try:
+            levels = [float(x) for x in a.levels.split(",")]
+        except ValueError:
+            raise UsageError(f"levels must be a comma list of numbers, got {a.levels!r}") from None
+    sched = (diff.uniform_schedule(levels) if a.mode == "uniform"
+             else diff.power_schedule(levels, alpha=a.alpha))
     stages = diff.run_schedule(img, sched, a.seed, cumulative=a.cumulative)
     base = a.output
     outputs: list[Path] = []
     stats_rows = []
-    for i, stage in enumerate(stages):
+    for i, (stage, level) in enumerate(zip(stages, levels)):
         p = base.with_name(f"{base.stem}_{i}{base.suffix or '.pgm'}")
         _atomic_write(p, [diff.pgm_bytes(stage)])
         outputs.append(p)
-        mean, varc, _ = diff.image_stats(stage)
-        level = sched.steps[i].alpha if a.mode == "uniform" else sched.steps[i].shape
-        stats_rows.append((i, float(level), mean, varc))
+        stats_rows.append((i, float(level), *diff.image_stats(stage)))
     stats_path = base.with_name(f"{base.stem}_stats.csv")
     _atomic_write(stats_path, _csv(
         a, "step,level,mean,variance", *zip(*stats_rows), input=a.input or "synthetic",
-        levels=",".join(map(str, levels)) if levels else "default",
+        levels="default" if a.levels is None else ",".join(map(str, levels)),
     ))
     outputs.append(stats_path)
     return outputs, {}
@@ -225,16 +227,17 @@ def _cmd_lur(a) -> tuple[list[Path], dict]:
     rows = [(p, t, err) for p, curve in enumerate(result.phase_errors)
             for t, err in enumerate(curve)]
     _atomic_write(a.output, _csv(a, "phase,trial,error", *zip(*rows)))
-    # Too few phases leave a metric undefined: null in the manifest, not NaN.
-    extras = {"interference": result.interference if len(phases) >= 2 else None,
-              "savings": result.savings if len(phases) >= 3 else None}
-    if len(phases) < 3:
+    extras = {"interference": result.interference, "savings": result.savings}
+    if result.savings is None:
         extras["null_reason"] = "interference needs >= 2 phases, savings needs >= 3"
     return [a.output], extras
 
 
 def _cmd_vehicle(a) -> tuple[list[Path], dict]:
     from . import procedural as proc
+    if a.steps > proc.MAX_VEHICLE_STEPS:
+        raise UsageError(f"a vehicle run takes at most {proc.MAX_VEHICLE_STEPS} steps, "
+                         f"got {a.steps}")
     field_ = proc.equilateral_field()
     centroid = field_.vertices.mean(axis=0)
     target = proc.sample_cmyk(field_, field_.vertices[0])

@@ -24,17 +24,6 @@ MAX_EXPONENT = 6.0
 
 
 @dataclass(frozen=True)
-class PowerSeries:
-    """Permuted power-law series. ``samples`` is a multiset equal to
-    {t^-exponent : t = 1..n}, in seeded shuffle order."""
-
-    samples: np.ndarray
-    exponent: float
-    n: int
-    seed: int
-
-
-@dataclass(frozen=True)
 class AvalancheEvents:
     """Detected burst events: times strictly increasing, one interval per
     consecutive pair."""
@@ -72,8 +61,9 @@ class BurstSchedule:
             )
 
 
-def gen_power_series(n: int, e: float, seed: int) -> PowerSeries:
-    """Power-law values t^-e for t = 1..n, shuffled by the seeded project RNG.
+def gen_power_series(n: int, e: float, seed: int) -> np.ndarray:
+    """Power-law values t^-e for t = 1..n, shuffled by the seeded project RNG,
+    as a read-only float64 array.
 
     Rejects e outside (0, MAX_EXPONENT), NaN included (e >= MAX_EXPONENT
     yields a nearly empty, black-noise-like series).
@@ -94,7 +84,7 @@ def gen_power_series(n: int, e: float, seed: int) -> PowerSeries:
     np.float_power(samples, -e, out=samples)
     SplitMix64(seed).shuffle(samples)
     samples.flags.writeable = False
-    return PowerSeries(samples=samples, exponent=e, n=n, seed=seed)
+    return samples
 
 
 def pfb_map(s: np.ndarray) -> np.ndarray:

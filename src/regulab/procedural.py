@@ -247,6 +247,7 @@ class ReachDivergenceError(RuntimeError):
 
 
 MAX_TRIALS = 1_000_000  # per schedule: about three minutes of reaches here
+MAX_VEHICLE_STEPS = 10**6  # per vehicle run: about 30 s and 0.5 GB of rows (2-vCPU Xeon)
 
 
 @dataclass(frozen=True)
@@ -272,8 +273,8 @@ class LurSchedule:
 @dataclass(frozen=True)
 class LurResult:
     phase_errors: tuple[tuple[float, ...], ...]
-    interference: float
-    savings: float
+    interference: float | None
+    savings: float | None
 
 
 def run_lur(l: ReachLearner, sched: LurSchedule, noise: float = 0.0, gain: float = 1.0,
@@ -289,7 +290,8 @@ def run_lur(l: ReachLearner, sched: LurSchedule, noise: float = 0.0, gain: float
     Interference is the first-trial error of phase 2 minus the last-trial error
     of phase 1. Savings is the trials phase 3 needs to re-reach phase 1's final
     error, minus the trials phase 1 needed to first reach it; a phase that
-    never re-reaches it counts as its trial count plus one."""
+    never re-reaches it counts as its trial count plus one. A metric the
+    schedule has too few phases for is None."""
     rng = SplitMix64(seed)
     origin = np.zeros(2)
     dirs = [np.array([math.cos(2 * math.pi * k / 8), math.sin(2 * math.pi * k / 8)])
@@ -306,8 +308,7 @@ def run_lur(l: ReachLearner, sched: LurSchedule, noise: float = 0.0, gain: float
             trial_index += 1
         curves.append(tuple(errs))
 
-    interference = math.nan
-    savings = math.nan
+    interference = savings = None
     if len(curves) >= 2:
         interference = curves[1][0] - curves[0][-1]
     if len(curves) >= 3:

@@ -574,6 +574,42 @@ def test_negative_lur_noise_is_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag, reason", [("levels", "levels must be a comma list of numbers, got ''"),
+                                          ("input", "input must be a PGM path, got ''")])
+@pytest.mark.parametrize("in_config", [False, True])
+def test_empty_diffuse_input_or_levels_is_usage_error(tmp_path, capsys, flag, reason, in_config):
+    # Both once ran the default ladder on the built-in image and exited 0.
+    out = tmp_path / "out"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{flag}=\n")
+    argv = ["--config", config, "diffuse"] if in_config else ["diffuse", f"--{flag}="]
+    assert run([*argv, "--seed", 1, "-o", out / "a.pgm"]) == 2
+    assert capsys.readouterr().err == f"regulab: usage error: {reason}\n"
+    assert not out.exists()
+
+
+def test_vehicle_run_over_the_step_budget_is_usage_error_before_any_step(tmp_path, capsys,
+                                                                          monkeypatch):
+    # This run once went on past a 5 s timeout, its rows piling up in a list.
+    from regulab import procedural
+
+    def no_steps(*args, **kwargs):
+        raise AssertionError("the vehicle stepped")
+
+    monkeypatch.setattr(procedural, "vehicle_step", no_steps)
+    started = time.perf_counter()
+    code = run(["vehicle", "run", "--steps", 10**12, "--dt", 1e-9, "--seed", 0,
+                "-o", tmp_path / "v.csv"])
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert capsys.readouterr().err == ("regulab: usage error: a vehicle run takes at most "
+                                       f"{procedural.MAX_VEHICLE_STEPS} steps, got {10**12}\n")
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(AssertionError, match="the vehicle stepped"):  # the budget itself runs
+        run(["vehicle", "run", "--steps", procedural.MAX_VEHICLE_STEPS, "--seed", 0,
+             "-o", tmp_path / "v.csv"])
+
+
 def test_q_run_over_the_step_budget_is_usage_error_before_any_table(tmp_path, capsys,
                                                                       monkeypatch):
     # This run once went on past a 5 s timeout with no output.

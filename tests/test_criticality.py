@@ -30,7 +30,7 @@ from test_rng import scalar_shuffle
 def test_power_values_without_permutation():
     # n=4, e=1 values before shuffling are 1, 1/2, 1/3, 1/4.
     ps = gen_power_series(4, 1.0, seed=0)
-    assert sorted(ps.samples, reverse=True) == pytest.approx(
+    assert sorted(ps, reverse=True) == pytest.approx(
         [1.0, 0.5, 1.0 / 3.0, 0.25], abs=0.0
     )
 
@@ -39,7 +39,7 @@ def test_multiset_preserved_exactly():
     n = 10_000
     ps = gen_power_series(n, 1.0, seed=1234)
     expected = np.array([t ** -1.0 for t in range(1, n + 1)])
-    assert np.array_equal(np.sort(ps.samples)[::-1], expected)
+    assert np.array_equal(np.sort(ps)[::-1], expected)
 
 
 @pytest.mark.parametrize("e", [0.5, 1.0, 2.0])
@@ -47,7 +47,7 @@ def test_multiset_invariance_across_exponents(e):
     n = 5000
     ps = gen_power_series(n, e, seed=9)
     expected = np.array([t ** -e for t in range(1, n + 1)])
-    ordered = np.sort(ps.samples)[::-1]
+    ordered = np.sort(ps)[::-1]
     assert np.max(np.abs(ordered - expected) / expected) <= 1e-12
 
 
@@ -61,16 +61,16 @@ def test_series_matches_python_pow_and_scalar_shuffle(n, e, seed):
     scalar_shuffle(values, SplitMix64(seed))
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        samples = gen_power_series(n, e, seed).samples
+        samples = gen_power_series(n, e, seed)
     assert samples.tobytes() == np.array(values).tobytes()
 
 
 def test_seeded_determinism():
     a = gen_power_series(1000, 1.0, seed=77)
     b = gen_power_series(1000, 1.0, seed=77)
-    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a, b)
     c = gen_power_series(1000, 1.0, seed=78)
-    assert not np.array_equal(a.samples, c.samples)
+    assert not np.array_equal(a, c)
 
 
 def test_exponent_validation():
@@ -89,10 +89,10 @@ def test_exponent_behavior_mass_thins_as_e_grows():
     fractions = []
     for e in (0.1, 1.0, 5.0):
         ps = gen_power_series(n, e, seed=5)
-        assert np.max(ps.samples) == 1.0
-        fractions.append(np.mean(ps.samples > 0.1))
+        assert np.max(ps) == 1.0
+        fractions.append(np.mean(ps > 0.1))
     assert fractions[0] > fractions[1] > fractions[2]
-    means = [np.mean(gen_power_series(n, e, seed=5).samples) for e in (0.1, 1.0, 5.0)]
+    means = [np.mean(gen_power_series(n, e, seed=5)) for e in (0.1, 1.0, 5.0)]
     assert means[0] > means[1] > means[2]
 
 
@@ -117,8 +117,8 @@ def test_pfb_nfb_tiny_examples():
 
 def test_pfb_nfb_match_oracle_on_power_series():
     ps = gen_power_series(1000, 1.0, seed=21)
-    assert np.max(np.abs(pfb_map(ps.samples) - _pfb_oracle(list(ps.samples)))) <= 1e-15
-    assert np.max(np.abs(nfb_map(ps.samples) - _nfb_oracle(list(ps.samples)))) <= 1e-15
+    assert np.max(np.abs(pfb_map(ps) - _pfb_oracle(list(ps)))) <= 1e-15
+    assert np.max(np.abs(nfb_map(ps) - _nfb_oracle(list(ps)))) <= 1e-15
 
 
 @settings(max_examples=50)
@@ -132,7 +132,7 @@ def test_maps_match_oracles_property(values):
 
 def test_nfb_telescopes_on_monotone_series():
     ps = gen_power_series(1000, 1.0, seed=3)
-    ordered = rank_order(ps.samples, descending=True)
+    ordered = rank_order(ps, descending=True)
     total = math.fsum(nfb_map(ordered))
     assert total == abs(ordered[-1] - ordered[0])
 
@@ -297,7 +297,7 @@ def test_rank_order_of_generator_is_exact_power_curve():
     n = 2000
     ps = gen_power_series(n, 0.5, seed=8)
     expected = np.array([t ** -0.5 for t in range(1, n + 1)])
-    assert np.array_equal(rank_order(ps.samples, descending=True), expected)
+    assert np.array_equal(rank_order(ps, descending=True), expected)
 
 
 def test_interval_rank_order_monotone():
@@ -351,9 +351,9 @@ def test_smooth_extremes():
 
 def test_smooth_hundredfold_preserves_grand_mean():
     ps = gen_power_series(10_000, 1.0, seed=12)
-    out = smooth_model(ps.samples, 100)
+    out = smooth_model(ps, 100)
     assert out.shape == (100,)
-    assert abs(out.mean() - ps.samples.mean()) <= 1e-12
+    assert abs(out.mean() - ps.mean()) <= 1e-12
 
 
 def test_smooth_rejects_non_divisor():

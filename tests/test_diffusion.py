@@ -35,15 +35,14 @@ def flat_image(w, h, value):
 
 def test_uniform_field_mean_and_variance():
     field = gen_noise_field(500, 200, UniformBlend(alpha=1.0), seed=1)
-    mean, var, hist = image_stats(field)
+    mean, var = image_stats(field)
     assert abs(mean - 0.5) <= 0.01
     assert abs(var - 1.0 / 12.0) <= 0.005
-    assert hist.sum() == 500 * 200
 
 
 def test_power_shape_one_is_uniform():
     field = gen_noise_field(500, 200, PowerMask(shape=1.0), seed=2)
-    mean, _, _ = image_stats(field)
+    mean, _ = image_stats(field)
     assert abs(mean - 0.5) <= 0.01
 
 
@@ -51,7 +50,7 @@ def test_power_shape_one_is_uniform():
 def test_power_mean_matches_analytic(a):
     # density a*x^(a-1) on [0,1] has mean a/(a+1)
     field = gen_noise_field(500, 200, PowerMask(shape=a), seed=3)
-    mean, _, _ = image_stats(field)
+    mean, _ = image_stats(field)
     assert abs(mean - a / (a + 1.0)) <= 0.01
 
 
@@ -108,9 +107,9 @@ def test_blend_mean_linearity():
     noise = gen_noise_field(40, 40, UniformBlend(1.0), seed=7)
     alpha = 0.37
     out = blend(img, noise, alpha)
-    m_img, _, _ = image_stats(img)
-    m_noise, _, _ = image_stats(noise)
-    m_out, _, _ = image_stats(out)
+    m_img, _ = image_stats(img)
+    m_noise, _ = image_stats(noise)
+    m_out, _ = image_stats(out)
     assert abs(m_out - ((1 - alpha) * m_img + alpha * m_noise)) <= 1e-12
 
 
@@ -191,12 +190,10 @@ def test_empty_schedule_rejected():
 
 
 def test_stats_trivial_images():
-    mean, var, hist = image_stats(flat_image(8, 8, 0.0))
+    mean, var = image_stats(flat_image(8, 8, 0.0))
     assert mean == 0.0 and var == 0.0
-    assert hist[0] == 64 and hist[1:].sum() == 0
-    mean, var, hist = image_stats(flat_image(8, 8, 0.5))
+    mean, var = image_stats(flat_image(8, 8, 0.5))
     assert mean == 0.5 and var == 0.0
-    assert hist.sum() == 64
 
 
 # --- PGM I/O -----------------------------------------------------------------------

@@ -333,6 +333,17 @@ def test_relearning_is_faster_napkin_version():
     assert neg == 5
 
 
+@pytest.mark.parametrize("angles, interference, savings", [
+    ((0.0,), type(None), type(None)),
+    ((0.0, 90.0), float, type(None)),
+    ((0.0, 90.0, 0.0), float, float),
+])
+def test_a_metric_the_schedule_cannot_define_is_none(angles, interference, savings):
+    # Interference needs 2 phases and savings 3; both were once NaN without them.
+    res = run_lur(ReachLearner(), LurSchedule(tuple((angle, 5) for angle in angles)), seed=0)
+    assert (type(res.interference), type(res.savings)) == (interference, savings)
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         LurSchedule(())

@@ -37,3 +37,18 @@ def test_lur_experiment_prints_one_row_per_seed(monkeypatch, capsys):
     assert [line.split()[0] for line in lines[1:3]] == ["0", "1"]
     assert lines[4].startswith("interference > 0 in ") and "/2 seeds" in lines[4]
     assert lines[5].startswith("savings < 0 in ") and "/2 seeds" in lines[5]
+
+
+@pytest.mark.parametrize("args, reason", [
+    (["--seeds", 0], "argument --seeds: must be a positive integer, got '0'"),
+    (["--trials", 0], "argument --trials: must be a positive integer, got '0'"),
+    (["--noise", "nan"], "argument --noise: must be a finite number, got 'nan'"),
+    (["--noise=-0.02"], "noise must be finite and >= 0, got -0.02"),
+    (["--trials", 400_000], "a schedule holds at most 1000000 trials, got 1200000"),
+])
+def test_lur_experiment_rejects_a_bad_argument_in_one_line(monkeypatch, capsys, args, reason):
+    # --seeds 0 once ended in a StatisticsError traceback, the others in ValueError ones.
+    with pytest.raises(SystemExit) as exit_:
+        run_script(monkeypatch, "lur_experiment.py", "--seeds", 1, "--trials", 1, *args)
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err == f"lur_experiment.py: error: {reason}\n"
