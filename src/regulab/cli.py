@@ -2,12 +2,15 @@
 
 One experiment per invocation. Every run takes an explicit --seed (there
 is no wall-clock fallback, so documented runs stay reproducible), writes
-its CSV/PGM outputs atomically (temp file, then rename), and finishes by
+its CSV/PGM outputs atomically (temp files, renamed only once all are
+written, so they appear together or not at all), and finishes by
 writing a one-line JSON-lines manifest beside the outputs, replacing any
 earlier one, recording the tool version, subcommand, resolved parameters,
 seed, output files, RNG algorithm, and wall time. The CSV ``# params:``
 line and the manifest are both derived from the parsed flags. A command
-imports its own simulation family when it runs, and no other.
+imports its own simulation family when it runs, and no other. ``diffuse``
+writes each level to its temp file as soon as the level is made, so it
+holds one level in memory rather than all of them.
 
 A CSV holds the ``# params:`` line, a header, then one row per sample.
 Floats are written as ``format(v, ".17g")`` writes them (17 significant
@@ -19,9 +22,10 @@ Exit codes: 0 success, 2 usage or parameter error (one-line reason on
 stderr), 1 runtime error. Every float flag must be a finite number, every
 count flag a positive integer and ``--seed`` an integer in [0, 2**64); nan,
 ±inf, 0 or a negative count exits 2 before any file is written, as does a
-count too large to index, a negative ``lur`` noise, an empty ``diffuse``
-input or level list, or a ``lur`` schedule, ``demo q`` grid or run or
-``vehicle run`` over its budget. Running out of memory exits 1.
+count too large to index, a negative ``lur`` noise, an empty ``--output``,
+``--pairs``, ``--config``, ``diffuse`` input or level list, or a ``lur``
+schedule, ``demo q`` grid or run or ``vehicle run`` over its budget.
+Running out of memory exits 1.
 
 Flags override a config file, which overrides built-in defaults. The file
 is given as ``--config path`` or ``--config=path`` before the subcommand and
@@ -55,20 +59,28 @@ class UsageError(ValueError):
     """Bad arguments or parameter preconditions; maps to exit code 2."""
 
 
-def _atomic_write(path: Path, chunks: Iterable[str | bytes]) -> None:
-    """Write ``chunks`` (text as UTF-8) to a temp file beside ``path``, then
-    rename it over ``path``. Chunks are written one at a time as they come,
-    never joined, so a long series is never held whole."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+def _atomic_write(files: Iterable[tuple[Path, Iterable[str | bytes]]]) -> None:
+    """Write each ``(path, chunks)`` of ``files`` (text as UTF-8) to a temp
+    file beside its path, then, once every file is written, rename each temp
+    over its path. Files and chunks are written one at a time as they come,
+    never joined, so neither a long series nor a whole set of files is held
+    at once. Any failure before the renames unlinks every temp, so the files
+    appear together or not at all."""
+    temps: list[tuple[str, Path]] = []
     try:
-        with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
-        os.replace(tmp, path)
+        for path, chunks in files:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+            temps.append((tmp, path))
+            with os.fdopen(fd, "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+        for tmp, path in temps:
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -108,7 +120,7 @@ def emit_manifest(a: argparse.Namespace, outputs: list[Path], wall_time_s: float
               "seed": a.seed, "outputs": [str(p) for p in outputs], "rng": RNG_ALGORITHM,
               "wall_time_s": wall_time_s, "extra": extra}
     path = a.output.with_suffix(a.output.suffix + ".manifest.jsonl")
-    _atomic_write(path, [json.dumps(record, sort_keys=True, allow_nan=False) + "\n"])
+    _atomic_write([(path, [json.dumps(record, sort_keys=True, allow_nan=False) + "\n"])])
     return path
 
 
@@ -123,7 +135,7 @@ def _cmd_relation(a) -> tuple[list[Path], dict]:
     relation = rel.toggle_benchmark(mode=mode)
     stream = [("kick", "calm")] * a.ticks
     traj = rel.run_relation(relation, stream, a.ticks)
-    _atomic_write(a.output, [_params_line(a), rel.trajectory_to_csv(traj)])
+    _atomic_write([(a.output, [_params_line(a), rel.trajectory_to_csv(traj)])])
     point = rel.point_regulation_score(traj, bins=2)
     return [a.output], {"point_entropy_bits": point}
 
@@ -135,7 +147,7 @@ def _cmd_variety(a) -> tuple[list[Path], dict]:
     verdict = var.requisite_variety_check(mapping)
     row = (cls.tag.value, f"{cls.variety_ratio.numerator}/{cls.variety_ratio.denominator}",
            "Satisfied" if verdict.satisfied else "Violated", verdict.reason or "")
-    _atomic_write(a.output, _csv(a, "class,variety_ratio,verdict,reason", *zip(row)))
+    _atomic_write([(a.output, _csv(a, "class,variety_ratio,verdict,reason", *zip(row)))])
     return [a.output], {}
 
 
@@ -145,7 +157,7 @@ def _cmd_pid(a) -> tuple[list[Path], dict]:
     gains = pidmod.PidGains(kp=a.kp, ti=math.inf if a.ti == 0 else a.ti, td=a.td)
     traj = pidmod.simulate_pid(gains, a.plant_gain, a.setpoint, a.x0, a.dt, a.steps,
                                disturbance=a.disturbance)
-    _atomic_write(a.output, _csv(a, "tick,x,u,e", traj.ticks, traj.x, traj.u, traj.e))
+    _atomic_write([(a.output, _csv(a, "tick,x,u,e", traj.ticks, traj.x, traj.u, traj.e))])
     return [a.output], {"final_error": float(traj.e[-1])}
 
 
@@ -176,7 +188,7 @@ def _cmd_avalanche(a) -> tuple[list[Path], dict]:
         elif a.action == "smooth":
             values = crit.smooth_model(values, a.factor)
     header = _AVALANCHE_HEADERS.get(a.action, "tick,value")
-    _atomic_write(a.output, _csv(a, header, range(len(values)), values, **shown))
+    _atomic_write([(a.output, _csv(a, header, range(len(values)), values, **shown))])
     return [a.output], extras
 
 
@@ -194,21 +206,25 @@ def _cmd_diffuse(a) -> tuple[list[Path], dict]:
             raise UsageError(f"levels must be a comma list of numbers, got {a.levels!r}") from None
     sched = (diff.uniform_schedule(levels) if a.mode == "uniform"
              else diff.power_schedule(levels, alpha=a.alpha))
-    stages = diff.run_schedule(img, sched, a.seed, cumulative=a.cumulative)
     base = a.output
-    outputs: list[Path] = []
+    outputs = [base.with_name(f"{base.stem}_{i}{base.suffix or '.pgm'}")
+               for i in range(len(levels))] + [base.with_name(f"{base.stem}_stats.csv")]
     stats_rows = []
-    for i, (stage, level) in enumerate(zip(stages, levels)):
-        p = base.with_name(f"{base.stem}_{i}{base.suffix or '.pgm'}")
-        _atomic_write(p, [diff.pgm_bytes(stage)])
-        outputs.append(p)
-        stats_rows.append((i, float(level), *diff.image_stats(stage)))
-    stats_path = base.with_name(f"{base.stem}_stats.csv")
-    _atomic_write(stats_path, _csv(
-        a, "step,level,mean,variance", *zip(*stats_rows), input=a.input or "synthetic",
-        levels="default" if a.levels is None else ",".join(map(str, levels)),
-    ))
-    outputs.append(stats_path)
+
+    def files():
+        # Each stage is dropped before the next is made, so one is held at a
+        # time (enumerate would keep the last one while the next is made).
+        for stage in diff.run_schedule(img, sched, a.seed, cumulative=a.cumulative):
+            i = len(stats_rows)
+            stats_rows.append((i, float(levels[i]), *diff.image_stats(stage)))
+            data = diff.pgm_bytes(stage)
+            del stage
+            yield outputs[i], [data]
+        yield outputs[-1], _csv(
+            a, "step,level,mean,variance", *zip(*stats_rows), input=a.input or "synthetic",
+            levels="default" if a.levels is None else ",".join(map(str, levels)))
+
+    _atomic_write(files())
     return outputs, {}
 
 
@@ -226,7 +242,7 @@ def _cmd_lur(a) -> tuple[list[Path], dict]:
     result = proc.run_lur(learner, sched, noise=a.noise, gain=a.gain, seed=a.seed)
     rows = [(p, t, err) for p, curve in enumerate(result.phase_errors)
             for t, err in enumerate(curve)]
-    _atomic_write(a.output, _csv(a, "phase,trial,error", *zip(*rows)))
+    _atomic_write([(a.output, _csv(a, "phase,trial,error", *zip(*rows)))])
     extras = {"interference": result.interference, "savings": result.savings}
     if result.savings is None:
         extras["null_reason"] = "interference needs >= 2 phases, savings needs >= 3"
@@ -245,16 +261,17 @@ def _cmd_vehicle(a) -> tuple[list[Path], dict]:
     vehicle = proc.Vehicle(
         position=centroid, heading=math.atan2(to_c[1], to_c[0]), sensor_offset=a.sensor_offset,
         speed_gain=a.speed_gain, turn_gain=a.turn_gain, target=target, goal_radius=a.goal_radius)
-    rows = []
+    columns = np.empty((7, a.steps))  # x, y, c, m, y, k, dist of each step
     reached = None
     for step in range(a.steps):
         vehicle = proc.vehicle_step(vehicle, field_, a.dt)
         color, dist = vehicle.color, vehicle.distance
-        rows.append((step, *vehicle.position, color.c, color.m, color.y, color.k, dist))
+        columns[:, step] = (*vehicle.position, color.c, color.m, color.y, color.k, dist)
         if dist <= a.goal_radius:
             reached = step
             break
-    _atomic_write(a.output, _csv(a, "step,x,y,c,m,y,k,dist", *zip(*rows)))
+    n = a.steps if reached is None else reached + 1
+    _atomic_write([(a.output, _csv(a, "step,x,y,c,m,y,k,dist", range(n), *columns[:, :n]))])
     return [a.output], {"reached_at_step": reached}
 
 
@@ -267,8 +284,8 @@ def _cmd_demo(a) -> tuple[list[Path], dict]:
         bad = [k for k, *_, error in rows if not math.isfinite(error)]
         if bad:
             raise demos.GdOverflowError(f"error is not finite at iteration {bad[0]}")
-        _atomic_write(a.output, _csv(a, "iter,x0,x1,error", *zip(*rows), tx=None, ty=None,
-                                     y0=None, target=f"{a.tx};{a.ty}", x0=f"{a.x0};{a.y0}"))
+        table = _csv(a, "iter,x0,x1,error", *zip(*rows), tx=None, ty=None, y0=None,
+                     target=f"{a.tx};{a.ty}", x0=f"{a.x0};{a.y0}")
     else:
         try:
             w, h = map(int, a.grid.split("x"))
@@ -279,11 +296,11 @@ def _cmd_demo(a) -> tuple[list[Path], dict]:
         policy, q, annotation = demos.q_regulate(cfg, a.seed)
         rows = [(x, y, demos.ACTION_NAMES[action], float(np.max(q[(x, y)])))
                 for (x, y), action in sorted(policy.items())]
-        _atomic_write(a.output, _csv(a, "x,y,greedy_action,value", *zip(*rows)))
+        table = _csv(a, "x,y,greedy_action,value", *zip(*rows))
     roles_path = a.output.with_name(a.output.stem + "_roles.jsonl")
     lines = [json.dumps({"component": comp, "role": role, "interpretive": annotation.interpretive},
                         sort_keys=True) for comp, role in sorted(annotation.assignments.items())]
-    _atomic_write(roles_path, ["\n".join(lines) + "\n"])
+    _atomic_write([(a.output, table), (roles_path, ["\n".join(lines) + "\n"])])
     return [a.output, roles_path], {}
 
 
@@ -322,6 +339,18 @@ def seed(text: str) -> int:
     return value
 
 
+def file_path(text: str) -> str:
+    """argparse type of --config and --pairs: a file path, so not empty."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be a file path, got ''")
+    return text
+
+
+def output_path(text: str) -> Path:
+    """argparse type of --output: a file path, so not empty."""
+    return Path(file_path(text))
+
+
 def positive_int(text: str) -> int:
     """argparse type of every count flag: an integer of at least 1."""
     value = int(text)
@@ -339,7 +368,7 @@ class _Parser(argparse.ArgumentParser):
 # may come from the config file, so _parse checks for it after the merge.
 _REQUIRED = object()
 
-_COMMON = (("seed", seed, _REQUIRED), ("output", Path, _REQUIRED))
+_COMMON = (("seed", seed, _REQUIRED), ("output", output_path, _REQUIRED))
 _SERIES = (("n", positive_int, 10_000), ("e", finite_float, 1.0))
 
 # Subcommand path -> (handler, help, flags); a group's handler is instead the
@@ -347,11 +376,11 @@ _SERIES = (("n", positive_int, 10_000), ("e", finite_float, 1.0))
 # kind an argparse type, a tuple of choices or bool for a switch, and its dest
 # the name with "_" for "-". Every leaf also takes the _COMMON flags.
 _COMMANDS = {
-    (): ("subcommand", None, (("config", str, None, "key=value defaults file"),)),
+    (): ("subcommand", None, (("config", file_path, None, "key=value defaults file"),)),
     ("relation",): (_cmd_relation, "toggle benchmark trajectory", (
         ("mode", ("closed", "feedforward"), "closed"), ("ticks", positive_int, 32))),
     ("variety",): (_cmd_variety, "classify a state mapping CSV", (
-        ("pairs", str, _REQUIRED, "CSV with header r_state,s_state"),)),
+        ("pairs", file_path, _REQUIRED, "CSV with header r_state,s_state"),)),
     ("pid",): (_cmd_pid, "closed-loop setpoint tracking", (
         ("kp", finite_float, 1.0), ("ti", finite_float, 0.0, "integral time, 0 disables"),
         ("td", finite_float, 0.0), ("dt", finite_float, 0.01), ("steps", positive_int, 1000),

@@ -11,8 +11,10 @@ combination ``out = (1 - alpha) * img + alpha * noise``:
 
 A schedule applies one fresh noise field per step to the ORIGINAL image
 (independent noisings, not a chained walk), with per-step generators split
-off a single master seed; a cumulative flag chains them instead. Only the
-forward direction exists here; nothing denoises.
+off a single master seed; a cumulative flag chains them instead. It makes
+each step's image only when asked for the next one, so a caller that writes
+each image out and drops it holds one step at a time. Only the forward
+direction exists here; nothing denoises.
 
 Images are immutable [0, 1] rasters with binary (P5) and ASCII (P2) PGM
 round-trips at 8-bit quantization.
@@ -21,6 +23,7 @@ round-trips at 8-bit quantization.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -32,7 +35,14 @@ from .rng import SplitMix64
 
 @dataclass(frozen=True)
 class GrayImage:
-    """Row-major grayscale raster with every pixel in [0, 1]."""
+    """Row-major grayscale raster with every pixel in [0, 1].
+
+    The image keeps a read-only float64 array of its pixels that no caller
+    can write to. It copies the pixels it is given unless the array that
+    owns their memory is already read-only (the given array itself, or the
+    array it views): then no writable array shares that memory, and the
+    pixels are kept as given. Every array this module makes is frozen
+    before it is wrapped, so no image of it is a copy."""
 
     width: int
     height: int
@@ -46,8 +56,11 @@ class GrayImage:
             )
         if px.size and (px.min() < 0.0 or px.max() > 1.0):
             raise ValueError("pixels must lie in [0, 1]")
-        px = px.copy()
-        px.flags.writeable = False
+        owner = px if px.base is None else px.base
+        if not (isinstance(owner, np.ndarray) and owner.flags.owndata
+                and not owner.flags.writeable):
+            px = px.copy()
+            px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
 
 
@@ -119,6 +132,7 @@ def gen_noise_field(w: int, h: int, spec: NoiseSpec, seed: int) -> GrayImage:
         np.float_power(flat, inv, out=flat)
     else:
         raise TypeError(f"unknown noise spec: {spec!r}")
+    flat.flags.writeable = False
     return GrayImage(width=w, height=h, pixels=flat.reshape(h, w))
 
 
@@ -136,40 +150,45 @@ def blend(img: GrayImage, noise: GrayImage, alpha: float) -> GrayImage:
     if alpha == 1.0:
         return noise
     # a + alpha*(b - a) stays inside [min(a,b), max(a,b)] under IEEE rounding.
-    out = img.pixels + alpha * (noise.pixels - img.pixels)
+    # In place in one array: IEEE * and + commute, so the bits are the same.
+    out = noise.pixels - img.pixels
+    out *= alpha
+    out += img.pixels
+    out.flags.writeable = False
     return GrayImage(width=img.width, height=img.height, pixels=out)
 
 
 def run_schedule(
     img: GrayImage, sched: NoiseSchedule, seed: int, cumulative: bool = False
-) -> list[GrayImage]:
-    """One noised image per schedule step. Each step blends the original
-    image with a fresh field from a split sub-generator; with
-    ``cumulative`` set, each step blends the previous step's result."""
+) -> Iterator[GrayImage]:
+    """One noised image per schedule step, each made when it is asked for.
+    Each step blends the original image with a fresh field from a split
+    sub-generator; with ``cumulative`` set, each step blends the previous
+    step's result."""
     master = SplitMix64(seed)
-    outputs: list[GrayImage] = []
     base = img
     for spec in sched.steps:
-        sub = master.split()
-        field = gen_noise_field(base.width, base.height, spec, sub.next_u64())
-        noised = blend(base, field, spec.alpha)
-        outputs.append(noised)
+        sub_seed = master.split().next_u64()
+        noised = blend(base, gen_noise_field(base.width, base.height, spec, sub_seed), spec.alpha)
         if cumulative:
             base = noised
-    return outputs
+        yield noised
+        del noised  # so a caller that drops each image holds one at a time
 
 
 def image_stats(img: GrayImage) -> tuple[float, float]:
     """Exact sample mean and population variance of the pixels."""
     px = img.pixels.ravel()
     mean = float(px.mean())
-    var = float(((px - mean) ** 2).mean())
-    return mean, var
+    d = px - mean
+    d *= d
+    return mean, float(d.mean())
 
 
 def pgm_bytes(img: GrayImage) -> bytes:
     """Binary P5 encoding, maxval 255, pixel = round(value * 255)."""
-    quant = np.rint(img.pixels * 255.0).astype(np.uint8)
+    scaled = img.pixels * 255.0
+    quant = np.rint(scaled, out=scaled).astype(np.uint8)
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
     return header + quant.tobytes()
 
@@ -229,7 +248,9 @@ def read_pgm(path: str | Path) -> GrayImage:
     lo, hi = raster.min(), raster.max()
     if lo < 0 or hi > maxval:
         raise ValueError(f"PGM pixel value {lo if lo < 0 else hi} is outside 0..{maxval}")
-    pixels = raster.astype(float).reshape(h, w) / float(maxval)
+    pixels = raster.reshape(h, w).astype(float)
+    pixels /= float(maxval)
+    pixels.flags.writeable = False
     return GrayImage(width=w, height=h, pixels=pixels)
 
 
@@ -241,4 +262,5 @@ def synthetic_portrait(w: int = 96, h: int = 96) -> GrayImage:
     r = np.sqrt(((xs - cx) / w) ** 2 + ((ys - cy) / h) ** 2)
     band = np.exp(-(((xs - ys) / (0.18 * (w + h))) ** 2))
     img = np.clip(0.85 - 1.1 * r + 0.35 * band, 0.0, 1.0)
+    img.flags.writeable = False
     return GrayImage(width=w, height=h, pixels=img)

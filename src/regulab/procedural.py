@@ -247,7 +247,7 @@ class ReachDivergenceError(RuntimeError):
 
 
 MAX_TRIALS = 1_000_000  # per schedule: about three minutes of reaches here
-MAX_VEHICLE_STEPS = 10**6  # per vehicle run: about 30 s and 0.5 GB of rows (2-vCPU Xeon)
+MAX_VEHICLE_STEPS = 10**6  # per vehicle run: about 30 s (2-vCPU Xeon) and 56 MB of columns
 
 
 @dataclass(frozen=True)

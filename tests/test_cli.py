@@ -16,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from regulab.cli import _COMMANDS, build_parser, dispatch, finite_float, positive_int, seed
 
+from child import run_regulab
+
 
 def digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -483,15 +485,11 @@ def test_run_out_of_memory_is_one_line_runtime_error(tmp_path, argv, reason):
     def cap_address_space():  # the child can never get the 73 TiB it asks for
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
-           "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-m", "regulab.cli", *argv, "--seed", "0", "-o",
-                           "x.csv"], cwd=tmp_path, env=env, capture_output=True, text=True,
-                          timeout=60, preexec_fn=cap_address_space)
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith("regulab: runtime error: ") and reason in proc.stderr
-    assert len(proc.stderr.splitlines()) == 1
+    code, err, _ = run_regulab([*argv, "--seed", "0", "-o", "x.csv"], tmp_path,
+                               preexec_fn=cap_address_space)
+    assert code == 1, err
+    assert err.startswith("regulab: runtime error: ") and reason in err
+    assert len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
 
 
@@ -692,3 +690,88 @@ def test_building_the_parser_loads_no_csv_writer(tmp_path):
     loaded = fresh(f"import sys; from regulab.cli import dispatch; assert dispatch({argv!r}) == 0; "
                    "print(*sys.modules)").split()
     assert {f for f in FAMILIES if f"regulab.{f}" in loaded} == {"pid"}
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("output", ["pid", "--seed", "0"]),
+    ("pairs", ["variety", "--seed", "0", "-o", "v.csv"]),
+])
+@pytest.mark.parametrize("in_config", [False, True])
+def test_empty_path_flag_is_usage_error_and_writes_nothing(tmp_path, monkeypatch, capsys, flag,
+                                                           argv, in_config):
+    # An empty --pairs once read '' and an empty --output renamed over '.':
+    # runtime errors (exit 1), not usage errors.
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, f"{flag}=\n")
+    argv = ["--config", config.name, *argv] if in_config else [*argv, f"--{flag}="]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("regulab: usage error: ") and err.count("\n") == 1
+    assert "must be a file path, got ''" in err
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_empty_config_path_is_usage_error_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # It once read '.' and exited 1 with "Is a directory".
+    monkeypatch.chdir(tmp_path)
+    assert run(["--config=", "pid", "--seed", 0, "-o", "p.csv"]) == 2
+    assert capsys.readouterr().err == ("regulab: usage error: argument --config: must be a file "
+                                       "path, got ''\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def write_noise_pgm(path: Path, width: int, height: int) -> Path:
+    pixels = bytes((i * 7919) % 256 for i in range(width * height))
+    path.write_bytes(f"P5\n{width} {height}\n255\n".encode("ascii") + pixels)
+    return path
+
+
+def test_diffuse_memory_does_not_grow_with_the_level_count(tmp_path):
+    # Every level was once held until the last was made: 2 MiB a level at 512x512.
+    image = write_noise_pgm(tmp_path / "in.pgm", 512, 512)
+    peak = {}
+    for levels in (5, 40):
+        argv = ["diffuse", "--input", image, "--levels", ",".join(["0.5"] * levels),
+                "--seed", 1, "-o", tmp_path / f"l{levels}" / "n.pgm"]
+        code, err, peak[levels] = run_regulab(argv, tmp_path)
+        assert code == 0, err
+        assert len(list((tmp_path / f"l{levels}").glob("n_*.pgm"))) == levels
+    assert peak[40] - peak[5] <= 4 * 1024, peak
+
+
+def test_vehicle_memory_does_not_grow_with_the_step_count(tmp_path):
+    # Rows were once Python tuples: about 450 B a step.
+    peak = {}
+    for steps in (1000, 50_000):
+        argv = ["vehicle", "run", "--goal-radius", 0, "--dt", 1e-9, "--steps", steps,
+                "--seed", 0, "-o", f"v{steps}.csv"]
+        code, err, peak[steps] = run_regulab(argv, tmp_path)
+        assert code == 0, err
+        assert len((tmp_path / f"v{steps}.csv").read_text().splitlines()) == 2 + steps
+    assert peak[50_000] - peak[1000] <= 8 * 1024, peak
+
+
+@pytest.mark.parametrize("name, error", [("blend", MemoryError()),
+                                         ("pgm_bytes", OSError(28, "No space left on device"))])
+def test_diffuse_failing_at_the_third_level_leaves_no_file(tmp_path, monkeypatch, capsys, name,
+                                                            error):
+    # Levels are written as they are made, so a failure after the first
+    # two (at the parent, an encoding or write error) once left them on disk.
+    from regulab import diffusion
+
+    original, calls = getattr(diffusion, name), []
+
+    def third_call_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise error
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(diffusion, name, third_call_fails)
+    image = write_noise_pgm(tmp_path / "in.pgm", 16, 8)
+    code = run(["diffuse", "--input", image, "--levels", "0.2,0.4,0.6,0.8", "--seed", 1,
+                "-o", tmp_path / "n.pgm"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("regulab: runtime error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [image]

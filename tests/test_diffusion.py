@@ -146,7 +146,7 @@ def test_default_ladders():
 
 def test_schedule_zero_alpha_is_identity():
     img = synthetic_portrait(16, 16)
-    outs = run_schedule(img, NoiseSchedule((UniformBlend(0.0),)), seed=8)
+    outs = list(run_schedule(img, NoiseSchedule((UniformBlend(0.0),)), seed=8))
     assert len(outs) == 1
     assert np.array_equal(outs[0].pixels, img.pixels)
 
@@ -154,14 +154,14 @@ def test_schedule_zero_alpha_is_identity():
 def test_schedule_all_zero_steps_identity_everywhere():
     img = synthetic_portrait(16, 16)
     sched = NoiseSchedule(tuple(UniformBlend(0.0) for _ in range(4)))
-    for out in run_schedule(img, sched, seed=8):
+    for out in list(run_schedule(img, sched, seed=8)):
         assert np.array_equal(out.pixels, img.pixels)
 
 
 def test_schedule_deterministic_and_independent_of_order():
     img = synthetic_portrait(24, 24)
-    outs_a = run_schedule(img, uniform_schedule(), seed=10)
-    outs_b = run_schedule(img, uniform_schedule(), seed=10)
+    outs_a = list(run_schedule(img, uniform_schedule(), seed=10))
+    outs_b = list(run_schedule(img, uniform_schedule(), seed=10))
     for a, b in zip(outs_a, outs_b):
         assert np.array_equal(a.pixels, b.pixels)
 
@@ -172,11 +172,11 @@ def test_schedule_noises_original_not_chain():
     # the original is the same at each step
     img = flat_image(64, 64, 0.0)
     sched = NoiseSchedule(tuple(UniformBlend(0.5) for _ in range(3)))
-    outs = run_schedule(img, sched, seed=11)
+    outs = list(run_schedule(img, sched, seed=11))
     means = [image_stats(o)[0] for o in outs]
     for m in means:
         assert abs(m - 0.25) < 0.01
-    cum = run_schedule(img, sched, seed=11, cumulative=True)
+    cum = list(run_schedule(img, sched, seed=11, cumulative=True))
     cum_means = [image_stats(o)[0] for o in cum]
     assert cum_means[0] < cum_means[1] < cum_means[2]
 
@@ -247,3 +247,22 @@ def test_image_validation():
         GrayImage(width=2, height=2, pixels=np.array([[0.0, 2.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         GrayImage(width=3, height=2, pixels=np.zeros((2, 2)))
+
+
+def test_image_keeps_its_pixels_when_the_callers_array_changes():
+    px = np.full((4, 6), 0.25)
+    img = GrayImage(width=6, height=4, pixels=px)
+    px[:] = 0.75
+    base = np.full(48, 0.25)
+    view = base[:24].reshape(4, 6)
+    view.flags.writeable = False  # read-only, but its base is not
+    from_view = GrayImage(width=6, height=4, pixels=view)
+    base[:] = 0.75
+    assert np.all(img.pixels == 0.25) and np.all(from_view.pixels == 0.25)
+    assert not img.pixels.flags.writeable and not from_view.pixels.flags.writeable
+
+
+def test_image_keeps_a_read_only_array_that_owns_its_memory():
+    px = np.full((4, 6), 0.25)
+    px.flags.writeable = False
+    assert GrayImage(width=6, height=4, pixels=px).pixels is px
