@@ -77,11 +77,17 @@ CASES = {
                                      "5e-324,1e-300,0.01,1,1e300", "--seed", "3"],
     "diffuse-uniform-cumulative": ["diffuse", "--mode", "uniform", "--cumulative",
                                    "--seed", "6"],
+    # One level: one image and a one-row stats table.
+    "diffuse-one-level": ["diffuse", "--levels", "0.5", "--seed", "5"],
     "diffuse-input-levels": ["diffuse", "--input", "face.pgm", "--mode", "power",
                              "--levels", "0.9,0.05", "--alpha", "0.5", "--seed", "9"],
     "lur": ["lur", "run", "--phases", "0:30,90:30,0:30", "--seed", "3"],
     # No noise: the reach learner draws nothing and adds no kick.
     "lur-noise0": ["lur", "run", "--phases", "0:30,90:30,0:30", "--noise", "0", "--seed", "3"],
+    # Phases of uneven length, one of a single trial.
+    "lur-uneven": ["lur", "run", "--phases", "0:7,45:1,0:12", "--seed", "2"],
+    # One phase: no interference or savings, a null reason in the manifest.
+    "lur-one-phase": ["lur", "run", "--phases", "30:5", "--seed", "2"],
     "vehicle": ["vehicle", "run", "--steps", "500", "--seed", "4"],
     # Radius 0 never parks. Only the sensors leave the triangle: the body is
     # clamped on none of the 2000 steps.
@@ -92,8 +98,12 @@ CASES = {
                         "--speed-gain", "1", "--turn-gain", "40", "--sensor-offset", "0.3",
                         "--seed", "4"],
     "demo-gd": ["demo", "gd", "--lr", "0.5", "--iters", "32", "--seed", "0"],
+    # Step size 1 lands on the target at once: every later error is exactly 0.
+    "demo-gd-exact": ["demo", "gd", "--lr", "1", "--iters", "3", "--seed", "0"],
     "demo-q": ["demo", "q", "--grid", "3x3", "--episodes", "300", "--seed", "11"],
     "demo-q-8x8": ["demo", "q", "--grid", "8x8", "--episodes", "2000", "--seed", "11"],
+    # The only cell is the goal: a policy of no cells, a header-only table.
+    "demo-q-1x1": ["demo", "q", "--grid", "1x1", "--episodes", "5", "--seed", "11"],
     "relation-feedforward": ["relation", "--mode", "feedforward", "--ticks", "32", "--seed", "0"],
     "relation-closed": ["relation", "--mode", "closed", "--ticks", "64", "--seed", "0"],
     "variety-aliased": ["variety", "--pairs", "aliased.csv", "--seed", "0"],
