@@ -13,19 +13,18 @@ writes each level to its temp file as soon as the level is made, so it
 holds one level in memory rather than all of them.
 
 A CSV holds the ``# params:`` line, a header, then one row per sample.
-Floats are written as ``format(v, ".17g")`` writes them (17 significant
-digits, enough to read back the same double), integers and any other item
-as ``str`` writes them. ``regulab.csvtext`` builds the rows with numpy, a
-chunk of rows at a time, and gives those bytes exactly.
+``regulab.csvtext`` writes the typed columns each handler gives: a float array
+as ``format(v, ".17g")`` writes each value (17 digits, enough to read back the
+same double), a ``range`` or integer array as ``str``, texts as they are.
 
-Exit codes: 0 success, 2 usage or parameter error (one-line reason on
-stderr), 1 runtime error. Every float flag must be a finite number, every
-count flag a positive integer and ``--seed`` an integer in [0, 2**64); nan,
-±inf, 0 or a negative count exits 2 before any file is written, as does a
-count too large to index, a negative ``lur`` noise, an empty ``--output``,
-``--pairs``, ``--config``, ``diffuse`` input or level list, or a ``lur``
-schedule, ``demo q`` grid or run or ``vehicle run`` over its budget.
-Running out of memory exits 1.
+Exit codes: 0 success, 2 usage or parameter error (one-line reason on stderr),
+1 runtime error. Every float flag must be a finite number, every count flag a
+positive integer and ``--seed`` an integer in [0, 2**64); nan, ±inf, 0 or a
+negative count exits 2 before any file is written, as does a count too large to
+index, a negative ``lur`` noise or slow rate or ``vehicle`` goal radius, an
+empty ``--output``, ``--pairs``, ``--config``, ``diffuse`` input or level list,
+or a ``lur`` schedule, ``demo q`` grid or run or ``vehicle run`` over its
+budget. Running out of memory exits 1.
 
 Flags override a config file, which overrides built-in defaults. The file
 is given as ``--config path`` or ``--config=path`` before the subcommand and
@@ -209,19 +208,20 @@ def _cmd_diffuse(a) -> tuple[list[Path], dict]:
     base = a.output
     outputs = [base.with_name(f"{base.stem}_{i}{base.suffix or '.pgm'}")
                for i in range(len(levels))] + [base.with_name(f"{base.stem}_stats.csv")]
-    stats_rows = []
+    stats = np.empty((2, len(levels)))  # the mean and variance of each level
 
     def files():
-        # Each stage is dropped before the next is made, so one is held at a
-        # time (enumerate would keep the last one while the next is made).
+        # A plain loop and del hold one stage at a time (enumerate or zip keep the last).
+        i = 0
         for stage in diff.run_schedule(img, sched, a.seed, cumulative=a.cumulative):
-            i = len(stats_rows)
-            stats_rows.append((i, float(levels[i]), *diff.image_stats(stage)))
+            stats[:, i] = diff.image_stats(stage)
             data = diff.pgm_bytes(stage)
             del stage
             yield outputs[i], [data]
+            i += 1
         yield outputs[-1], _csv(
-            a, "step,level,mean,variance", *zip(*stats_rows), input=a.input or "synthetic",
+            a, "step,level,mean,variance", range(i), np.array(levels, dtype=float), *stats,
+            input=a.input or "synthetic",
             levels="default" if a.levels is None else ",".join(map(str, levels)))
 
     _atomic_write(files())
@@ -240,9 +240,9 @@ def _cmd_lur(a) -> tuple[list[Path], dict]:
     sched = proc.LurSchedule(tuple(phases))
     learner = proc.ReachLearner(rate=a.rate, slow_rate=a.slow_rate, fast_retention=a.retention)
     result = proc.run_lur(learner, sched, noise=a.noise, gain=a.gain, seed=a.seed)
-    rows = [(p, t, err) for p, curve in enumerate(result.phase_errors)
-            for t, err in enumerate(curve)]
-    _atomic_write([(a.output, _csv(a, "phase,trial,error", *zip(*rows)))])
+    curves = result.phase_errors
+    phase, trial = np.hstack([([p] * len(c), np.arange(len(c))) for p, c in enumerate(curves)])
+    _atomic_write([(a.output, _csv(a, "phase,trial,error", phase, trial, np.concatenate(curves)))])
     extras = {"interference": result.interference, "savings": result.savings}
     if result.savings is None:
         extras["null_reason"] = "interference needs >= 2 phases, savings needs >= 3"
@@ -279,13 +279,12 @@ def _cmd_demo(a) -> tuple[list[Path], dict]:
     from . import demos
     if a.which == "gd":
         traj, annotation = demos.gd_regulate((a.tx, a.ty), (a.x0, a.y0), a.lr, a.iters)
-        rows = [(k, x, y, math.hypot(x - a.tx, y - a.ty))
-                for k, (x, y) in enumerate(traj.tolist())]
-        bad = [k for k, *_, error in rows if not math.isfinite(error)]
-        if bad:
+        # math.hypot, not np.hypot: numpy's calls libm, which may round differently.
+        error = np.array([math.hypot(x - a.tx, y - a.ty) for x, y in traj.tolist()])
+        if (bad := np.flatnonzero(~np.isfinite(error))).size:
             raise demos.GdOverflowError(f"error is not finite at iteration {bad[0]}")
-        table = _csv(a, "iter,x0,x1,error", *zip(*rows), tx=None, ty=None, y0=None,
-                     target=f"{a.tx};{a.ty}", x0=f"{a.x0};{a.y0}")
+        table = _csv(a, "iter,x0,x1,error", range(len(traj)), *traj.T, error, tx=None, ty=None,
+                     y0=None, target=f"{a.tx};{a.ty}", x0=f"{a.x0};{a.y0}")
     else:
         try:
             w, h = map(int, a.grid.split("x"))
@@ -294,9 +293,10 @@ def _cmd_demo(a) -> tuple[list[Path], dict]:
         cfg = demos.QConfig(width=w, height=h, goal_cell=(w - 1, h - 1),
                             episodes=a.episodes, exploration=a.epsilon)
         policy, q, annotation = demos.q_regulate(cfg, a.seed)
-        rows = [(x, y, demos.ACTION_NAMES[action], float(np.max(q[(x, y)])))
-                for (x, y), action in sorted(policy.items())]
-        table = _csv(a, "x,y,greedy_action,value", *zip(*rows))
+        cells = sorted(policy)
+        xy = np.array(cells, dtype=np.int64).reshape(-1, 2).T  # rows x and y
+        name = [demos.ACTION_NAMES[policy[c]] for c in cells]
+        table = _csv(a, "x,y,greedy_action,value", *xy, name, np.array([q[c].max() for c in cells]))
     roles_path = a.output.with_name(a.output.stem + "_roles.jsonl")
     lines = [json.dumps({"component": comp, "role": role, "interpretive": annotation.interpretive},
                         sort_keys=True) for comp, role in sorted(annotation.assignments.items())]

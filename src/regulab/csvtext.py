@@ -1,12 +1,11 @@
 """CSV rows as bytes, built a chunk at a time with numpy.
 
 Row k of the text holds item k of every column, joined by ``,`` and ended
-by a newline. A column whose first item is a float is written as
-``"{:.17g}".format`` writes each item; a column of integers (a ``range``, an
-integer array, or a list or tuple of ``int`` within int64) as ``str`` writes
-each; any other column item by item as ``"{}".format`` writes it, which is
-``str`` for every built-in type. Float digits come from a fast path that
-decides only what it can prove; ``format`` writes every value it cannot.
+by a newline. A column's type alone says how it is written, and no item is
+looked at to decide: a float array as ``"{:.17g}".format`` writes each item,
+a ``range`` or a signed-integer array as ``str`` writes each, and a sequence
+of ``str`` as its texts. Float digits come from a fast path that decides
+only what it can prove; ``format`` writes every value it cannot.
 
 A chunk is one uint8 matrix: a fixed-width field per column, each ending
 with its separator. Field bytes a row does not use hold 0xFF, which UTF-8
@@ -35,7 +34,7 @@ import functools
 import itertools
 import math
 import mmap
-from collections.abc import Collection, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -44,7 +43,6 @@ import numpy as np
 # 4-column pid CSV of the loops benchmark raised its peak RSS by 0.4 MB.
 CHUNK_BYTES = 3 << 16
 
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 _DROP = 0xFF  # a field byte the row does not use
 
 # Decimal exponents the fast path takes: inside them no step of the scaled
@@ -290,38 +288,23 @@ def _text_field(texts: _Texts, field: np.ndarray, rows=slice(None)) -> None:
 
 
 def _kind(column) -> str:
-    """'float', 'int' or 'text': how a whole column is written."""
-    if isinstance(column[0], float):
-        return "float"
-    if isinstance(column, range):
-        ends = (column[0], column[-1])
-        ints = _INT64_MIN <= min(ends) and max(ends) <= _INT64_MAX
-    elif isinstance(column, np.ndarray):
-        ints = column.dtype.kind == "i" or (column.dtype.kind == "u" and
-                                            int(column.max()) <= _INT64_MAX)
-    else:
-        ints = (set(map(type, column)) == {int}
-                and _INT64_MIN <= min(column) and max(column) <= _INT64_MAX)
-    return "int" if ints else "text"
+    """'float', 'int' or 'text': how a column of this type is written."""
+    if not isinstance(column, np.ndarray):
+        return "int" if isinstance(column, range) else "text"
+    if column.dtype.kind not in "fi":
+        raise TypeError(f"an array column must hold floats or signed integers, not {column.dtype}")
+    return "float" if column.dtype.kind == "f" else "int"
 
 
 def _chunk(column, kind: str, start: int, stop: int):
     """Rows ``start:stop`` of a column in the form its field takes: a float64
     or int64 array, or texts."""
     part = column[start:stop]
-    if kind == "int":
-        if isinstance(part, range):
-            return np.arange(part.start, part.stop, part.step, dtype=np.int64)
-        return np.asarray(part, dtype=np.int64)
-    if isinstance(part, np.ndarray):
-        if kind == "float" and part.dtype.kind == "f":
-            return part.astype(np.float64, copy=False)
-        part = part.tolist()
     if kind == "text":
-        return _Texts(list(map(format, part)))
-    if all(issubclass(t, (float, int)) for t in set(map(type, part))):
-        return np.array(part, dtype=np.float64)
-    return _Texts([format(v, ".17g") for v in part])
+        return _Texts(list(part))
+    if isinstance(part, range):
+        return np.arange(part.start, part.stop, part.step, dtype=np.int64)
+    return part.astype(np.float64 if kind == "float" else np.int64, copy=False)
 
 
 def _width(values) -> int:
@@ -340,15 +323,15 @@ def chunk_rows(columns: int) -> int:
     return max(1, CHUNK_BYTES // (_FLOAT_BYTES * columns))
 
 
-def rows(*columns: Sequence, floats: Collection[int] = ()) -> Iterator[bytes]:
+def rows(*columns: Sequence) -> Iterator[bytes]:
     """CSV body lines, row k made of item k of every column, as UTF-8 bytes
     in chunks of ``chunk_rows(len(columns))`` rows, the last maybe fewer.
-    Columns are equal-length ranges, tuples, lists or numpy arrays; the
-    columns whose indices are in ``floats`` are written as floats whatever
-    their first item."""
+    Columns are of equal length, each a float array (written as
+    ``format(v, ".17g")``), a ``range`` or signed-integer array (as ``str``)
+    or a sequence of ``str``; any other array is a TypeError."""
     if not columns or len(columns[0]) == 0:
         return
-    kinds = ["float" if i in floats else _kind(c) for i, c in enumerate(columns)]
+    kinds = list(map(_kind, columns))
     n = min(step := chunk_rows(len(columns)), total := len(columns[0]))
     scratch = _arena([(np.float64, (6, n)), (np.int64, (n, 8)), (np.float64, (n, 4)),
                       (bool, (3, n)), (np.uint8, (n * _FLOAT_BYTES * len(columns),))])

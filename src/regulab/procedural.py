@@ -127,6 +127,8 @@ class ReachLearner:
     def __post_init__(self) -> None:
         if not (0 < self.rate < math.inf):  # also rejects nan
             raise ValueError(f"learning rate must be positive and finite, got {self.rate}")
+        if not (0 <= self.slow_rate < math.inf):
+            raise ValueError(f"slow rate must be finite and >= 0, got {self.slow_rate}")
         if not (0.0 <= self.fast_retention <= 1.0):
             raise ValueError(f"fast retention must be in [0, 1], got {self.fast_retention}")
 
@@ -469,6 +471,8 @@ class Vehicle:
         if not (0 < self.speed_gain < math.inf and 0 <= self.turn_gain < math.inf):
             raise ValueError("gains must be positive and finite (turn gain may be 0 for a "
                              "straight roller)")
+        if not self.goal_radius >= 0:
+            raise ValueError(f"goal radius must be >= 0, got {self.goal_radius}")
         try:
             p = tuple(map(float, self.position))  # TypeError for an item that is a row
         except TypeError:

@@ -36,6 +36,8 @@ from collections import Counter, deque
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Hashable, Optional
 
+import numpy as np
+
 from .variety import StateSet
 
 Symbol = Hashable
@@ -312,8 +314,9 @@ def trajectory_to_csv(traj: Trajectory) -> str:
         return list(map(format, column))
 
     body = b"".join(csvtext.rows(
-        range(len(traj)), text(traj.s_state), text(traj.r_state), traj.output, traj.error,
-        text(traj.phi), text(traj.rho), floats=(3, 4),
+        range(len(traj)), text(traj.s_state), text(traj.r_state),
+        np.asarray(traj.output, dtype=float), np.asarray(traj.error, dtype=float),
+        text(traj.phi), text(traj.rho),
     ))
     return "tick,s_state,r_state,output,error,phi,rho\n" + body.decode("utf-8")
 

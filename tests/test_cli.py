@@ -572,6 +572,31 @@ def test_negative_lur_noise_is_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", ["-1e-06", "-1.0"])
+def test_negative_lur_slow_rate_is_usage_error_before_any_trial(tmp_path, capsys, monkeypatch,
+                                                                value):
+    # -1e-6 once ran and wrote a CSV; -1 ran every trial, then exited 1.
+    from regulab import procedural
+    monkeypatch.setattr(procedural, "run_lur", lambda *a, **k: pytest.fail("a trial ran"))
+    argv = ["lur", "run", "--phases", "0:50", f"--slow-rate={value}", "--seed", 3]
+    assert run([*argv, "-o", tmp_path / "l.csv"]) == 2
+    assert capsys.readouterr().err == ("regulab: invalid parameters: slow rate must be finite and "
+                                       f">= 0, got {value}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_vehicle_goal_radius_is_usage_error_before_any_step(tmp_path, capsys,
+                                                                     monkeypatch):
+    # It once ran every step, never parking, and exited 0.
+    from regulab import procedural
+    monkeypatch.setattr(procedural, "vehicle_step", lambda *a: pytest.fail("a step ran"))
+    argv = ["vehicle", "run", "--steps", 20, "--goal-radius=-1", "--seed", 4]
+    assert run([*argv, "-o", tmp_path / "v.csv"]) == 2
+    assert capsys.readouterr().err == ("regulab: invalid parameters: goal radius must be >= 0, "
+                                       "got -1.0\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag, reason", [("levels", "levels must be a comma list of numbers, got ''"),
                                           ("input", "input must be a PGM path, got ''")])
 @pytest.mark.parametrize("in_config", [False, True])

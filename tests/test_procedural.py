@@ -159,6 +159,13 @@ def test_reach_learner_rejects_nonpositive_or_nonfinite_rate(rate):
         ReachLearner(rate=rate)
 
 
+@pytest.mark.parametrize("slow_rate", [-1e-6, -1.0, math.nan, math.inf])
+def test_reach_learner_rejects_a_slow_rate_not_finite_and_nonnegative(slow_rate):
+    with pytest.raises(ValueError, match="slow rate must be finite and >= 0"):
+        ReachLearner(slow_rate=slow_rate)
+    ReachLearner(slow_rate=0.0)
+
+
 # --- single trials -------------------------------------------------------------
 
 
@@ -227,6 +234,13 @@ def test_step_size_must_be_positive_and_finite(dt):
 def test_vehicle_rejects_bad_offset_or_gain(name, value):
     with pytest.raises(ValueError):
         fixture_vehicle(equilateral_field(), **{name: value})
+
+
+@pytest.mark.parametrize("radius", [-1.0, -5e-324, math.nan])
+def test_vehicle_rejects_a_negative_or_nan_goal_radius(radius):
+    with pytest.raises(ValueError, match="goal radius must be >= 0"):
+        fixture_vehicle(equilateral_field(), goal_radius=radius)
+    fixture_vehicle(equilateral_field(), goal_radius=0.0)
 
 
 def reference_run_trial(l, f, start, target, steps, dt, tracking_gain=12.0, noise=0.0,
