@@ -1,16 +1,16 @@
 """Batch command-line front end.
 
-One experiment per invocation. Every run takes an explicit --seed (there
-is no wall-clock fallback, so documented runs stay reproducible), writes
-its CSV/PGM outputs atomically (temp files, renamed only once all are
-written, so they appear together or not at all), and finishes by
-writing a one-line JSON-lines manifest beside the outputs, replacing any
-earlier one, recording the tool version, subcommand, resolved parameters,
-seed, output files, RNG algorithm, and wall time. The CSV ``# params:``
-line and the manifest are both derived from the parsed flags. A command
-imports its own simulation family when it runs, and no other. ``diffuse``
-writes each level to its temp file as soon as the level is made, so it
-holds one level in memory rather than all of them.
+One experiment per invocation. Every run takes an explicit --seed (there is
+no wall-clock fallback, so documented runs stay reproducible) and writes its
+CSV/PGM outputs and a one-line JSON-lines manifest beside them as one atomic
+set (temp files, renamed once all are written, the manifest last), so outputs
+and manifest appear together or not at all. The manifest replaces any earlier
+one and records the tool version, subcommand, resolved parameters, seed,
+output files, RNG algorithm, and the wall time to the last output byte. The
+CSV ``# params:`` line and the manifest are both derived from the parsed
+flags. A command imports its own simulation family when it runs, and no
+other. ``diffuse`` writes each level to its temp file as soon as the level is
+made, so it holds one level in memory rather than all of them.
 
 A CSV holds the ``# params:`` line, a header, then one row per sample.
 ``regulab.csvtext`` writes the typed columns each handler gives: a float array
@@ -22,8 +22,8 @@ Exit codes: 0 success, 2 usage or parameter error (one-line reason on stderr),
 positive integer and ``--seed`` an integer in [0, 2**64); nan, ±inf, 0 or a
 negative count exits 2 before any file is written, as does a count too large to
 index, a negative ``lur`` noise or slow rate or ``vehicle`` goal radius, an
-empty ``--output``, ``--pairs``, ``--config``, ``diffuse`` input or level list,
-or a ``lur`` schedule, ``demo q`` grid or run or ``vehicle run`` over its
+empty ``--output``, ``--pairs``, ``--config``, ``--input`` or ``diffuse`` level
+list, or a ``lur`` schedule, ``demo q`` grid or run or ``vehicle run`` over its
 budget. Running out of memory exits 1.
 
 Flags override a config file, which overrides built-in defaults. The file
@@ -43,7 +43,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from collections.abc import Iterable, Iterator
 from pathlib import Path
@@ -53,23 +52,27 @@ import numpy as np
 from . import __version__
 from .rng import RNG_ALGORITHM, SplitMix64
 
+Files = Iterable[tuple[Path, Iterable[str | bytes]]]  # (path, chunks) pairs to write
+
 
 class UsageError(ValueError):
     """Bad arguments or parameter preconditions; maps to exit code 2."""
 
 
-def _atomic_write(files: Iterable[tuple[Path, Iterable[str | bytes]]]) -> None:
+def _atomic_write(files: Files) -> None:
     """Write each ``(path, chunks)`` of ``files`` (text as UTF-8) to a temp
-    file beside its path, then, once every file is written, rename each temp
-    over its path. Files and chunks are written one at a time as they come,
-    never joined, so neither a long series nor a whole set of files is held
-    at once. Any failure before the renames unlinks every temp, so the files
-    appear together or not at all."""
-    temps: list[tuple[str, Path]] = []
+    file ``.<name>.<random>.tmp`` beside its path, with the mode ``open(path,
+    "wb")`` gives, then rename each temp over its path in order: a run's
+    manifest, its last file, is renamed last. Files and chunks are written as
+    they come, never joined, so no long series or whole set is held at once.
+    A failure before the renames unlinks every temp, so the files appear
+    together or not at all; a failing ``os.replace`` leaves those before it."""
+    temps: list[tuple[Path, Path]] = []
     try:
         for path, chunks in files:
             path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+            tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             temps.append((tmp, path))
             with os.fdopen(fd, "wb") as fh:
                 for chunk in chunks:
@@ -78,8 +81,7 @@ def _atomic_write(files: Iterable[tuple[Path, Iterable[str | bytes]]]) -> None:
             os.replace(tmp, path)
     except BaseException:
         for tmp, _ in temps:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -108,63 +110,60 @@ def _csv(a: argparse.Namespace, header: str, *columns, **shown) -> Iterator[str 
 
 
 def emit_manifest(a: argparse.Namespace, outputs: list[Path], wall_time_s: float,
-                  extra: dict) -> Path:
-    """Write the run's one-line JSON record beside its output, replacing any
-    earlier one. ``params`` holds every namespace entry but the handler, the
-    config path and the output path, as strings, with ``seed`` as an int, so
-    the subcommand words are there for a replay."""
+                  extra: dict) -> tuple[Path, list[str]]:
+    """The run's one-line JSON record as a ``(path, chunks)`` file beside its
+    output. ``params`` holds every namespace entry but the handler, the config
+    path and the output path, as strings, with ``seed`` as an int, so the
+    subcommand words are there for a replay."""
     params = {k: str(v) for k, v in vars(a).items() if k not in ("func", "config", "output")}
     params["seed"] = a.seed
     record = {"version": __version__, "subcommand": a.subcommand, "params": params,
               "seed": a.seed, "outputs": [str(p) for p in outputs], "rng": RNG_ALGORITHM,
               "wall_time_s": wall_time_s, "extra": extra}
-    path = a.output.with_suffix(a.output.suffix + ".manifest.jsonl")
-    _atomic_write([(path, [json.dumps(record, sort_keys=True, allow_nan=False) + "\n"])])
-    return path
+    return (a.output.with_suffix(a.output.suffix + ".manifest.jsonl"),
+            [json.dumps(record, sort_keys=True, allow_nan=False) + "\n"])
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations: each returns (output paths, manifest extras)
+# Subcommand implementations: each returns (files to write, manifest extras)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_relation(a) -> tuple[list[Path], dict]:
+def _cmd_relation(a) -> tuple[Files, dict]:
     from . import relation as rel
     mode = rel.LoopMode.CLOSED if a.mode == "closed" else rel.LoopMode.FEEDFORWARD
     relation = rel.toggle_benchmark(mode=mode)
     stream = [("kick", "calm")] * a.ticks
     traj = rel.run_relation(relation, stream, a.ticks)
-    _atomic_write([(a.output, [_params_line(a), rel.trajectory_to_csv(traj)])])
-    point = rel.point_regulation_score(traj, bins=2)
-    return [a.output], {"point_entropy_bits": point}
+    table = [_params_line(a), rel.trajectory_to_csv(traj)]
+    return [(a.output, table)], {"point_entropy_bits": rel.point_regulation_score(traj, bins=2)}
 
 
-def _cmd_variety(a) -> tuple[list[Path], dict]:
+def _cmd_variety(a) -> tuple[Files, dict]:
     from . import variety as var
     mapping = var.load_mapping_csv(a.pairs)
     cls = var.classify_mapping(mapping)
     verdict = var.requisite_variety_check(mapping)
     row = (cls.tag.value, f"{cls.variety_ratio.numerator}/{cls.variety_ratio.denominator}",
            "Satisfied" if verdict.satisfied else "Violated", verdict.reason or "")
-    _atomic_write([(a.output, _csv(a, "class,variety_ratio,verdict,reason", *zip(row)))])
-    return [a.output], {}
+    return [(a.output, _csv(a, "class,variety_ratio,verdict,reason", *zip(row)))], {}
 
 
-def _cmd_pid(a) -> tuple[list[Path], dict]:
+def _cmd_pid(a) -> tuple[Files, dict]:
     from . import pid as pidmod
     # --ti 0 disables the integral term; any other value reaches PidGains' check.
     gains = pidmod.PidGains(kp=a.kp, ti=math.inf if a.ti == 0 else a.ti, td=a.td)
     traj = pidmod.simulate_pid(gains, a.plant_gain, a.setpoint, a.x0, a.dt, a.steps,
                                disturbance=a.disturbance)
-    _atomic_write([(a.output, _csv(a, "tick,x,u,e", traj.ticks, traj.x, traj.u, traj.e))])
-    return [a.output], {"final_error": float(traj.e[-1])}
+    table = _csv(a, "tick,x,u,e", traj.ticks, traj.x, traj.u, traj.e)
+    return [(a.output, table)], {"final_error": float(traj.e[-1])}
 
 
 _AVALANCHE_HEADERS = {"bursts": "tick,burst", "rank": "rank,value",
                       "threshold": "index,value", "smooth": "index,value"}
 
 
-def _cmd_avalanche(a) -> tuple[list[Path], dict]:
+def _cmd_avalanche(a) -> tuple[Files, dict]:
     from . import criticality as crit
     extras: dict = {}
     shown: dict = {}
@@ -187,14 +186,11 @@ def _cmd_avalanche(a) -> tuple[list[Path], dict]:
         elif a.action == "smooth":
             values = crit.smooth_model(values, a.factor)
     header = _AVALANCHE_HEADERS.get(a.action, "tick,value")
-    _atomic_write([(a.output, _csv(a, header, range(len(values)), values, **shown))])
-    return [a.output], extras
+    return [(a.output, _csv(a, header, range(len(values)), values, **shown))], extras
 
 
-def _cmd_diffuse(a) -> tuple[list[Path], dict]:
+def _cmd_diffuse(a) -> tuple[Files, dict]:
     from . import diffusion as diff
-    if a.input == "":
-        raise UsageError("input must be a PGM path, got ''")
     img = diff.synthetic_portrait() if a.input is None else diff.read_pgm(a.input)
     if a.levels is None:
         levels = diff.DEFAULT_UNIFORM_ALPHAS if a.mode == "uniform" else diff.DEFAULT_POWER_SHAPES
@@ -206,8 +202,6 @@ def _cmd_diffuse(a) -> tuple[list[Path], dict]:
     sched = (diff.uniform_schedule(levels) if a.mode == "uniform"
              else diff.power_schedule(levels, alpha=a.alpha))
     base = a.output
-    outputs = [base.with_name(f"{base.stem}_{i}{base.suffix or '.pgm'}")
-               for i in range(len(levels))] + [base.with_name(f"{base.stem}_stats.csv")]
     stats = np.empty((2, len(levels)))  # the mean and variance of each level
 
     def files():
@@ -217,18 +211,17 @@ def _cmd_diffuse(a) -> tuple[list[Path], dict]:
             stats[:, i] = diff.image_stats(stage)
             data = diff.pgm_bytes(stage)
             del stage
-            yield outputs[i], [data]
+            yield base.with_name(f"{base.stem}_{i}{base.suffix or '.pgm'}"), [data]
             i += 1
-        yield outputs[-1], _csv(
+        yield base.with_name(f"{base.stem}_stats.csv"), _csv(
             a, "step,level,mean,variance", range(i), np.array(levels, dtype=float), *stats,
             input=a.input or "synthetic",
             levels="default" if a.levels is None else ",".join(map(str, levels)))
 
-    _atomic_write(files())
-    return outputs, {}
+    return files(), {}
 
 
-def _cmd_lur(a) -> tuple[list[Path], dict]:
+def _cmd_lur(a) -> tuple[Files, dict]:
     from . import procedural as proc
     phases = []
     for chunk in a.phases.split(","):
@@ -242,14 +235,13 @@ def _cmd_lur(a) -> tuple[list[Path], dict]:
     result = proc.run_lur(learner, sched, noise=a.noise, gain=a.gain, seed=a.seed)
     curves = result.phase_errors
     phase, trial = np.hstack([([p] * len(c), np.arange(len(c))) for p, c in enumerate(curves)])
-    _atomic_write([(a.output, _csv(a, "phase,trial,error", phase, trial, np.concatenate(curves)))])
     extras = {"interference": result.interference, "savings": result.savings}
     if result.savings is None:
         extras["null_reason"] = "interference needs >= 2 phases, savings needs >= 3"
-    return [a.output], extras
+    return [(a.output, _csv(a, "phase,trial,error", phase, trial, np.concatenate(curves)))], extras
 
 
-def _cmd_vehicle(a) -> tuple[list[Path], dict]:
+def _cmd_vehicle(a) -> tuple[Files, dict]:
     from . import procedural as proc
     if a.steps > proc.MAX_VEHICLE_STEPS:
         raise UsageError(f"a vehicle run takes at most {proc.MAX_VEHICLE_STEPS} steps, "
@@ -271,11 +263,11 @@ def _cmd_vehicle(a) -> tuple[list[Path], dict]:
             reached = step
             break
     n = a.steps if reached is None else reached + 1
-    _atomic_write([(a.output, _csv(a, "step,x,y,c,m,y,k,dist", range(n), *columns[:, :n]))])
-    return [a.output], {"reached_at_step": reached}
+    return ([(a.output, _csv(a, "step,x,y,c,m,y,k,dist", range(n), *columns[:, :n]))],
+            {"reached_at_step": reached})
 
 
-def _cmd_demo(a) -> tuple[list[Path], dict]:
+def _cmd_demo(a) -> tuple[Files, dict]:
     from . import demos
     if a.which == "gd":
         traj, annotation = demos.gd_regulate((a.tx, a.ty), (a.x0, a.y0), a.lr, a.iters)
@@ -300,8 +292,7 @@ def _cmd_demo(a) -> tuple[list[Path], dict]:
     roles_path = a.output.with_name(a.output.stem + "_roles.jsonl")
     lines = [json.dumps({"component": comp, "role": role, "interpretive": annotation.interpretive},
                         sort_keys=True) for comp, role in sorted(annotation.assignments.items())]
-    _atomic_write([(a.output, table), (roles_path, ["\n".join(lines) + "\n"])])
-    return [a.output, roles_path], {}
+    return [(a.output, table), (roles_path, ["\n".join(lines) + "\n"])], {}
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +331,7 @@ def seed(text: str) -> int:
 
 
 def file_path(text: str) -> str:
-    """argparse type of --config and --pairs: a file path, so not empty."""
+    """argparse type of --config, --pairs and --input: a file path, so not empty."""
     if not text:
         raise argparse.ArgumentTypeError("must be a file path, got ''")
     return text
@@ -400,7 +391,7 @@ _COMMANDS = {
     ("avalanche", "threshold"): (_cmd_avalanche, "power-curve detection threshold", (
         ("n", positive_int, 10_000), ("e-model", finite_float, 0.1))),
     ("diffuse",): (_cmd_diffuse, "forward image noising", (
-        ("input", str, None, "PGM image; omitted uses a built-in test image"),
+        ("input", file_path, None, "PGM image; omitted uses a built-in test image"),
         ("mode", ("uniform", "power"), "uniform"),
         ("levels", str, None, "comma list of alphas (uniform) or shapes (power)"),
         ("alpha", finite_float, 0.75, "blend fraction for power mode"),
@@ -487,8 +478,16 @@ def dispatch(argv: list[str]) -> int:
     try:
         args = _parse(list(argv))
         started = time.perf_counter()
-        outputs, extras = args.func(args)
-        emit_manifest(args, outputs, time.perf_counter() - started, extras)
+        files, extras = args.func(args)
+        outputs: list[Path] = []
+
+        def with_manifest() -> Files:  # the manifest is built once every output is written
+            for path, chunks in files:
+                outputs.append(path)
+                yield path, chunks
+            yield emit_manifest(args, outputs, time.perf_counter() - started, extras)
+
+        _atomic_write(with_manifest())
         return 0
     except UsageError as exc:
         print(f"regulab: usage error: {exc}", file=sys.stderr)

@@ -172,16 +172,13 @@ def rank_order(s: np.ndarray, descending: bool = True) -> np.ndarray:
     return ordered[::-1].copy() if descending else ordered
 
 
-def threshold_model(
-    n: int, e_model: float, level: float | None = None
-) -> tuple[np.ndarray, int]:
+def threshold_model(n: int, e_model: float) -> tuple[np.ndarray, int]:
     """Ascending power curve used as a burst-detection threshold.
 
     curve[i] = (n - i)^-e_model for i = 0..n-1, the ascending sort of
     t^-e_model in closed form. The returned crossing index is the smallest
-    i with curve[i] >= level; ``level`` defaults to the curve mean, a
-    deliberately conservative detection point (bursts tend to occur below
-    it).
+    i with curve[i] >= the curve mean, a deliberately conservative detection
+    point (bursts tend to occur below it).
     """
     if n < 1:
         raise ValueError(f"curve length must be >= 1, got {n}")
@@ -189,10 +186,7 @@ def threshold_model(
         raise ValueError(f"model exponent must be positive and finite, got {e_model}")
     t = np.arange(n, 0, -1, dtype=float)
     curve = t ** -e_model
-    if level is None:
-        level = float(np.mean(curve))
-    crossing = int(np.argmax(curve >= level))
-    return curve, crossing
+    return curve, int(np.argmax(curve >= curve.mean()))
 
 
 def smooth_model(s: np.ndarray, factor: int) -> np.ndarray:

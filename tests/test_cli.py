@@ -1,10 +1,12 @@
 """Front end: exit codes, output format, determinism, manifests."""
 
 import argparse
+import errno
 import hashlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regulab import cli
 from regulab.cli import _COMMANDS, build_parser, dispatch, finite_float, positive_int, seed
 
 from child import run_regulab
@@ -597,8 +600,9 @@ def test_negative_vehicle_goal_radius_is_usage_error_before_any_step(tmp_path, c
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("flag, reason", [("levels", "levels must be a comma list of numbers, got ''"),
-                                          ("input", "input must be a PGM path, got ''")])
+@pytest.mark.parametrize("flag, reason", [
+    ("levels", "levels must be a comma list of numbers, got ''"),
+    ("input", "argument --input: must be a file path, got ''")])
 @pytest.mark.parametrize("in_config", [False, True])
 def test_empty_diffuse_input_or_levels_is_usage_error(tmp_path, capsys, flag, reason, in_config):
     # Both once ran the default ladder on the built-in image and exited 0.
@@ -800,3 +804,58 @@ def test_diffuse_failing_at_the_third_level_leaves_no_file(tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith("regulab: runtime error: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == [image]
+
+
+def no_space(*args, **kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def fail_manifest_build(monkeypatch):
+    monkeypatch.setattr(cli.json, "dumps", no_space)
+
+
+def fail_manifest_write(monkeypatch):
+    # Only the manifest's temp file cannot be made.
+    open_ = os.open
+    monkeypatch.setattr(os, "open", lambda path, *args: (
+        no_space() if ".manifest.jsonl." in str(path) else open_(path, *args)))
+
+
+@pytest.mark.parametrize("fail", [fail_manifest_build, fail_manifest_write],
+                         ids=["build", "write"])
+@pytest.mark.parametrize("argv", [["pid", "--steps", "10", "-o", "p.csv"],
+                                  ["diffuse", "--levels", "0.5,0.25", "-o", "n.pgm"]],
+                         ids=["pid", "diffuse"])
+def test_failing_manifest_leaves_the_directory_as_it_was(tmp_path, monkeypatch, capsys, fail,
+                                                         argv):
+    # The outputs were once renamed before the manifest was made, so such a
+    # failure left them, beside no manifest or the last run's.
+    monkeypatch.chdir(tmp_path)
+
+    def failing_run(seed):
+        with monkeypatch.context() as patch:
+            fail(patch)
+            assert run([*argv, "--seed", seed]) == 1
+        assert capsys.readouterr().err == ("regulab: runtime error: [Errno 28] No space left on "
+                                           "device\n")
+
+    failing_run(1)
+    assert list(tmp_path.iterdir()) == []
+    assert run([*argv, "--seed", 1]) == 0
+    first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    failing_run(2)  # another seed: other bytes, were they written
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+
+
+def test_run_files_take_the_mode_open_gives(tmp_path):
+    # mkstemp's 0o600 once reached every output and manifest.
+    umask = os.umask(0o022)
+    try:
+        assert run(["diffuse", "--levels", "0.5,0.25", "--seed", 1, "-o", tmp_path / "n.pgm"]) == 0
+        assert run(["demo", "gd", "--iters", 3, "--seed", 0, "-o", tmp_path / "gd.csv"]) == 0
+    finally:
+        os.umask(umask)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert sorted(modes) == ["gd.csv", "gd.csv.manifest.jsonl", "gd_roles.jsonl",
+                             "n.pgm.manifest.jsonl", "n_0.pgm", "n_1.pgm", "n_stats.csv"]
+    assert set(modes.values()) == {0o644}

@@ -328,12 +328,6 @@ def test_threshold_default_parameters_curve():
     assert crossing == 0 or curve[crossing - 1] < level
 
 
-def test_threshold_explicit_level():
-    curve, crossing = threshold_model(100, 1.0, level=0.5)
-    assert curve[crossing] >= 0.5
-    assert np.all(curve[:crossing] < 0.5)
-
-
 @pytest.mark.parametrize("e_model", [0.0, -0.1, math.nan, math.inf])
 def test_threshold_rejects_nonpositive_or_nonfinite_exponent(e_model):
     with pytest.raises(ValueError, match="model exponent"):

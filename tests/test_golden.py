@@ -145,7 +145,10 @@ def pinned() -> dict:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_outputs(name, tmp_path):
-    assert run_case(name, tmp_path) == pinned()[name]
+    hashes = run_case(name, tmp_path)
+    assert hashes == pinned()[name]
+    manifest, = tmp_path.glob("*.manifest.jsonl")
+    assert set(json.loads(manifest.read_text())["outputs"]) == set(hashes)
 
 
 def test_every_case_is_pinned():
