@@ -66,7 +66,9 @@ def _atomic_write(files: Files) -> None:
     manifest, its last file, is renamed last. Files and chunks are written as
     they come, never joined, so no long series or whole set is held at once.
     A failure before the renames unlinks every temp, so the files appear
-    together or not at all; a failing ``os.replace`` leaves those before it."""
+    together or not at all. Before the first rename the last file's old
+    target is unlinked, so a failing ``os.replace`` leaves the files renamed
+    before it beside no manifest, never beside one of another run."""
     temps: list[tuple[Path, Path]] = []
     try:
         for path, chunks in files:
@@ -77,6 +79,7 @@ def _atomic_write(files: Files) -> None:
             with os.fdopen(fd, "wb") as fh:
                 for chunk in chunks:
                     fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+        temps[-1][1].unlink(missing_ok=True)
         for tmp, path in temps:
             os.replace(tmp, path)
     except BaseException:

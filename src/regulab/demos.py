@@ -203,37 +203,3 @@ def q_regulate(
     )
     return policy, {c: np.array(q[i]) for i, c in enumerate(cells)}, annotation
 
-
-def value_iteration_policy(
-    cfg: QConfig, tol: float = 1e-12, max_sweeps: int = 100_000
-) -> dict[tuple[int, int], int]:
-    """Independent optimal policy for the same gridworld, by value iteration
-    with the same lowest-index tie-break."""
-    cells = [(x, y) for y in range(cfg.height) for x in range(cfg.width)]
-    v = {c: 0.0 for c in cells}
-    for _ in range(max_sweeps):
-        delta = 0.0
-        for c in cells:
-            if c == cfg.goal_cell:
-                continue
-            best = -np.inf
-            for a in range(len(ACTIONS)):
-                nxt = _grid_step(cfg, c, a)
-                r = cfg.goal_reward if nxt == cfg.goal_cell else cfg.step_reward
-                val = r + cfg.discount * (0.0 if nxt == cfg.goal_cell else v[nxt])
-                best = max(best, val)
-            delta = max(delta, abs(best - v[c]))
-            v[c] = best
-        if delta < tol:
-            break
-    policy = {}
-    for c in cells:
-        if c == cfg.goal_cell:
-            continue
-        vals = []
-        for a in range(len(ACTIONS)):
-            nxt = _grid_step(cfg, c, a)
-            r = cfg.goal_reward if nxt == cfg.goal_cell else cfg.step_reward
-            vals.append(r + cfg.discount * (0.0 if nxt == cfg.goal_cell else v[nxt]))
-        policy[c] = int(np.argmax(vals))
-    return policy

@@ -16,8 +16,8 @@ each step's image only when asked for the next one, so a caller that writes
 each image out and drops it holds one step at a time. Only the forward
 direction exists here; nothing denoises.
 
-Images are immutable [0, 1] rasters with binary (P5) and ASCII (P2) PGM
-round-trips at 8-bit quantization.
+Images are immutable [0, 1] rasters. They are written as binary (P5) PGM
+at 8-bit quantization; binary and ASCII (P2) PGM are read.
 """
 
 from __future__ import annotations
@@ -191,18 +191,6 @@ def pgm_bytes(img: GrayImage) -> bytes:
     quant = np.rint(scaled, out=scaled).astype(np.uint8)
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
     return header + quant.tobytes()
-
-
-def write_pgm(img: GrayImage, path: str | Path, ascii_format: bool = False) -> None:
-    """Write 8-bit PGM: binary P5 by default, ASCII P2 on request."""
-    if ascii_format:
-        quant = np.rint(img.pixels * 255.0).astype(np.uint8)
-        lines = [f"P2\n{img.width} {img.height}\n255\n"]
-        for row in quant:
-            lines.append(" ".join(str(int(v)) for v in row) + "\n")
-        Path(path).write_text("".join(lines), encoding="ascii")
-    else:
-        Path(path).write_bytes(pgm_bytes(img))
 
 
 def read_pgm(path: str | Path) -> GrayImage:

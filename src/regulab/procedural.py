@@ -516,11 +516,6 @@ def _with_color(v: Vehicle, color: CmykPoint) -> Vehicle:
     return v
 
 
-def vehicle_distance(v: Vehicle, field_: CmykField) -> float:
-    """Color distance from the vehicle's current position to its target."""
-    return cmyk_distance(sample_cmyk(field_, v.position), v.target)
-
-
 @dataclass(frozen=True)
 class StageReport:
     visited: int

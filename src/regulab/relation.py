@@ -16,8 +16,8 @@ symbol through its policy. One tick runs in a fixed order:
 Disturbances arrive as a pair per tick: one symbol for the system channel
 (fed to its transition) and one for the regulator channel. The regulator
 channel corrupts the observation before the policy sees it, through an
-optional hook on the regulator; with no hook it is carried in the record
-but has no effect.
+optional hook on the regulator; with no hook it is carried in the
+trajectory's ``rho`` column but has no effect.
 
 Everything is a frozen value; stepping returns a new relation. A run is
 therefore a pure function of (relation, disturbance stream, tick count),
@@ -161,17 +161,6 @@ class ClosedLoopRelation:
 
 
 @dataclass(frozen=True)
-class TickRecord:
-    tick: int
-    s_state: Symbol
-    r_state: Symbol
-    output: float
-    error: float
-    phi: Symbol
-    rho: Symbol
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """One column per field of a tick; row k is tick k."""
 
@@ -186,11 +175,6 @@ class Trajectory:
         lengths = [len(getattr(self, f.name)) for f in fields(self)]
         if len(set(lengths)) > 1:
             raise ValueError(f"columns differ in length: {lengths}")
-
-    @property
-    def records(self) -> tuple[TickRecord, ...]:
-        columns = (getattr(self, f.name) for f in fields(self))
-        return tuple(map(TickRecord, range(len(self)), *columns))
 
     def __len__(self) -> int:
         return len(self.output)

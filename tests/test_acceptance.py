@@ -21,7 +21,7 @@ from regulab.criticality import (
     smooth_model,
     threshold_model,
 )
-from regulab.demos import gd_regulate, q_regulate, value_iteration_policy
+from regulab.demos import gd_regulate, q_regulate
 from regulab.diffusion import (
     GrayImage,
     PowerMask,
@@ -29,20 +29,20 @@ from regulab.diffusion import (
     blend,
     gen_noise_field,
     image_stats,
+    pgm_bytes,
     read_pgm,
     synthetic_portrait,
-    write_pgm,
 )
 from regulab.pid import PidGains, PidState, pid_step, simulate_pid
 from regulab.procedural import (
     CurlField,
     LurSchedule,
     ReachLearner,
+    cmyk_distance,
     equilateral_field,
     run_lur,
     run_trial,
     sample_cmyk,
-    vehicle_distance,
     vehicle_step,
 )
 from regulab.relation import path_regulation_score, point_regulation_score
@@ -56,7 +56,7 @@ from regulab.variety import (
     inverse_apply,
     requisite_variety_check,
 )
-from tests.test_demos import three_by_three
+from tests.test_demos import three_by_three, value_iteration_policy
 from tests.test_procedural import fixture_vehicle
 from tests.test_relation import outputs_trajectory
 
@@ -173,12 +173,10 @@ def test_criterion_07_diffusion():
         quant = np.arange(256, dtype=float).reshape(16, 16) / 255.0
         src = GrayImage(width=16, height=16, pixels=quant)
         p1 = Path(tmp) / "a.pgm"
-        p2 = Path(tmp) / "b.pgm"
-        write_pgm(src, p1)
+        p1.write_bytes(pgm_bytes(src))
         back = read_pgm(p1)
-        write_pgm(back, p2)
         ok &= np.array_equal(back.pixels, src.pixels)
-        ok &= p1.read_bytes() == p2.read_bytes()
+        ok &= pgm_bytes(back) == p1.read_bytes()
     report(7, "blend extremes bit-exact, power means analytic, PGM round-trip", ok)
 
 
@@ -267,11 +265,11 @@ def test_criterion_10_cmyk_vehicle():
         ok &= abs(color.c + color.m + color.y - 1.0) <= 1e-12
 
     vehicle = fixture_vehicle(field)
-    d_prev = vehicle_distance(vehicle, field)
+    d_prev = cmyk_distance(sample_cmyk(field, vehicle.position), vehicle.target)
     entered = False
     for _ in range(10_000):
         vehicle = vehicle_step(vehicle, field, dt=0.02)
-        d = vehicle_distance(vehicle, field)
+        d = vehicle.distance
         ok &= d <= d_prev + 1e-12
         d_prev = d
         if d <= vehicle.goal_radius:

@@ -847,6 +847,24 @@ def test_failing_manifest_leaves_the_directory_as_it_was(tmp_path, monkeypatch, 
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
 
 
+def test_failing_rename_leaves_no_manifest(tmp_path, monkeypatch, capsys):
+    # The old manifest once stayed, describing files this run had not written.
+    monkeypatch.chdir(tmp_path)
+    argv = ["diffuse", "--levels", "0.5,0.25", "-o", "n.pgm"]
+    assert run([*argv, "--seed", 1]) == 0
+    replace, calls = os.replace, []
+
+    def second_call_fails(*args):
+        calls.append(None)
+        return no_space() if len(calls) == 2 else replace(*args)
+
+    monkeypatch.setattr(os, "replace", second_call_fails)
+    assert run([*argv, "--seed", 2]) == 1
+    assert capsys.readouterr().err.startswith("regulab: runtime error: ")
+    names = [p.name for p in tmp_path.iterdir()]
+    assert not [n for n in names if n.endswith((".manifest.jsonl", ".tmp"))], names
+
+
 def test_run_files_take_the_mode_open_gives(tmp_path):
     # mkstemp's 0o600 once reached every output and manifest.
     umask = os.umask(0o022)

@@ -15,9 +15,9 @@ from regulab.demos import (
     MAX_Q_STEPS,
     QConfig,
     RoleAnnotation,
+    _grid_step,
     gd_regulate,
     q_regulate,
-    value_iteration_policy,
 )
 from regulab.rng import SplitMix64
 
@@ -95,6 +95,41 @@ def three_by_three():
         step_reward=-1.0, goal_reward=0.0,
         learn_rate=0.5, discount=0.9, exploration=0.2, episodes=3000,
     )
+
+
+def value_iteration_policy(
+    cfg: QConfig, tol: float = 1e-12, max_sweeps: int = 100_000
+) -> dict[tuple[int, int], int]:
+    """Independent optimal policy for the same gridworld, by value iteration
+    with the same lowest-index tie-break."""
+    cells = [(x, y) for y in range(cfg.height) for x in range(cfg.width)]
+    v = {c: 0.0 for c in cells}
+    for _ in range(max_sweeps):
+        delta = 0.0
+        for c in cells:
+            if c == cfg.goal_cell:
+                continue
+            best = -np.inf
+            for a in range(len(ACTIONS)):
+                nxt = _grid_step(cfg, c, a)
+                r = cfg.goal_reward if nxt == cfg.goal_cell else cfg.step_reward
+                val = r + cfg.discount * (0.0 if nxt == cfg.goal_cell else v[nxt])
+                best = max(best, val)
+            delta = max(delta, abs(best - v[c]))
+            v[c] = best
+        if delta < tol:
+            break
+    policy = {}
+    for c in cells:
+        if c == cfg.goal_cell:
+            continue
+        vals = []
+        for a in range(len(ACTIONS)):
+            nxt = _grid_step(cfg, c, a)
+            r = cfg.goal_reward if nxt == cfg.goal_cell else cfg.step_reward
+            vals.append(r + cfg.discount * (0.0 if nxt == cfg.goal_cell else v[nxt]))
+        policy[c] = int(np.argmax(vals))
+    return policy
 
 
 def test_q_one_by_one_grid_trivial():

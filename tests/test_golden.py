@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from regulab.cli import dispatch
-from regulab.diffusion import synthetic_portrait, write_pgm
+from regulab.diffusion import pgm_bytes, synthetic_portrait
 
 HASHES = Path(__file__).parent / "golden" / "hashes.json"
 
@@ -119,7 +119,7 @@ def run_case(name: str, directory: Path) -> dict[str, str]:
         (directory / "aliased.csv").write_text(ALIASED_PAIRS, encoding="utf-8")
         (directory / "isomorphic.csv").write_text(ISOMORPHIC_PAIRS, encoding="utf-8")
     if "--input" in argv:
-        write_pgm(synthetic_portrait(40, 30), directory / "face.pgm")
+        (directory / "face.pgm").write_bytes(pgm_bytes(synthetic_portrait(40, 30)))
     out = "out.pgm" if argv[0] == "diffuse" else "out.csv"
     inputs = set(directory.iterdir())
     # Input paths appear in the CSV params line, so they are given relative
@@ -168,6 +168,34 @@ def test_reach_and_arena_cases_hold_on_other_openblas_kernels(core):
     assert proc.returncode == 0, proc.stdout[-3000:]
     cases = sum("lur" in name or "vehicle" in name for name in CASES)  # what -k selects
     assert proc.stdout.splitlines()[-1].startswith(f"{cases} passed"), proc.stdout
+
+
+@pytest.mark.parametrize("switch, differ", [
+    # numpy's SIMD power in threshold_model.
+    ({"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+     ["avalanche-threshold", "avalanche-threshold-e50"]),
+    # glibc's non-FMA pow, 1 ulp apart from the FMA one on some t^-e.
+    ({"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-FMA4,-AVX512F,-AVX"},
+     ["avalanche-gen-70k", "avalanche-gen-e-near-max"]),
+], ids=["npy-no-avx512", "glibc-no-fma"])
+def test_only_the_known_cases_differ_under_switch(switch, differ):
+    # The named cases are deselected, not expected to fail: on a host where
+    # the switch changes nothing, they pass.
+    env = {**os.environ, **switch}
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                           capture_output=True, text=True, timeout=60)
+    if probe.returncode != 0:
+        last = (probe.stderr.strip().splitlines() or ["no output"])[-1]
+        pytest.skip(f"numpy does not start under {switch} on this host: {last}")
+    root = Path(__file__).parents[1]
+    test = f"{Path(__file__).relative_to(root).as_posix()}::test_golden_outputs"
+    deselect = [arg for name in differ for arg in ("--deselect", f"{test}[{name}]")]
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test,
+                           *deselect], cwd=root, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout[-3000:]
+    assert proc.stdout.splitlines()[-1].startswith(
+        f"{len(CASES) - len(differ)} passed, {len(differ)} deselected"), proc.stdout
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ from regulab.procedural import (
     run_trial,
     _fma,
     sample_cmyk,
-    vehicle_distance,
     vehicle_step,
 )
 from regulab.rng import SplitMix64
@@ -467,11 +466,11 @@ def test_zero_turn_gain_rolls_straight():
 def test_vehicle_monotone_approach_and_goal_entry():
     field = equilateral_field()
     v = fixture_vehicle(field)
-    d_prev = vehicle_distance(v, field)
+    d_prev = cmyk_distance(sample_cmyk(field, v.position), v.target)
     reached_at = None
     for step in range(10_000):
         v = vehicle_step(v, field, dt=0.02)
-        d = vehicle_distance(v, field)
+        d = v.distance
         assert d <= d_prev + 1e-12
         d_prev = d
         if d <= v.goal_radius:
@@ -487,7 +486,7 @@ def test_vehicle_recovers_from_bad_heading():
     reached = False
     for _ in range(10_000):
         v = vehicle_step(v, field, dt=0.02)
-        if vehicle_distance(v, field) <= v.goal_radius:
+        if v.distance <= v.goal_radius:
             reached = True
             break
     assert reached

@@ -1,6 +1,6 @@
 """Closed-loop relation stepping, loop-mode isolation, entropy scores."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -49,10 +49,10 @@ def outputs_trajectory(outputs):
                       ("p",) * n, ("q",) * n)
 
 
-def first_record(rel, disturbance):
-    """The record of one tick of ``rel`` under ``disturbance``."""
+def first_tick(rel, disturbance):
+    """The one-tick trajectory of ``rel`` under ``disturbance``."""
     traj, _ = run_relation_carry(rel, [disturbance], 1)
-    return traj.records[0]
+    return traj
 
 
 # --- stepping ---------------------------------------------------------------
@@ -62,8 +62,8 @@ def test_identity_system_stays_at_fixed_point():
     rel = identity_relation()
     stream = [("d0", "d1")] * 10
     traj = run_relation(rel, stream, 10)
-    assert all(r.output == 0.0 for r in traj.records)
-    assert all(r.error == 0.0 for r in traj.records)
+    assert all(y == 0.0 for y in traj.output)
+    assert all(e == 0.0 for e in traj.error)
 
 
 def test_toggle_closed_loop_reaches_goal_within_two_ticks():
@@ -71,7 +71,7 @@ def test_toggle_closed_loop_reaches_goal_within_two_ticks():
     # forcing s0; from tick 1 on the output is 0 and stays there.
     rel = toggle_benchmark(mode=LoopMode.CLOSED)
     traj = run_relation(rel, [("kick", "-")] * 8, 8)
-    errors = [r.error for r in traj.records]
+    errors = list(traj.error)
     assert errors[0] == 1.0
     assert errors[1:] == [0.0] * 7
     # error is non-increasing after the first correction tick
@@ -81,7 +81,7 @@ def test_toggle_closed_loop_reaches_goal_within_two_ticks():
 def test_toggle_feedforward_oscillates_forever():
     rel = toggle_benchmark(mode=LoopMode.FEEDFORWARD)
     traj = run_relation(rel, [("kick", "-")] * 9, 9)
-    assert [r.output for r in traj.records] == [1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
+    assert list(traj.output) == [1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
 
 
 def test_feedforward_isolation():
@@ -96,8 +96,8 @@ def test_feedforward_isolation():
     )
     rel_lazy = replace(rel, regulator=lazy, r_state="z")
     stream = [("kick", "-")] * 12
-    a = [r.s_state for r in run_relation(rel, stream, 12).records]
-    b = [r.s_state for r in run_relation(rel_lazy, stream, 12).records]
+    a = run_relation(rel, stream, 12).s_state
+    b = run_relation(rel_lazy, stream, 12).s_state
     assert a == b
 
 
@@ -129,13 +129,13 @@ def test_regulator_disturbance_channel_corrupts_observation():
         rel.regulator, observe=lambda y, rho: 1.0 - y if rho == "flip" else y
     )
     rel = replace(rel, regulator=corrupting)
-    rec_clean = first_record(rel, ("kick", "calm"))
-    assert rec_clean.output == 1.0
+    clean = first_tick(rel, ("kick", "calm"))
+    assert clean.output == (1.0,)
     # with corruption the regulator sees 0 and still pins the system; the
     # record stores the true emission
-    rec_corrupt = first_record(rel, ("kick", "flip"))
-    assert rec_corrupt.output == 1.0
-    assert rec_corrupt.rho == "flip"
+    corrupt = first_tick(rel, ("kick", "flip"))
+    assert corrupt.output == (1.0,)
+    assert corrupt.rho == ("flip",)
 
 
 # --- running ------------------------------------------------------------------
@@ -144,7 +144,7 @@ def test_regulator_disturbance_channel_corrupts_observation():
 def test_single_tick_run():
     traj = run_relation(toggle_benchmark(), [("kick", "-")], 1)
     assert len(traj) == 1
-    assert traj.records[0].tick == 0
+    assert trajectory_to_csv(traj).splitlines()[1].startswith("0,")
 
 
 def test_run_requires_enough_disturbances():
@@ -166,8 +166,8 @@ def test_run_composes_50_plus_50_equals_100():
     full = run_relation(toggle_benchmark(), stream, 100)
     first, mid = run_relation_carry(toggle_benchmark(), stream[:50], 50)
     second, _ = run_relation_carry(mid, stream[50:], 50)
-    shifted = tuple(replace(r, tick=r.tick + 50) for r in second.records)
-    assert full.records == first.records + shifted
+    assert full == Trajectory(*(getattr(first, f.name) + getattr(second, f.name)
+                                for f in fields(Trajectory)))
 
 
 def test_internal_model_frequencies_sum_to_one():
@@ -184,8 +184,8 @@ def test_run_leaves_the_model_one_observe_state_per_tick_would():
     rel = replace(toggle_benchmark(mode=LoopMode.FEEDFORWARD), model=InternalModel(horizon=5))
     traj, final = run_relation_carry(rel, [("kick", "-")] * 12, 12)
     model = rel.model
-    for rec in traj.records:
-        model = model.observe_state(rec.s_state)
+    for s_state in traj.s_state:
+        model = model.observe_state(s_state)
     assert final.model == model
 
 
@@ -200,7 +200,8 @@ def test_internal_model_window_caps_at_horizon():
 def test_trajectory_columns_must_have_equal_length():
     with pytest.raises(ValueError, match="length"):
         Trajectory(("s", "s"), ("r", "r"), (0.0,), (0.0, 0.0), ("p", "p"), ("q", "q"))
-    assert [r.tick for r in outputs_trajectory([0.0, 1.0, 2.0]).records] == [0, 1, 2]
+    lines = trajectory_to_csv(outputs_trajectory([0.0, 1.0, 2.0])).splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
 
 
 # --- serialization ---------------------------------------------------------------
@@ -219,16 +220,16 @@ def test_csv_header_and_precision():
 def test_csv_matches_per_record_formatting_for_any_field_types():
     # The record line as an f-string writes it: "{:.17g}" forced on output and
     # error (ints, bools and -0.0 included), "{}" on the symbols (floats too).
-    fields = [
+    rows = [
         (0.1, "s", 1.0 / 3.0, 0.0, "p", "q"),
         (True, 1, 10**17, -0.0, 0.5, None),
         ("é", (1, 2), True, float("nan"), -0.0, 1e-300),
         (1.0, "s", -2, float("-inf"), "p", 7),
     ]
-    traj = Trajectory(*zip(*fields))
+    traj = Trajectory(*zip(*rows))
     want = "tick,s_state,r_state,output,error,phi,rho\n" + "".join(
-        f"{r.tick},{r.s_state},{r.r_state},{r.output:.17g},{r.error:.17g},{r.phi},{r.rho}\n"
-        for r in traj.records)
+        f"{tick},{s},{r},{y:.17g},{e:.17g},{phi},{rho}\n"
+        for tick, (s, r, y, e, phi, rho) in enumerate(rows))
     assert trajectory_to_csv(traj) == want
 
 
