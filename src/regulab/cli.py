@@ -17,14 +17,17 @@ A CSV holds the ``# params:`` line, a header, then one row per sample.
 as ``format(v, ".17g")`` writes each value (17 digits, enough to read back the
 same double), a ``range`` or integer array as ``str``, texts as they are.
 
-Exit codes: 0 success, 2 usage or parameter error (one-line reason on stderr),
-1 runtime error. Every float flag must be a finite number, every count flag a
-positive integer and ``--seed`` an integer in [0, 2**64); nan, ±inf, 0 or a
-negative count exits 2 before any file is written, as does a count too large to
-index, a negative ``lur`` noise or slow rate or ``vehicle`` goal radius, an
-empty ``--output``, ``--pairs``, ``--config``, ``--input`` or ``diffuse`` level
-list, or a ``lur`` schedule, ``demo q`` grid or run or ``vehicle run`` over its
-budget. Running out of memory exits 1.
+Exit codes: 0 success, 2 usage or parameter error, 1 runtime error, each
+error with a one-line reason on stderr. Every float flag must be a finite
+number, every count flag a positive integer and ``--seed`` an integer in
+[0, 2**64). A count that sizes a run is bounded: ``relation --ticks``,
+``vehicle run --steps`` and ``demo gd --iters`` at 10**6, ``pid --steps``,
+every ``avalanche --n`` and ``avalanche smooth --factor`` at 10**7. nan,
+±inf, 0, a negative count or a count over its bound exits 2 before any file
+is written, as does a negative ``lur`` noise or slow rate or ``vehicle`` goal
+radius, an empty ``--output``, ``--pairs``, ``--config``, ``--input`` or
+``diffuse`` level list, or a ``lur`` schedule or ``demo q`` grid or run over
+its budget. Running out of memory exits 1.
 
 Flags override a config file, which overrides built-in defaults. The file
 is given as ``--config path`` or ``--config=path`` before the subcommand and
@@ -44,7 +47,7 @@ import math
 import os
 import sys
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -86,11 +89,6 @@ def _atomic_write(files: Files) -> None:
         for tmp, _ in temps:
             tmp.unlink(missing_ok=True)
         raise
-
-
-# Namespace entries that are not run parameters: the handler, the config
-# path, the output path and the subcommand words.
-_NOT_PARAMS = frozenset(("func", "config", "output", "subcommand", "action", "which"))
 
 
 def _params_line(a: argparse.Namespace, **shown) -> str:
@@ -246,9 +244,6 @@ def _cmd_lur(a) -> tuple[Files, dict]:
 
 def _cmd_vehicle(a) -> tuple[Files, dict]:
     from . import procedural as proc
-    if a.steps > proc.MAX_VEHICLE_STEPS:
-        raise UsageError(f"a vehicle run takes at most {proc.MAX_VEHICLE_STEPS} steps, "
-                         f"got {a.steps}")
     field_ = proc.equilateral_field()
     centroid = field_.vertices.mean(axis=0)
     target = proc.sample_cmyk(field_, field_.vertices[0])
@@ -346,11 +341,23 @@ def output_path(text: str) -> Path:
 
 
 def positive_int(text: str) -> int:
-    """argparse type of every count flag: an integer of at least 1."""
+    """argparse type of a count flag with no bound of its own, an integer of at
+    least 1: a burst gap costs no work, and ``QConfig`` budgets ``demo q``
+    episodes together with the grid."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
+
+
+def _count(limit: int) -> Callable[[str], int]:
+    """argparse type of a count flag that sizes a run: an integer in [1, limit]."""
+    def count(text: str) -> int:
+        value = int(text)
+        if not 1 <= value <= limit:
+            raise argparse.ArgumentTypeError(f"must be an integer in [1, {limit}], got {text!r}")
+        return value
+    return count
 
 
 class _Parser(argparse.ArgumentParser):
@@ -362,22 +369,31 @@ class _Parser(argparse.ArgumentParser):
 # may come from the config file, so _parse checks for it after the merge.
 _REQUIRED = object()
 
+# Work budgets of the count flags that size a run, so a run too large for the
+# host is refused before it starts. At its bound, on a 2-vCPU Xeon:
+MAX_TICKS = 10**6  # relation: 4.4 s, 244 MB
+MAX_PID_STEPS = 10**7  # 14 s, 337 MB
+MAX_GD_ITERS = 10**6  # demo gd: 5.0 s, 229 MB
+MAX_SERIES = 10**7  # avalanche --n, and --factor, a block of it: 2.6-5.2 s, 192-678 MB
+MAX_VEHICLE_STEPS = 10**6  # 32 s, 85 MB
+
 _COMMON = (("seed", seed, _REQUIRED), ("output", output_path, _REQUIRED))
-_SERIES = (("n", positive_int, 10_000), ("e", finite_float, 1.0))
+_SERIES = (("n", MAX_SERIES, 10_000), ("e", finite_float, 1.0))
 
 # Subcommand path -> (handler, help, flags); a group's handler is instead the
 # name its next word is stored under. A flag is (name, kind, default[, help]),
-# kind an argparse type, a tuple of choices or bool for a switch, and its dest
-# the name with "_" for "-". Every leaf also takes the _COMMON flags.
+# kind an argparse type, a tuple of choices, bool for a switch or an int, the
+# largest value of a count, and its dest the name with "_" for "-". Every leaf
+# also takes the _COMMON flags.
 _COMMANDS = {
     (): ("subcommand", None, (("config", file_path, None, "key=value defaults file"),)),
     ("relation",): (_cmd_relation, "toggle benchmark trajectory", (
-        ("mode", ("closed", "feedforward"), "closed"), ("ticks", positive_int, 32))),
+        ("mode", ("closed", "feedforward"), "closed"), ("ticks", MAX_TICKS, 32))),
     ("variety",): (_cmd_variety, "classify a state mapping CSV", (
         ("pairs", file_path, _REQUIRED, "CSV with header r_state,s_state"),)),
     ("pid",): (_cmd_pid, "closed-loop setpoint tracking", (
         ("kp", finite_float, 1.0), ("ti", finite_float, 0.0, "integral time, 0 disables"),
-        ("td", finite_float, 0.0), ("dt", finite_float, 0.01), ("steps", positive_int, 1000),
+        ("td", finite_float, 0.0), ("dt", finite_float, 0.01), ("steps", MAX_PID_STEPS, 1000),
         ("setpoint", finite_float, 1.0), ("plant-gain", finite_float, 1.0),
         ("x0", finite_float, 0.0), ("disturbance", finite_float, 0.0))),
     ("avalanche",): ("action", "power-law series tools", ()),
@@ -387,12 +403,12 @@ _COMMANDS = {
     ("avalanche", "rank"): (_cmd_avalanche, "series sorted by magnitude", (
         *_SERIES, ("ascending", bool, False))),
     ("avalanche", "smooth"): (_cmd_avalanche, "block means of a series", (
-        *_SERIES, ("factor", positive_int, 100))),
+        *_SERIES, ("factor", MAX_SERIES, 100))),
     ("avalanche", "bursts"): (_cmd_avalanche, "accumulate-and-release bursts", (
-        ("n", positive_int, 1001), ("interval-min", positive_int, 4),
+        ("n", MAX_SERIES, 1001), ("interval-min", positive_int, 4),
         ("interval-max", positive_int, 10))),
     ("avalanche", "threshold"): (_cmd_avalanche, "power-curve detection threshold", (
-        ("n", positive_int, 10_000), ("e-model", finite_float, 0.1))),
+        ("n", MAX_SERIES, 10_000), ("e-model", finite_float, 0.1))),
     ("diffuse",): (_cmd_diffuse, "forward image noising", (
         ("input", file_path, None, "PGM image; omitted uses a built-in test image"),
         ("mode", ("uniform", "power"), "uniform"),
@@ -406,16 +422,21 @@ _COMMANDS = {
         ("retention", finite_float, 0.94), ("noise", finite_float, 0.02))),
     ("vehicle",): ("action", "color-gradient vehicle run", ()),
     ("vehicle", "run"): (_cmd_vehicle, "drive to the target color", (
-        ("steps", positive_int, 10_000), ("dt", finite_float, 0.02),
+        ("steps", MAX_VEHICLE_STEPS, 10_000), ("dt", finite_float, 0.02),
         ("sensor-offset", finite_float, 0.05), ("speed-gain", finite_float, 0.5),
         ("turn-gain", finite_float, 8.0), ("goal-radius", finite_float, 0.05))),
     ("demo",): ("which", "optimizers annotated as regulators", ()),
     ("demo", "gd"): (_cmd_demo, "gradient descent on a quadratic bowl", (
-        ("lr", finite_float, 0.5), ("iters", positive_int, 32), ("tx", finite_float, 1.0),
+        ("lr", finite_float, 0.5), ("iters", MAX_GD_ITERS, 32), ("tx", finite_float, 1.0),
         ("ty", finite_float, -0.5), ("x0", finite_float, 0.0), ("y0", finite_float, 0.0))),
     ("demo", "q"): (_cmd_demo, "tabular Q-learning on a gridworld", (
         ("grid", str, "3x3"), ("episodes", positive_int, 2000), ("epsilon", finite_float, 0.1))),
 }
+
+# The names the subcommand words are stored under, and the namespace entries
+# that are not run parameters: those, the handler, the config and the output.
+_WORDS = frozenset(handler for handler, _, _ in _COMMANDS.values() if isinstance(handler, str))
+_NOT_PARAMS = frozenset(("func", "config", "output")) | _WORDS
 
 
 @functools.cache
@@ -433,7 +454,8 @@ def build_parser() -> _Parser:
             flags = (*_COMMON, *flags)
         for name, kind, default, *help_text in flags:
             options = ({"action": "store_true"} if kind is bool else
-                       {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+                       {"choices": kind} if isinstance(kind, tuple) else
+                       {"type": _count(kind)} if isinstance(kind, int) else {"type": kind})
             parser.add_argument(f"--{name}", *(("-o",) if name == "output" else ()),
                                 default=default, help=help_text[0] if help_text else None,
                                 **options)
@@ -469,7 +491,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
         at = 0
         while argv[at].startswith("-"):  # --config path or --config=path
             at += 1 if "=" in argv[at] else 2
-        at += 2 if hasattr(args, "action") or hasattr(args, "which") else 1
+        at += sum(hasattr(args, word) for word in _WORDS)  # after the last subcommand word
         args = parser.parse_args([*argv[:at], *flags, *argv[at:]])
     missing = [f"--{k.replace('_', '-')}" for k, v in vars(args).items() if v is _REQUIRED]
     if missing:
@@ -499,6 +521,9 @@ def dispatch(argv: list[str]) -> int:
         print(f"regulab: invalid parameters: {exc}", file=sys.stderr)
         return 2
     except (OSError, RuntimeError, MemoryError) as exc:  # a bare MemoryError has no text
+        # The traceback holds the failed run's frames and all they made:
+        # free them, or printing may run out of memory too.
+        exc.__traceback__ = None
         print(f"regulab: runtime error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 

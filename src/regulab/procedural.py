@@ -249,7 +249,6 @@ class ReachDivergenceError(RuntimeError):
 
 
 MAX_TRIALS = 1_000_000  # per schedule: about three minutes of reaches here
-MAX_VEHICLE_STEPS = 10**6  # per vehicle run: about 30 s (2-vCPU Xeon) and 56 MB of columns
 
 
 @dataclass(frozen=True)
@@ -418,14 +417,10 @@ class CmykField:
                 nearest, best = (fx, fy), math.sqrt(square)
         return nearest
 
-    def clamp(self, pos: np.ndarray) -> np.ndarray:
-        """Nearest point of the triangle (Euclidean), identity inside."""
-        return np.array(self._settle(*np.asarray(pos, dtype=float).tolist())[0])
-
     def _settle(self, x: float, y: float) -> tuple[tuple[float, float], tuple[float, ...]]:
-        """``clamp`` of the point (x, y) and the (c, m, y, k) color there: a
-        point outside the triangle moves once, to its nearest boundary
-        point, and takes the color solved there."""
+        """The nearest point of the triangle to (x, y), itself inside, and the
+        (c, m, y, k) color there: a point outside the triangle moves once, to
+        its nearest boundary point, and takes the color solved there."""
         c, m, w = self._barycentric(x, y)
         if not (c >= -1e-12 and m >= -1e-12 and w >= -1e-12):  # nan weights move too
             x, y = self._boundary_point(x, y)
@@ -520,10 +515,6 @@ def _with_color(v: Vehicle, color: CmykPoint) -> Vehicle:
 class StageReport:
     visited: int
     total: int
-
-    @property
-    def coverage(self) -> float:
-        return self.visited / self.total
 
 
 def run_expanding_goal(

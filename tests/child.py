@@ -15,24 +15,36 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 _CHILD = """
 import sys
 from regulab.cli import dispatch
+{cap}
 code = dispatch(sys.argv[1:])
 with open("/proc/self/status", encoding="ascii") as fh:
     print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
 sys.exit(code)
 """
 
+# Caps the child's address space at its size so far plus a headroom in bytes.
+_CAP = """
+import resource
+with open("/proc/self/status", encoding="ascii") as fh:
+    size = 1024 * int(next(line.split()[1] for line in fh if line.startswith("VmSize:")))
+resource.setrlimit(resource.RLIMIT_AS, (size + {headroom}, size + {headroom}))
+"""
 
-def run_regulab(argv, cwd: Path, preexec_fn=None, timeout: float = 60) -> tuple[int, str, int]:
+
+def run_regulab(argv, cwd: Path, headroom: int | None = None,
+                timeout: float = 60) -> tuple[int, str, int]:
     """Exit code, stderr and peak resident set in KiB (VmHWM) of the command
     ``regulab *argv``, run in ``cwd`` by a fresh interpreter with one
-    OpenBLAS thread. Skips the calling test where /proc/self/status, the
-    source of VmHWM, is missing."""
+    OpenBLAS thread. With ``headroom``, the child caps its address space
+    (RLIMIT_AS) at its size once ``regulab.cli`` is imported plus
+    ``headroom`` bytes. Skips the calling test where /proc/self/status, the
+    source of VmHWM and VmSize, is missing."""
     if not Path("/proc/self/status").exists():
         pytest.skip("no /proc/self/status to read VmHWM from")
     env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
            "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", _CHILD, *map(str, argv)], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=timeout,
-                          preexec_fn=preexec_fn)
+    cap = "" if headroom is None else _CAP.format(headroom=headroom)
+    proc = subprocess.run([sys.executable, "-c", _CHILD.format(cap=cap), *map(str, argv)],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout)
     assert proc.stdout, proc.stderr  # the child ended before it printed VmHWM
     return proc.returncode, proc.stderr, int(proc.stdout.split()[-1])

@@ -3,6 +3,7 @@
 import argparse
 import errno
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regulab import cli
-from regulab.cli import _COMMANDS, build_parser, dispatch, finite_float, positive_int, seed
+from regulab.cli import (MAX_GD_ITERS, MAX_PID_STEPS, MAX_SERIES, MAX_TICKS, MAX_VEHICLE_STEPS,
+                         _COMMANDS, build_parser, dispatch, finite_float, positive_int, seed)
 
 from child import run_regulab
 
@@ -333,12 +335,13 @@ def test_any_nonfinite_float_flag_spelling_is_usage_error(flag, value, spell):
         assert list(Path(tmp).iterdir()) == []
 
 
-COUNT_FLAGS = [
-    (words, action.option_strings[0])
-    for words, leaf in leaf_parsers(build_parser())
-    for action in leaf._actions
-    if action.type is positive_int
-]
+# (words, flag, bound) of every count flag in the command table: its kind is
+# the int bound, or positive_int for a count with no bound of its own.
+COUNTS = [(words, f"--{name}", None if kind is positive_int else kind)
+          for words, (handler, _, flags) in _COMMANDS.items() if not isinstance(handler, str)
+          for name, kind, *_ in flags if kind is positive_int or type(kind) is int]
+COUNT_FLAGS = [(words, flag) for words, flag, _ in COUNTS]
+BOUNDED = [count for count in COUNTS if count[2] is not None]
 
 
 def test_every_int_flag_but_seed_is_a_count():
@@ -346,7 +349,16 @@ def test_every_int_flag_but_seed_is_a_count():
              for words, leaf in leaf_parsers(build_parser()) for action in leaf._actions}
     assert int not in kinds.values()  # no flag takes an unchecked integer
     assert {flag for (_, flag), kind in kinds.items() if kind is seed} == {"--seed"}
-    assert (("vehicle", "run"), "--steps") in COUNT_FLAGS
+    counts = {key for key, kind in kinds.items()
+              if kind is positive_int or getattr(kind, "__name__", None) == "count"}
+    assert counts == set(COUNT_FLAGS)
+    series = ("gen", "pfb", "nfb", "rank", "smooth", "bursts", "threshold")
+    assert {(words, flag): bound for words, flag, bound in BOUNDED} == {
+        (("relation",), "--ticks"): MAX_TICKS, (("pid",), "--steps"): MAX_PID_STEPS,
+        **{(("avalanche", action), "--n"): MAX_SERIES for action in series},
+        (("avalanche", "smooth"), "--factor"): MAX_SERIES,
+        (("vehicle", "run"), "--steps"): MAX_VEHICLE_STEPS,
+        (("demo", "gd"), "--iters"): MAX_GD_ITERS}
     assert (("demo", "q"), "--episodes") in COUNT_FLAGS
 
 
@@ -464,35 +476,32 @@ def test_overflowing_run_is_one_stderr_line(tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv, reason", [
-    (["relation", "--ticks", "100000000000000000000"], "cannot fit 'int'"),
-    (["avalanche", "gen", "--n", "100000000000000000000"], "Maximum allowed size exceeded"),
-    (["avalanche", "bursts", "--n", "100000000000000000000"], "Maximum allowed"),
-    (["pid", "--steps", "100000000000000000000"], "Maximum allowed"),
+    (["relation", "--ticks", "100000000000000000000"], "in [1, 1000000], got"),
+    (["avalanche", "gen", "--n", "100000000000000000000"], "in [1, 10000000], got"),
+    (["avalanche", "bursts", "--n", "100000000000000000000"], "in [1, 10000000], got"),
+    (["pid", "--steps", "100000000000000000000"], "in [1, 10000000], got"),
 ])
 def test_count_too_large_to_index_is_one_line_usage_error(tmp_path, capsys, argv, reason):
     assert run([*argv, "--seed", 0, "-o", tmp_path / "x.csv"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("regulab: invalid parameters: ") and reason in err
+    assert err.startswith("regulab: usage error: ") and reason in err
     assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv, reason", [
-    (["avalanche", "gen", "--n", "10000000000000"], "Unable to allocate 72.8 TiB"),
-    # A list too long for memory raises a MemoryError with no text.
-    (["relation", "--ticks", "10000000000000"], "out of memory"),
+@pytest.mark.parametrize("argv, headroom_mib, reason", [
+    (["avalanche", "gen", "--n", "10000000"], 64, "Unable to allocate 76.3 MiB for an array with "
+     "shape (10000000,) and data type float64"),
+    # Rows piling up raise a MemoryError with no text, partway through the
+    # run. Its traceback once kept them alive, so the message could not be
+    # printed either: 15 lines with two tracebacks.
+    *[(["relation", "--ticks", "1000000"], mib, "out of memory") for mib in (32, 64, 96)],
 ])
-def test_run_out_of_memory_is_one_line_runtime_error(tmp_path, argv, reason):
-    import resource
-
-    def cap_address_space():  # the child can never get the 73 TiB it asks for
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
+def test_run_out_of_memory_is_one_line_runtime_error(tmp_path, argv, headroom_mib, reason):
     code, err, _ = run_regulab([*argv, "--seed", "0", "-o", "x.csv"], tmp_path,
-                               preexec_fn=cap_address_space)
+                               headroom=headroom_mib << 20)
     assert code == 1, err
-    assert err.startswith("regulab: runtime error: ") and reason in err
-    assert len(err.splitlines()) == 1
+    assert err.splitlines() == [f"regulab: runtime error: {reason}"]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -629,12 +638,44 @@ def test_vehicle_run_over_the_step_budget_is_usage_error_before_any_step(tmp_pat
                 "-o", tmp_path / "v.csv"])
     assert time.perf_counter() - started < 1.0
     assert code == 2
-    assert capsys.readouterr().err == ("regulab: usage error: a vehicle run takes at most "
-                                       f"{procedural.MAX_VEHICLE_STEPS} steps, got {10**12}\n")
+    assert capsys.readouterr().err == ("regulab: usage error: argument --steps: must be an "
+                                       f"integer in [1, {MAX_VEHICLE_STEPS}], got '{10**12}'\n")
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(AssertionError, match="the vehicle stepped"):  # the budget itself runs
-        run(["vehicle", "run", "--steps", procedural.MAX_VEHICLE_STEPS, "--seed", 0,
+        run(["vehicle", "run", "--steps", MAX_VEHICLE_STEPS, "--seed", 0,
              "-o", tmp_path / "v.csv"])
+
+
+# The first call of each leaf that has a bounded count.
+FIRST_CALLS = [("relation", "toggle_benchmark"), ("pid", "PidGains"),
+               ("criticality", "BurstSchedule"), ("criticality", "gen_power_series"),
+               ("criticality", "threshold_model"), ("procedural", "equilateral_field"),
+               ("demos", "gd_regulate")]
+
+
+@pytest.mark.parametrize("in_config", [False, True])
+@pytest.mark.parametrize("words, flag, bound", BOUNDED,
+                         ids=[" ".join((*w, f)) for w, f, _ in BOUNDED])
+def test_count_over_its_bound_is_usage_error_before_the_run(tmp_path, monkeypatch, capsys, words,
+                                                            flag, bound, in_config):
+    # Unbounded, avalanche bursts --n 100000000 needed about 6.5 GB, and pid
+    # --steps 1000000000 filled 24 B a step until memory ran out.
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for module, name in FIRST_CALLS:
+        monkeypatch.setattr(importlib.import_module(f"regulab.{module}"), name, no_run)
+    if in_config:
+        (tmp_path / "run.cfg").write_text(f"{flag[2:]}={bound + 1}\n")
+        argv = ["--config", tmp_path / "run.cfg", *words]
+    else:
+        argv = [*words, flag, bound + 1]
+    assert run([*argv, "--seed", 0, "-o", tmp_path / "out" / "x.csv"]) == 2
+    assert capsys.readouterr().err == (f"regulab: usage error: argument {flag}: must be an "
+                                       f"integer in [1, {bound}], got '{bound + 1}'\n")
+    assert not (tmp_path / "out").exists()
+    args = cli._parse([*words, flag, str(bound), "--seed", "0", "-o", "x.csv"])
+    assert getattr(args, flag[2:]) == bound  # the bound itself is taken
 
 
 def test_q_run_over_the_step_budget_is_usage_error_before_any_table(tmp_path, capsys,
