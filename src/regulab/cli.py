@@ -265,12 +265,19 @@ def _cmd_vehicle(a) -> tuple[Files, dict]:
             {"reached_at_step": reached})
 
 
+_HYPOT_SLICE = 1 << 12  # iterates of demo gd whose errors are computed at once
+
+
 def _cmd_demo(a) -> tuple[Files, dict]:
     from . import demos
     if a.which == "gd":
         traj, annotation = demos.gd_regulate((a.tx, a.ty), (a.x0, a.y0), a.lr, a.iters)
         # math.hypot, not np.hypot: numpy's calls libm, which may round differently.
-        error = np.array([math.hypot(x - a.tx, y - a.ty) for x, y in traj.tolist()])
+        # A slice at a time: a list of every iterate would hold 200 bytes each.
+        error = np.empty(len(traj))
+        for start in range(0, len(traj), _HYPOT_SLICE):
+            part = traj[start:start + _HYPOT_SLICE].tolist()
+            error[start:start + len(part)] = [math.hypot(x - a.tx, y - a.ty) for x, y in part]
         if (bad := np.flatnonzero(~np.isfinite(error))).size:
             raise demos.GdOverflowError(f"error is not finite at iteration {bad[0]}")
         table = _csv(a, "iter,x0,x1,error", range(len(traj)), *traj.T, error, tx=None, ty=None,
@@ -372,8 +379,8 @@ _REQUIRED = object()
 # Work budgets of the count flags that size a run, so a run too large for the
 # host is refused before it starts. At its bound, on a 2-vCPU Xeon:
 MAX_TICKS = 10**6  # relation: 4.4 s, 244 MB
-MAX_PID_STEPS = 10**7  # 14 s, 337 MB
-MAX_GD_ITERS = 10**6  # demo gd: 5.0 s, 229 MB
+MAX_PID_STEPS = 10**7  # 6 s, 337 MB
+MAX_GD_ITERS = 10**6  # demo gd: 3.1 s, 56 MB
 MAX_SERIES = 10**7  # avalanche --n, and --factor, a block of it: 2.6-5.2 s, 192-678 MB
 MAX_VEHICLE_STEPS = 10**6  # 32 s, 85 MB
 

@@ -41,6 +41,9 @@ class GdOverflowError(RuntimeError):
     """A gradient, or an iterate's distance to the target, is not finite."""
 
 
+_GD_SLICE = 1 << 16  # iterates whose gradients gd_regulate checks at once
+
+
 def gd_regulate(
     target: tuple[float, float],
     x0: tuple[float, float],
@@ -71,9 +74,12 @@ def gd_regulate(
         for k in range(iters):
             x = x - lr * (x - t)
             traj[k + 1] = x
-        bad = np.flatnonzero(~np.isfinite(traj - t).all(axis=1))
-    if bad.size:
-        raise GdOverflowError(f"gradient x - target is not finite at iterate {bad[0]}")
+        # A slice at a time: traj - t whole would double the run's memory.
+        for start in range(0, iters + 1, _GD_SLICE):
+            bad = np.flatnonzero(~np.isfinite(traj[start:start + _GD_SLICE] - t).all(axis=1))
+            if bad.size:
+                raise GdOverflowError(f"gradient x - target is not finite at iterate "
+                                      f"{start + bad[0]}")
     annotation = RoleAnnotation(
         assignments={
             "objective_landscape": "S",
@@ -86,6 +92,7 @@ def gd_regulate(
     return traj, annotation
 
 
+_DRAW_BLOCK = 4096  # draws that q_regulate takes from its generator at once
 MAX_CELLS = 100_000  # per grid: its tables are lists with one entry per cell
 MAX_Q_STEPS = 10**9  # per run: about 15 minutes at 0.9 us a step (a 300x300 grid)
 
@@ -160,6 +167,11 @@ def q_regulate(
     non-goal cell to the greedy action index after the configured number of
     episodes. The table is learned as lists of floats indexed by cell
     number, row-major from the top-left corner.
+
+    The draws are those of ``next_float`` and ``next_below`` calls on a
+    ``SplitMix64(seed)``, taken from one block of ``u64s`` at a time. When
+    the run ends, the generator is rewound over the draws of the last block
+    it did not use, so its state is the one the scalar calls would leave.
     """
     rng = SplitMix64(seed)
     cells = [(x, y) for y in range(cfg.height) for x in range(cfg.width)]
@@ -171,15 +183,28 @@ def q_regulate(
     step_cap = 8 * cfg.width * cfg.height
     starts = [i for i in range(len(cells)) if i != goal]
     lr, discount, exploration = cfg.learn_rate, cfg.discount, cfg.exploration
+    draws: list[int] = []  # the rest of the current block, last draw first
+
+    def draw() -> int:
+        if not draws:
+            draws.extend(reversed(rng.u64s(_DRAW_BLOCK).tolist()))
+        return draws.pop()
+
+    def below(n: int) -> int:
+        """``rng.next_below(n)``: the same rejection rule on the same stream."""
+        limit = (2**64 // n) * n
+        while (u := draw()) >= limit:
+            pass
+        return u % n
 
     for _ in range(cfg.episodes):
         if not starts:
             break
-        cell = starts[rng.next_below(len(starts))]
+        cell = starts[below(len(starts))]
         for _ in range(step_cap):
             row = q[cell]
-            if rng.next_float() < exploration:
-                a = rng.next_below(len(ACTIONS))
+            if (draw() >> 11) * 2.0**-53 < exploration:  # rng.next_float()
+                a = below(len(ACTIONS))
             else:
                 a = _argmax(row)
             nxt = moves[cell][a]
@@ -191,6 +216,7 @@ def q_regulate(
             if done:
                 break
 
+    rng.rewind(len(draws))  # the state the scalar draws would leave
     policy = {c: _argmax(q[i]) for i, c in enumerate(cells) if i != goal}
     annotation = RoleAnnotation(
         assignments={

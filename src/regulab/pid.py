@@ -16,6 +16,12 @@ x' = plant_gain * u + disturbance, integrated by explicit Euler. That is
 enough to show the behavioral contrast this module exists for: a P-only
 controller leaves a steady offset under constant disturbance, while PI
 drives the error to zero.
+
+A loop that settles reaches its steady state exactly in floats: from some
+step on, each step reads the same bits as the step before, of x, of the
+integral if the integral term is on and of the previous error if the
+derivative term is on. ``simulate_pid`` stops stepping once its state
+repeats exactly, and the remaining rows repeat that step's row.
 """
 
 from __future__ import annotations
@@ -102,7 +108,10 @@ def simulate_pid(
     x[k+1] = x[k] + dt * (plant_gain * u[k] + disturbance).
 
     Aborts with a diagnostic naming the tick if |x| exceeds 1e12 or the
-    control output u is not finite.
+    control output u is not finite. Once a step would read the same state
+    as the one before it, bit for bit, every later row equals that step's
+    row: the loop fills them in and stops. The trajectory has ``T`` rows
+    either way.
     """
     if T < 1:
         raise ValueError(f"need at least 1 step, got {T}")
@@ -113,22 +122,38 @@ def simulate_pid(
     x = float(x0)
     integral = 0.0
     prev_error = None
+    integrating, differentiating = math.isfinite(g.ti), g.td != 0.0
     for k in range(T):
         if abs(x) > 1e12:
             raise PidDivergenceError(
                 f"plant state |x| = {abs(x):.3e} exceeded 1e12 at tick {k}"
             )
         e = setpoint - x
-        integral = integral + e * dt
-        u = _control(g, integral, prev_error, e, dt)
+        step_integral = integral + e * dt
+        u = _control(g, step_integral, prev_error, e, dt)
         if not math.isfinite(u):
             raise PidDivergenceError(f"control output u = {u} is not finite at tick {k}")
         xs[k] = x
         us[k] = u
         es[k] = e
-        x = x + dt * (plant_gain * u + disturbance)
-        prev_error = e
+        x_next = x + dt * (plant_gain * u + disturbance)
+        # Step k + 1 would read exactly what step k read: so would every later
+        # step. The plain == comes first: it is false until x settles.
+        if (x_next == x and _same_bits(x_next, x)
+                and (not integrating or _same_bits(step_integral, integral))
+                and (not differentiating or _same_bits(e, prev_error))):
+            xs[k + 1:] = x
+            us[k + 1:] = u
+            es[k + 1:] = e
+            break
+        x, integral, prev_error = x_next, step_integral, e
     return PidTrajectory(ticks=np.arange(T, dtype=int), x=xs, u=us, e=es)
+
+
+def _same_bits(a: float, b: float | None) -> bool:
+    """Whether two non-NaN floats have the same bits: ``==``, and the same
+    sign if both are zero, since ``0.0 == -0.0`` but the CSV writes ``-0``."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 class PidDivergenceError(RuntimeError):

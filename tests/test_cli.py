@@ -821,6 +821,18 @@ def test_vehicle_memory_does_not_grow_with_the_step_count(tmp_path):
     assert peak[50_000] - peak[1000] <= 8 * 1024, peak
 
 
+def test_demo_gd_at_its_bound_holds_little_beyond_its_columns(tmp_path):
+    # 24 MB of columns (the trajectory and the error) over an import of
+    # about 30 MB. The error column once came from one list of every
+    # iterate, with a peak of 229 MB.
+    argv = ["demo", "gd", "--iters", MAX_GD_ITERS, "--seed", 0, "-o", "g.csv"]
+    code, err, peak = run_regulab(argv, tmp_path, timeout=120)
+    assert code == 0, err
+    assert peak <= 60 * 1024
+    with (tmp_path / "g.csv").open("rb") as fh:
+        assert sum(1 for _ in fh) == 2 + MAX_GD_ITERS + 1
+
+
 @pytest.mark.parametrize("name, error", [("blend", MemoryError()),
                                          ("pgm_bytes", OSError(28, "No space left on device"))])
 def test_diffuse_failing_at_the_third_level_leaves_no_file(tmp_path, monkeypatch, capsys, name,

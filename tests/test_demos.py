@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from regulab import demos
 from regulab.demos import (
     ACTION_NAMES,
     ACTIONS,
@@ -19,7 +20,7 @@ from regulab.demos import (
     gd_regulate,
     q_regulate,
 )
-from regulab.rng import SplitMix64
+from regulab.rng import _GAMMA, _MIX1, _MIX2, SplitMix64
 
 
 # --- gradient descent ---------------------------------------------------------
@@ -286,3 +287,98 @@ def test_q_determinism():
     assert a[0] == b[0]
     for cell in a[1]:
         assert np.array_equal(a[1][cell], b[1][cell])
+
+
+def scalar_q_regulate(cfg, rng):
+    """``q_regulate``'s loop with one ``next_float`` or ``next_below`` call
+    per draw: the Q table as one list of floats per cell number."""
+    cells = [(x, y) for y in range(cfg.height) for x in range(cfg.width)]
+    number = {c: i for i, c in enumerate(cells)}
+    goal = number[cfg.goal_cell]
+    moves = [[number[_grid_step(cfg, c, a)] for a in range(len(ACTIONS))] for c in cells]
+    q = [[float(cfg.init_value)] * len(ACTIONS) for _ in cells]
+    q[goal] = [0.0] * len(ACTIONS)
+    starts = [i for i in range(len(cells)) if i != goal]
+    for _ in range(cfg.episodes):
+        if not starts:
+            break
+        cell = starts[rng.next_below(len(starts))]
+        for _ in range(8 * cfg.width * cfg.height):
+            row = q[cell]
+            if rng.next_float() < cfg.exploration:
+                a = rng.next_below(len(ACTIONS))
+            else:
+                a = row.index(max(row))
+            nxt = moves[cell][a]
+            done = nxt == goal
+            reward = cfg.goal_reward if done else cfg.step_reward
+            best_next = 0.0 if done else max(q[nxt])
+            row[a] += cfg.learn_rate * (reward + cfg.discount * best_next - row[a])
+            cell = nxt
+            if done:
+                break
+    return q
+
+
+def q_draws_match_scalar_draws(cfg, seed, monkeypatch):
+    """Check ``q_regulate(cfg, seed)``'s table, and its generator's final
+    state, against ``scalar_q_regulate``'s; return the number of draws."""
+    made = []
+
+    class Recorded(SplitMix64):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(demos, "SplitMix64", Recorded)
+    _, q, _ = q_regulate(cfg, seed)
+    got, = made
+    rng = SplitMix64(seed)
+    want = scalar_q_regulate(cfg, rng)
+    cells = [(x, y) for y in range(cfg.height) for x in range(cfg.width)]
+    assert np.array([q[c].tolist() for c in cells]).tobytes() == np.array(want).tobytes()
+    assert got._state == rng._state
+    return (rng._state - seed) * pow(_GAMMA, -1, 2**64) % 2**64
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2**64 - 1])
+@pytest.mark.parametrize("exploration", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("size, episodes", [(1, 5), (3, 300), (8, 60)])
+def test_q_block_draws_match_scalar_draws(size, episodes, exploration, seed, monkeypatch):
+    cfg = QConfig(width=size, height=size, goal_cell=(size - 1, size - 1), episodes=episodes,
+                  exploration=exploration)
+    q_draws_match_scalar_draws(cfg, seed, monkeypatch)
+
+
+@pytest.mark.parametrize("episodes", [1, 3])
+def test_q_run_that_ends_inside_the_first_block(episodes, monkeypatch):
+    cfg = QConfig(width=3, height=3, goal_cell=(2, 2), episodes=episodes)
+    assert 0 < q_draws_match_scalar_draws(cfg, 5, monkeypatch) < demos._DRAW_BLOCK
+
+
+def test_q_run_over_many_blocks(monkeypatch):
+    # Every step explores: two draws a step, about 30 blocks.
+    cfg = QConfig(width=8, height=8, goal_cell=(7, 7), episodes=500, exploration=1.0)
+    assert q_draws_match_scalar_draws(cfg, 3, monkeypatch) > 20 * demos._DRAW_BLOCK
+
+
+def unmix(z):
+    """The SplitMix64 state whose output is ``z``: its finalizer inverted."""
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = unshift(z * pow(_MIX2, -1, 2**64) % 2**64, 27)
+    return unshift(z * pow(_MIX1, -1, 2**64) % 2**64, 30)
+
+
+def test_q_rejected_start_draw_is_redrawn(monkeypatch):
+    # A 2x2 grid has three start cells, and next_below(3) rejects only the
+    # draw 2**64 - 1: the seed puts it first.
+    seed = (unmix(2**64 - 1) - _GAMMA) % 2**64
+    assert SplitMix64(seed).next_u64() == 2**64 - 1
+    cfg = QConfig(width=2, height=2, goal_cell=(1, 1), episodes=20, exploration=0.5)
+    q_draws_match_scalar_draws(cfg, seed, monkeypatch)

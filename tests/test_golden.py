@@ -71,6 +71,22 @@ CASES = {
     # Integral term disabled, derivative term on.
     "pid-derivative": ["pid", "--kp", "1", "--ti", "0", "--td", "0.05", "--dt", "0.01",
                        "--steps", "2000", "--disturbance", "-0.5", "--seed", "0"],
+    # The cases below settle: from some row on, every row repeats the state
+    # exactly (row 6305 here).
+    "pid-settles": ["pid", "--kp", "1", "--ti", "1", "--dt", "0.01", "--steps", "20000",
+                    "--disturbance", "-0.5", "--seed", "0"],
+    # P only, no disturbance: repeats from row 3254.
+    "pid-p-only-settles": ["pid", "--kp", "1", "--steps", "10000", "--seed", "0"],
+    # Integral term disabled, derivative term on: repeats from row 3421.
+    "pid-derivative-settles": ["pid", "--kp", "1", "--ti", "0", "--td", "0.05", "--steps",
+                               "20000", "--disturbance", "-0.5", "--seed", "0"],
+    # All three terms: repeats from row 6759.
+    "pid-three-term-settles": ["pid", "--kp", "1", "--ti", "1", "--td", "0.05", "--steps",
+                               "20000", "--disturbance", "-0.5", "--seed", "0"],
+    # Every value is a zero. x is -0 in rows 0 and 1 and +0 from row 2 on, and u
+    # is -0 in row 0 only: rows 0 and 1 differ, and so do rows 1 and 2.
+    "pid-signed-zero": ["pid", "--kp", "-1", "--td", "0.05", "--setpoint", "0", "--x0", "-0",
+                        "--disturbance", "-0", "--steps", "10000", "--seed", "0"],
     "diffuse-power": ["diffuse", "--mode", "power", "--seed", "5"],
     # Shape 5e-324 makes 1/shape infinite (u^inf); 1e300 makes it about 1e-300.
     "diffuse-power-extreme-shapes": ["diffuse", "--mode", "power", "--levels",

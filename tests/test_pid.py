@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regulab import pid
 from regulab.pid import (
     PidDivergenceError,
     PidGains,
@@ -135,12 +136,68 @@ def reference_simulation(g, plant_gain, setpoint, x0, dt, T, disturbance):
     return np.array(rows)
 
 
-@pytest.mark.parametrize("gains", [PidGains(kp=1.0), PidGains(kp=1.0, ti=1.0),
-                                   PidGains(kp=0.7, ti=0.4, td=0.05), PidGains(kp=2.0, td=0.1)])
-def test_simulation_matches_plain_loop_bit_for_bit(gains):
-    traj = simulate_pid(gains, 1.3, setpoint=1.0, x0=-0.2, dt=0.01, T=3000, disturbance=-0.5)
-    want = reference_simulation(gains, 1.3, 1.0, -0.2, 0.01, 3000, -0.5)
+SETTLING = [  # (gains, plant_gain, setpoint, x0, T, disturbance), at dt 0.01
+    # The loops workload's run: its rows repeat from row 6305 on.
+    (PidGains(kp=1.0, ti=1.0), 1.0, 1.0, 0.0, 100_000, -0.5),
+    # P only: rows repeat from row 3254 on, while the unused integral grows.
+    (PidGains(kp=1.0), 1.0, 1.0, 0.0, 10_000, -0.5),
+    (PidGains(kp=1.0, td=0.05), 1.0, 1.0, 0.0, 20_000, -0.5),
+    (PidGains(kp=1.0, ti=1.0, td=0.05), 1.0, 1.0, 0.0, 20_000, -0.5),
+    # x is -0 for two steps, then +0: == alone would call step 1 a repeat.
+    (PidGains(kp=-1.0, td=0.05), 1.0, 0.0, -0.0, 10_000, -0.0),
+    (PidGains(kp=1.0, ti=1.0), 1.0, -0.0, 0.0, 10_000, 0.0),
+    (PidGains(kp=1.0, ti=1.0), 1.0, -0.0, -0.0, 10_000, -0.0),
+]
+
+
+@pytest.mark.parametrize("gains, plant_gain, setpoint, x0, T, disturbance", [
+    *((g, 1.3, 1.0, -0.2, 3000, -0.5) for g in (
+        PidGains(kp=1.0), PidGains(kp=1.0, ti=1.0), PidGains(kp=0.7, ti=0.4, td=0.05),
+        PidGains(kp=2.0, td=0.1))),
+    *SETTLING,
+])
+def test_simulation_matches_plain_loop_bit_for_bit(gains, plant_gain, setpoint, x0, T,
+                                                   disturbance):
+    traj = simulate_pid(gains, plant_gain, setpoint, x0, 0.01, T, disturbance)
+    want = reference_simulation(gains, plant_gain, setpoint, x0, 0.01, T, disturbance)
     assert np.column_stack([traj.x, traj.u, traj.e]).tobytes() == want.tobytes()
+
+
+def signed(values):
+    return st.one_of(st.sampled_from([0.0, -0.0]), values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kp=st.floats(0.05, 3.0),
+    ti=st.one_of(st.just(math.inf), st.floats(0.5, 20.0)),
+    td=st.one_of(st.just(0.0), st.floats(0.001, 0.1)),
+    dt=st.floats(0.005, 0.1),
+    plant_gain=st.floats(0.2, 2.0),
+    setpoint=signed(st.floats(-2.0, 2.0)),
+    x0=signed(st.floats(-2.0, 2.0)),
+    disturbance=signed(st.floats(-1.0, 1.0)),
+    T=st.integers(1, 4000),
+)
+def test_simulation_matches_plain_loop_property(kp, ti, td, dt, plant_gain, setpoint, x0,
+                                                disturbance, T):
+    gains = PidGains(kp=kp, ti=ti, td=td)
+    traj = simulate_pid(gains, plant_gain, setpoint, x0, dt, T, disturbance)
+    want = reference_simulation(gains, plant_gain, setpoint, x0, dt, T, disturbance)
+    assert np.column_stack([traj.x, traj.u, traj.e]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case, steps", [(0, 6306), (1, 3255), (4, 3)])
+def test_settled_run_stops_stepping(case, steps, monkeypatch):
+    # Each run computes the rows up to the first one that every later row
+    # repeats, and fills in the rest.
+    calls = []
+    control = pid._control
+    monkeypatch.setattr(pid, "_control", lambda *args: calls.append(1) or control(*args))
+    gains, plant_gain, setpoint, x0, T, disturbance = SETTLING[case]
+    traj = simulate_pid(gains, plant_gain, setpoint, x0, 0.01, T, disturbance)
+    assert len(calls) == steps
+    assert len(traj.ticks) == len(traj.x) == T
 
 
 def test_already_at_setpoint():

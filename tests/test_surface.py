@@ -33,6 +33,8 @@ KEPT_MEMBERS = {
                                             "window",
     "rng.SplitMix64.next_int": "criterion 08's draws and the scalar reference for "
                                "_release_ticks",
+    "rng.SplitMix64.next_float": "the scalar reference for floats and for q_regulate's "
+                                 "block of draws",
 }
 
 
