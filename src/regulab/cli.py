@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -136,7 +137,7 @@ def _cmd_relation(a) -> tuple[Files, dict]:
     relation = rel.toggle_benchmark(mode=mode)
     stream = [("kick", "calm")] * a.ticks
     traj = rel.run_relation(relation, stream, a.ticks)
-    table = [_params_line(a), rel.trajectory_to_csv(traj)]
+    table = itertools.chain([_params_line(a)], rel.trajectory_to_csv(traj))
     return [(a.output, table)], {"point_entropy_bits": rel.point_regulation_score(traj, bins=2)}
 
 
@@ -265,21 +266,10 @@ def _cmd_vehicle(a) -> tuple[Files, dict]:
             {"reached_at_step": reached})
 
 
-_HYPOT_SLICE = 1 << 12  # iterates of demo gd whose errors are computed at once
-
-
 def _cmd_demo(a) -> tuple[Files, dict]:
     from . import demos
     if a.which == "gd":
-        traj, annotation = demos.gd_regulate((a.tx, a.ty), (a.x0, a.y0), a.lr, a.iters)
-        # math.hypot, not np.hypot: numpy's calls libm, which may round differently.
-        # A slice at a time: a list of every iterate would hold 200 bytes each.
-        error = np.empty(len(traj))
-        for start in range(0, len(traj), _HYPOT_SLICE):
-            part = traj[start:start + _HYPOT_SLICE].tolist()
-            error[start:start + len(part)] = [math.hypot(x - a.tx, y - a.ty) for x, y in part]
-        if (bad := np.flatnonzero(~np.isfinite(error))).size:
-            raise demos.GdOverflowError(f"error is not finite at iteration {bad[0]}")
+        traj, error, annotation = demos.gd_regulate((a.tx, a.ty), (a.x0, a.y0), a.lr, a.iters)
         table = _csv(a, "iter,x0,x1,error", range(len(traj)), *traj.T, error, tx=None, ty=None,
                      y0=None, target=f"{a.tx};{a.ty}", x0=f"{a.x0};{a.y0}")
     else:
@@ -378,9 +368,9 @@ _REQUIRED = object()
 
 # Work budgets of the count flags that size a run, so a run too large for the
 # host is refused before it starts. At its bound, on a 2-vCPU Xeon:
-MAX_TICKS = 10**6  # relation: 4.4 s, 244 MB
+MAX_TICKS = 10**6  # relation: 2.5 s, 129 MB
 MAX_PID_STEPS = 10**7  # 6 s, 337 MB
-MAX_GD_ITERS = 10**6  # demo gd: 3.1 s, 56 MB
+MAX_GD_ITERS = 10**6  # demo gd: 1.4 s, 55 MB
 MAX_SERIES = 10**7  # avalanche --n, and --factor, a block of it: 2.6-5.2 s, 192-678 MB
 MAX_VEHICLE_STEPS = 10**6  # 32 s, 85 MB
 

@@ -41,23 +41,24 @@ class GdOverflowError(RuntimeError):
     """A gradient, or an iterate's distance to the target, is not finite."""
 
 
-_GD_SLICE = 1 << 16  # iterates whose gradients gd_regulate checks at once
-
-
 def gd_regulate(
     target: tuple[float, float],
     x0: tuple[float, float],
     lr: float,
     iters: int,
-) -> tuple[np.ndarray, RoleAnnotation]:
+) -> tuple[np.ndarray, np.ndarray, RoleAnnotation]:
     """Gradient descent on 0.5 * ||x - target||^2.
 
     x_{k+1} = x_k - lr * (x_k - target); the contraction factor is |1 - lr|,
-    so lr >= 2 is rejected up front rather than silently blowing up, and a
-    gradient x_k - target that overflows raises ``GdOverflowError``. Returns
-    the iterate trajectory, shape (iters + 1, 2), including x0.
+    so lr >= 2 is rejected up front rather than silently blowing up, as is an
+    lr that is not > 0 (NaN included). One loop on Python floats fills the
+    iterate trajectory, shape (iters + 1, 2), including x0, and the error
+    column ||x_k - target|| by ``math.hypot`` (``np.hypot`` calls libm, which
+    may round differently). Returns (trajectory, error, role annotation).
+    ``GdOverflowError`` names the first iterate whose gradient x_k - target
+    is not finite or, when every gradient is, the first error that is not.
     """
-    if lr <= 0:
+    if not lr > 0:
         raise ValueError(f"step size must be positive, got {lr}")
     if lr >= 2:
         raise GdDivergenceError(
@@ -66,20 +67,18 @@ def gd_regulate(
         )
     if iters < 1:
         raise ValueError(f"need at least 1 iteration, got {iters}")
-    t = np.asarray(target, dtype=float)
-    x = np.asarray(x0, dtype=float)
+    (tx, ty), (x, y) = map(float, target), map(float, x0)
     traj = np.empty((iters + 1, 2), dtype=float)
-    traj[0] = x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(iters):
-            x = x - lr * (x - t)
-            traj[k + 1] = x
-        # A slice at a time: traj - t whole would double the run's memory.
-        for start in range(0, iters + 1, _GD_SLICE):
-            bad = np.flatnonzero(~np.isfinite(traj[start:start + _GD_SLICE] - t).all(axis=1))
-            if bad.size:
-                raise GdOverflowError(f"gradient x - target is not finite at iterate "
-                                      f"{start + bad[0]}")
+    error = np.empty(iters + 1, dtype=float)
+    xs, ys = traj.T
+    for k in range(iters + 1):
+        gx, gy = x - tx, y - ty
+        if not (math.isfinite(gx) and math.isfinite(gy)):
+            raise GdOverflowError(f"gradient x - target is not finite at iterate {k}")
+        xs[k], ys[k], error[k] = x, y, math.hypot(gx, gy)
+        x, y = x - lr * gx, y - lr * gy
+    if (bad := np.flatnonzero(~np.isfinite(error))).size:
+        raise GdOverflowError(f"error is not finite at iteration {bad[0]}")
     annotation = RoleAnnotation(
         assignments={
             "objective_landscape": "S",
@@ -89,7 +88,7 @@ def gd_regulate(
             "target": "G",
         }
     )
-    return traj, annotation
+    return traj, error, annotation
 
 
 _DRAW_BLOCK = 4096  # draws that q_regulate takes from its generator at once

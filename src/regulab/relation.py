@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Hashable, Optional
+from typing import Callable, Hashable, Iterator, Optional
 
 import numpy as np
 
@@ -212,7 +212,7 @@ def run_relation_carry(
     feedback = rel.mode == LoopMode.CLOSED
     window = None if rel.model is None else deque(rel.model.window, maxlen=rel.model.horizon)
     s_state, r_state = rel.s_state, rel.r_state
-    rows = []
+    columns = s_col, r_col, out_col, err_col, phi_col, rho_col = [], [], [], [], [], []
     for k in range(T):
         phi, rho = disturbance_stream[k]
         output = emission(s_state)
@@ -223,11 +223,16 @@ def run_relation_carry(
         next_s = transition(s_state, control if feedback else idle, phi)
         if window is not None:
             window.append(s_state)
-        error = 0.0 if goal(output) else 1.0
-        rows.append((s_state, r_state, output, error, phi, rho))
+        s_col.append(s_state)
+        r_col.append(r_state)
+        out_col.append(output)
+        err_col.append(0.0 if goal(output) else 1.0)
+        phi_col.append(phi)
+        rho_col.append(rho)
         s_state, r_state = next_s, next_r
     model = None if window is None else replace(rel.model, window=tuple(window))
-    return Trajectory(*zip(*rows)), replace(rel, s_state=s_state, r_state=r_state, model=model)
+    traj = Trajectory(*map(tuple, columns))
+    return traj, replace(rel, s_state=s_state, r_state=r_state, model=model)
 
 
 def _bin_outputs(outputs: tuple[float, ...], bins: int) -> list[int]:
@@ -287,22 +292,22 @@ def path_regulation_score(traj: Trajectory, order: int, bins: int) -> float:
     return max(0.0, _entropy_bits(blocks_hi) - _entropy_bits(blocks_lo))
 
 
-def trajectory_to_csv(traj: Trajectory) -> str:
-    """Serialize with header ``tick,s_state,r_state,output,error,phi,rho``,
-    UTF-8 text with LF line endings and 17-significant-digit floats
-    (``output`` and ``error`` are written as floats and the symbols as text,
-    whatever their types)."""
+def trajectory_to_csv(traj: Trajectory) -> Iterator[bytes]:
+    """The CSV as UTF-8 chunks: the header ``tick,s_state,r_state,output,
+    error,phi,rho``, then the rows ``csvtext.rows`` builds, LF line endings
+    and 17-significant-digit floats (``output`` and ``error`` are written as
+    floats and the symbols as text, whatever their types)."""
     from . import csvtext  # on first use: importing the module loads no writer code
 
     def text(column: tuple) -> list[str]:  # as "{}" writes it, a float symbol too
         return list(map(format, column))
 
-    body = b"".join(csvtext.rows(
+    yield b"tick,s_state,r_state,output,error,phi,rho\n"
+    yield from csvtext.rows(
         range(len(traj)), text(traj.s_state), text(traj.r_state),
         np.asarray(traj.output, dtype=float), np.asarray(traj.error, dtype=float),
         text(traj.phi), text(traj.rho),
-    ))
-    return "tick,s_state,r_state,output,error,phi,rho\n" + body.decode("utf-8")
+    )
 
 
 def toggle_benchmark(mode: str = LoopMode.CLOSED) -> ClosedLoopRelation:

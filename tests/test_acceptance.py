@@ -280,11 +280,11 @@ def test_criterion_10_cmyk_vehicle():
 
 
 def test_criterion_11_demos():
-    traj, _ = gd_regulate((4.0, -1.0), (0.0, 0.0), lr=1.0, iters=3)
+    traj, _, _ = gd_regulate((4.0, -1.0), (0.0, 0.0), lr=1.0, iters=3)
     ok = traj[1].tolist() == [4.0, -1.0]
 
     target = np.array([1.0, 2.0])
-    traj, _ = gd_regulate((1.0, 2.0), (9.0, -6.0), lr=0.5, iters=16)
+    traj, _, _ = gd_regulate((1.0, 2.0), (9.0, -6.0), lr=0.5, iters=16)
     dists = np.linalg.norm(traj - target, axis=1)
     ok &= all(dists[k] == dists[0] * 0.5**k for k in range(1, 17))
 

@@ -821,6 +821,19 @@ def test_vehicle_memory_does_not_grow_with_the_step_count(tmp_path):
     assert peak[50_000] - peak[1000] <= 8 * 1024, peak
 
 
+def test_relation_at_its_bound_holds_columns_not_rows(tmp_path):
+    # Six columns of 8 MB each, held as lists while the ticks run and as
+    # tuples after, then the writer's text lists, over an import of about
+    # 30 MB. A tuple a tick and the CSV joined into one string once peaked
+    # at 244 MB.
+    argv = ["relation", "--ticks", MAX_TICKS, "--seed", 0, "-o", "r.csv"]
+    code, err, peak = run_regulab(argv, tmp_path, timeout=120)
+    assert code == 0, err
+    assert peak <= 160 * 1024
+    with (tmp_path / "r.csv").open("rb") as fh:
+        assert sum(1 for _ in fh) == 2 + MAX_TICKS
+
+
 def test_demo_gd_at_its_bound_holds_little_beyond_its_columns(tmp_path):
     # 24 MB of columns (the trajectory and the error) over an import of
     # about 30 MB. The error column once came from one list of every

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from regulab import demos
 from regulab.demos import (
@@ -27,21 +28,21 @@ from regulab.rng import _GAMMA, _MIX1, _MIX2, SplitMix64
 
 
 def test_gd_lr_one_converges_in_one_step():
-    traj, _ = gd_regulate((3.0, -2.0), (10.0, 10.0), lr=1.0, iters=5)
+    traj, _, _ = gd_regulate((3.0, -2.0), (10.0, 10.0), lr=1.0, iters=5)
     assert traj[1].tolist() == [3.0, -2.0]
     assert np.all(traj[1:] == traj[1])
 
 
 def test_gd_lr_half_halves_error_exactly():
     target = np.array([1.0, 1.0])
-    traj, _ = gd_regulate((1.0, 1.0), (5.0, -3.0), lr=0.5, iters=20)
+    traj, _, _ = gd_regulate((1.0, 1.0), (5.0, -3.0), lr=0.5, iters=20)
     dists = np.linalg.norm(traj - target, axis=1)
     for k in range(1, 21):
         assert dists[k] == dists[0] * 0.5**k
 
 
 def test_gd_oscillating_convergence_below_two():
-    traj, _ = gd_regulate((0.0, 0.0), (1.0, 0.0), lr=1.9, iters=200)
+    traj, _, _ = gd_regulate((0.0, 0.0), (1.0, 0.0), lr=1.9, iters=200)
     dists = np.linalg.norm(traj, axis=1)
     # contraction factor |1 - 1.9| = 0.9, sign alternates
     assert dists[-1] < 1e-6
@@ -50,7 +51,7 @@ def test_gd_oscillating_convergence_below_two():
 
 def test_gd_error_monotone_for_stable_rates():
     for lr in (0.1, 0.9, 1.5, 1.99):
-        traj, _ = gd_regulate((2.0, 2.0), (-1.0, 4.0), lr=lr, iters=50)
+        traj, _, _ = gd_regulate((2.0, 2.0), (-1.0, 4.0), lr=lr, iters=50)
         dists = np.linalg.norm(traj - np.array([2.0, 2.0]), axis=1)
         assert np.all(np.diff(dists) <= 1e-15)
 
@@ -71,8 +72,66 @@ def test_gd_overflowing_gradient_is_diagnosed_at_its_iterate():
         gd_regulate((0.0, 0.0), (1e308, 0.0), lr=1.9, iters=3)
 
 
+def test_gd_rejects_a_nan_step_size():
+    # NaN passes both `lr <= 0` and `lr >= 2` as False; it once ran and
+    # failed later as a gradient that is not finite.
+    with pytest.raises(ValueError, match="step size must be positive, got nan"):
+        gd_regulate((0.0, 0.0), (1.0, 1.0), lr=math.nan, iters=3)
+
+
+def numpy_gd_regulate(target, x0, lr, iters):
+    """Gradient descent as 2-element numpy arithmetic, every gradient checked
+    after the run, and the error column by ``math.hypot`` over the rows:
+    (trajectory, error), or the ``GdOverflowError`` of the first failing
+    check."""
+    t = np.asarray(target, dtype=float)
+    x = np.asarray(x0, dtype=float)
+    traj = np.empty((iters + 1, 2))
+    traj[0] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(iters):
+            x = x - lr * (x - t)
+            traj[k + 1] = x
+        bad = np.flatnonzero(~np.isfinite(traj - t).all(axis=1))
+    if bad.size:
+        raise GdOverflowError(f"gradient x - target is not finite at iterate {bad[0]}")
+    error = np.array([math.hypot(x - target[0], y - target[1]) for x, y in traj.tolist()])
+    if (bad := np.flatnonzero(~np.isfinite(error))).size:
+        raise GdOverflowError(f"error is not finite at iteration {bad[0]}")
+    return traj, error
+
+
+finite_pairs = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2)
+
+
+@settings(max_examples=500, deadline=None)
+@given(target=finite_pairs, x0=finite_pairs,
+       lr=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+       iters=st.integers(1, 300))
+@example(target=(0.0, -0.0), x0=(-0.0, 0.0), lr=1.0, iters=3)
+@example(target=(5e-324, -5e-324), x0=(0.0, 0.0), lr=0.3, iters=100)
+@example(target=(1e308, -0.5), x0=(-1e307, 0.0), lr=1.5, iters=50)
+@example(target=(0.0, 0.0), x0=(1.0, -1.0), lr=5e-324, iters=2)
+@example(target=(0.0, 0.0), x0=(1.0, -1.0), lr=math.nextafter(2.0, 0.0), iters=300)
+@example(target=(0.0, 0.0), x0=(1e308, 0.0), lr=1.9, iters=3)  # the gradient overflows
+@example(target=(1.5e308, -1.5e308), x0=(0.0, 0.0), lr=0.5, iters=2)  # only the error does
+# The error overflows at iterate 0 and the gradient at iterate 1: the gradient is named.
+@example(target=(0.0, 0.0), x0=(1.5e308, 1.5e308), lr=1.9, iters=3)
+def test_gd_matches_the_numpy_reference_bit_for_bit(target, x0, lr, iters):
+    try:
+        want_traj, want_error = numpy_gd_regulate(target, x0, lr, iters)
+    except GdOverflowError as exc:
+        with pytest.raises(GdOverflowError) as got:
+            gd_regulate(target, x0, lr, iters)
+        assert str(got.value) == str(exc)
+        return
+    traj, error, _ = gd_regulate(target, x0, lr, iters)
+    assert traj.tobytes() == want_traj.tobytes()
+    assert error.tobytes() == want_error.tobytes()
+
+
 def test_gd_role_annotation_total():
-    _, ann = gd_regulate((0.0, 0.0), (1.0, 1.0), lr=0.5, iters=1)
+    _, _, ann = gd_regulate((0.0, 0.0), (1.0, 1.0), lr=0.5, iters=1)
     assert set(ann.assignments) == {
         "objective_landscape", "update_rule", "gradient_evaluation", "iterate", "target",
     }

@@ -116,12 +116,27 @@ CASES = {
     "demo-gd": ["demo", "gd", "--lr", "0.5", "--iters", "32", "--seed", "0"],
     # Step size 1 lands on the target at once: every later error is exactly 0.
     "demo-gd-exact": ["demo", "gd", "--lr", "1", "--iters", "3", "--seed", "0"],
+    # Step size 1.9: the iterates change sign every step.
+    "demo-gd-oscillating": ["demo", "gd", "--lr", "1.9", "--iters", "200", "--seed", "0"],
+    # Target, start and every iterate are zeros of either sign.
+    "demo-gd-signed-zero": ["demo", "gd", "--tx", "0", "--ty=-0", "--x0=-0", "--y0", "0",
+                            "--lr", "1", "--iters", "3", "--seed", "0"],
+    # The first gradient is -1.1e308 and the first step lands near 1.55e308.
+    "demo-gd-near-overflow": ["demo", "gd", "--tx", "1e308", "--x0=-1e307", "--lr", "1.5",
+                              "--iters", "50", "--seed", "0"],
+    # A target of subnormals: the iterates end on them.
+    "demo-gd-subnormal-target": ["demo", "gd", "--tx", "5e-324", "--ty=-5e-324", "--lr", "0.3",
+                                 "--iters", "100", "--seed", "0"],
     "demo-q": ["demo", "q", "--grid", "3x3", "--episodes", "300", "--seed", "11"],
     "demo-q-8x8": ["demo", "q", "--grid", "8x8", "--episodes", "2000", "--seed", "11"],
     # The only cell is the goal: a policy of no cells, a header-only table.
     "demo-q-1x1": ["demo", "q", "--grid", "1x1", "--episodes", "5", "--seed", "11"],
     "relation-feedforward": ["relation", "--mode", "feedforward", "--ticks", "32", "--seed", "0"],
     "relation-closed": ["relation", "--mode", "closed", "--ticks", "64", "--seed", "0"],
+    # Longer than one chunk of csvtext rows, in both modes.
+    "relation-feedforward-5000": ["relation", "--mode", "feedforward", "--ticks", "5000",
+                                  "--seed", "0"],
+    "relation-closed-5000": ["relation", "--mode", "closed", "--ticks", "5000", "--seed", "0"],
     "variety-aliased": ["variety", "--pairs", "aliased.csv", "--seed", "0"],
     "variety-isomorphic": ["variety", "--pairs", "isomorphic.csv", "--seed", "0"],
 }

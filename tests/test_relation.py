@@ -25,6 +25,11 @@ from regulab.rng import SplitMix64
 from regulab.variety import StateSet
 
 
+def csv_text(traj):
+    """``trajectory_to_csv``'s chunks joined and decoded."""
+    return b"".join(trajectory_to_csv(traj)).decode("utf-8")
+
+
 def identity_relation(goal=lambda y: y == 0.0):
     system = DiscreteSystem(
         states=StateSet(("only",)),
@@ -144,7 +149,7 @@ def test_regulator_disturbance_channel_corrupts_observation():
 def test_single_tick_run():
     traj = run_relation(toggle_benchmark(), [("kick", "-")], 1)
     assert len(traj) == 1
-    assert trajectory_to_csv(traj).splitlines()[1].startswith("0,")
+    assert csv_text(traj).splitlines()[1].startswith("0,")
 
 
 def test_run_requires_enough_disturbances():
@@ -156,8 +161,8 @@ def test_run_requires_enough_disturbances():
 
 def test_determinism_byte_for_byte():
     stream = [("kick", "-")] * 50
-    a = trajectory_to_csv(run_relation(toggle_benchmark(), stream, 50))
-    b = trajectory_to_csv(run_relation(toggle_benchmark(), stream, 50))
+    a = csv_text(run_relation(toggle_benchmark(), stream, 50))
+    b = csv_text(run_relation(toggle_benchmark(), stream, 50))
     assert a == b
 
 
@@ -200,7 +205,7 @@ def test_internal_model_window_caps_at_horizon():
 def test_trajectory_columns_must_have_equal_length():
     with pytest.raises(ValueError, match="length"):
         Trajectory(("s", "s"), ("r", "r"), (0.0,), (0.0, 0.0), ("p", "p"), ("q", "q"))
-    lines = trajectory_to_csv(outputs_trajectory([0.0, 1.0, 2.0])).splitlines()
+    lines = csv_text(outputs_trajectory([0.0, 1.0, 2.0])).splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
 
 
@@ -209,7 +214,7 @@ def test_trajectory_columns_must_have_equal_length():
 
 def test_csv_header_and_precision():
     traj = outputs_trajectory([1.0 / 3.0])
-    text = trajectory_to_csv(traj)
+    text = csv_text(traj)
     lines = text.splitlines()
     assert lines[0] == "tick,s_state,r_state,output,error,phi,rho"
     assert "0.33333333333333331" in lines[1]
@@ -230,7 +235,7 @@ def test_csv_matches_per_record_formatting_for_any_field_types():
     want = "tick,s_state,r_state,output,error,phi,rho\n" + "".join(
         f"{tick},{s},{r},{y:.17g},{e:.17g},{phi},{rho}\n"
         for tick, (s, r, y, e, phi, rho) in enumerate(rows))
-    assert trajectory_to_csv(traj) == want
+    assert csv_text(traj) == want
 
 
 # --- entropy scores ---------------------------------------------------------------
