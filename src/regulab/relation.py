@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Hashable, Iterator, Optional
+from typing import Callable, Collection, Hashable, Iterator, Optional
 
 import numpy as np
 
@@ -235,23 +235,26 @@ def run_relation_carry(
     return traj, replace(rel, s_state=s_state, r_state=r_state, model=model)
 
 
-def _bin_outputs(outputs: tuple[float, ...], bins: int) -> list[int]:
-    lo = min(outputs)
-    hi = max(outputs)
+def _bin_outputs(outputs: tuple[float, ...], bins: int) -> np.ndarray:
+    """The equal-width bin, in [0, bins), of each output over their range."""
+    y = np.asarray(outputs, dtype=float)
+    lo, hi = float(y.min()), float(y.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # nan too
+        raise ValueError(f"outputs must be finite to bin, got a range of [{lo}, {hi}]")
     if hi == lo:
-        return [0] * len(outputs)
+        return np.zeros(len(y), dtype=np.int64)
     width = (hi - lo) / bins
-    if width in (0.0, math.inf) and -math.inf < lo < hi < math.inf:
+    if width in (0.0, math.inf):
         # The range under- or overflows: bin the values scaled by a power of two.
-        scale = 0.5 if width else 2.0**1000
-        return _bin_outputs([y * scale for y in outputs], bins)
-    return [min(int((y - lo) / width), bins - 1) for y in outputs]
+        return _bin_outputs(y * (0.5 if width else 2.0**1000), bins)
+    return np.minimum(((y - lo) / width).astype(np.int64), bins - 1)
 
 
-def _entropy_bits(counts: Counter) -> float:
-    total = sum(counts.values())
+def _entropy_bits(counts: Collection[int]) -> float:
+    """Plug-in entropy of the counts, summed in their order."""
+    total = sum(counts)
     h = 0.0
-    for c in counts.values():
+    for c in counts:
         p = c / total
         h -= p * math.log2(p)
     return h
@@ -260,13 +263,15 @@ def _entropy_bits(counts: Counter) -> float:
 def point_regulation_score(traj: Trajectory, bins: int) -> float:
     """Plug-in Shannon entropy (bits) of the outputs histogrammed into
     equal-width bins over the observed range. 0 means the output is held
-    constant; log2(bins) means it wanders uniformly."""
+    constant; log2(bins) means it wanders uniformly. Outputs must be finite."""
     if bins < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
     if len(traj) == 0:
         raise ValueError("cannot score an empty trajectory")
     symbols = _bin_outputs(traj.output, bins)
-    return _entropy_bits(Counter(symbols))
+    # Summed in the order each bin first occurs, as a Counter of them sums.
+    occupied, first = np.unique(symbols, return_index=True)
+    return _entropy_bits(np.bincount(symbols)[occupied[np.argsort(first)]].tolist())
 
 
 def path_regulation_score(traj: Trajectory, order: int, bins: int) -> float:
@@ -284,12 +289,12 @@ def path_regulation_score(traj: Trajectory, order: int, bins: int) -> float:
         raise ValueError(f"need at least 2 bins, got {bins}")
     if len(traj) <= order:
         raise ValueError(f"trajectory of {len(traj)} ticks is too short for order {order}")
-    symbols = _bin_outputs(traj.output, bins)
+    symbols = _bin_outputs(traj.output, bins).tolist()
     n = len(symbols)
     wrapped = symbols + symbols[:order]
     blocks_hi = Counter(tuple(wrapped[i : i + order + 1]) for i in range(n))
     blocks_lo = Counter(tuple(wrapped[i : i + order]) for i in range(n))
-    return max(0.0, _entropy_bits(blocks_hi) - _entropy_bits(blocks_lo))
+    return max(0.0, _entropy_bits(blocks_hi.values()) - _entropy_bits(blocks_lo.values()))
 
 
 def trajectory_to_csv(traj: Trajectory) -> Iterator[bytes]:

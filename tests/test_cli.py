@@ -624,6 +624,21 @@ def test_empty_diffuse_input_or_levels_is_usage_error(tmp_path, capsys, flag, re
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dt, code, err", [
+    # The first step: dt * turn gain overflows, and inf times the sensors' zero
+    # difference is a nan heading, while the body is clamped onto a corner.
+    ("1e10", 2, "regulab: invalid parameters: position must be a finite 2-vector and heading "
+     "finite, got (0.0, 0.0) and nan\n"),
+    ("1e300", 1, "regulab: runtime error: vehicle step diverged: a point is too far from the "
+     "arena to clamp (its squared distance overflows)\n"),
+])
+def test_vehicle_overflow_exits_with_one_line_and_no_file(tmp_path, capsys, dt, code, err):
+    argv = ["vehicle", "run", "--steps", 5, "--dt", dt, "--turn-gain", "1e300", "--seed", 0]
+    assert run([*argv, "-o", tmp_path / "v.csv"]) == code
+    assert capsys.readouterr().err == err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_vehicle_run_over_the_step_budget_is_usage_error_before_any_step(tmp_path, capsys,
                                                                           monkeypatch):
     # This run once went on past a 5 s timeout, its rows piling up in a list.

@@ -104,6 +104,12 @@ CASES = {
     "lur-uneven": ["lur", "run", "--phases", "0:7,45:1,0:12", "--seed", "2"],
     # One phase: no interference or savings, a null reason in the manifest.
     "lur-one-phase": ["lur", "run", "--phases", "30:5", "--seed", "2"],
+    # Phases longer than one 34-trial kick block and not multiples of it.
+    "lur-long-phases": ["lur", "run", "--phases", "0:100,90:37,0:129", "--noise", "0.3",
+                        "--seed", "5"],
+    # Phases of exactly one kick block, one block and a trial, and two blocks.
+    "lur-block-edges": ["lur", "run", "--phases", "0:34,90:35,0:68", "--noise", "0.05",
+                        "--seed", "1"],
     "vehicle": ["vehicle", "run", "--steps", "500", "--seed", "4"],
     # Radius 0 never parks. Only the sensors leave the triangle: the body is
     # clamped on none of the 2000 steps.

@@ -200,16 +200,17 @@ def test_run_trial_validation():
 
 
 @pytest.mark.parametrize("noise", [-0.02, -math.inf, math.nan, math.inf])
-def test_run_trial_rejects_a_noise_not_finite_and_nonnegative(noise):
+def test_run_lur_rejects_a_noise_not_finite_and_nonnegative(monkeypatch, noise):
     # A negative noise was once dropped: the reach ran noiseless.
+    monkeypatch.setattr(procedural, "SplitMix64", lambda seed: pytest.fail("a generator was made"))
     with pytest.raises(ValueError, match="noise must be finite and >= 0"):
-        run_trial(ReachLearner(), CurlField(1.0, 0.0), ORIGIN, EAST, 60, 0.01, noise=noise,
-                  rng=SplitMix64(0))
+        run_lur(ReachLearner(), LurSchedule(((0.0, 5),)), noise=noise)
 
 
-def test_run_trial_rejects_a_positive_noise_with_no_rng():
-    with pytest.raises(ValueError, match="needs an rng"):
-        run_trial(ReachLearner(), CurlField(1.0, 0.0), ORIGIN, EAST, 60, 0.01, noise=0.02)
+@pytest.mark.parametrize("count", [0, 119, 121])
+def test_run_trial_rejects_kicks_not_two_per_step(count):
+    with pytest.raises(ValueError, match=f"60 steps need 120 kicks, got {count}"):
+        run_trial(ReachLearner(), CurlField(1.0, 0.0), ORIGIN, EAST, 60, 0.01, kicks=[0.0] * count)
 
 
 NOT_POSITIVE_FINITE = [0.0, -0.01, math.nan, math.inf]
@@ -280,7 +281,8 @@ def test_run_trial_matches_numpy_reference_bit_for_bit(seed):
     target = start + r.standard_normal(2)
     noise = (0.0, 0.02, 0.5)[seed % 3]
     rngs = SplitMix64(seed), SplitMix64(seed)
-    got_l, got = run_trial(learner, f, start, target, 60, 0.01, 9.0, noise, rngs[0])
+    kicks = (noise * (2.0 * rngs[0].floats(120) - 1.0)).tolist() if noise else None
+    got_l, got = run_trial(learner, f, start, target, 60, 0.01, 9.0, kicks)
     want_l, want = reference_run_trial(learner, f, start, target, 60, 0.01, 9.0, noise, rngs[1])
     assert got == want
     assert got_l.fast.tobytes() == want_l.fast.tobytes()
@@ -344,6 +346,56 @@ def test_relearning_is_faster_napkin_version():
         res = run_lur(ReachLearner(), sched, noise=0.02, gain=1.0, seed=seed)
         neg += res.savings < 0
     assert neg == 5
+
+
+def per_trial_run_lur(l, sched, noise, gain, rng):
+    """``run_lur`` drawing each trial's 120 kicks from ``rng`` as its reach
+    begins, one call per trial."""
+    dirs = [np.array([math.cos(2 * math.pi * k / 8), math.sin(2 * math.pi * k / 8)])
+            for k in range(8)]
+    curves = []
+    t = 0
+    for angle, trials in sched.phases:
+        fld = CurlField(gain=gain, angle=angle)
+        errs = []
+        for _ in range(trials):
+            kicks = (noise * (2.0 * rng.floats(120) - 1.0)).tolist() if noise > 0.0 else None
+            l, err = run_trial(l, fld, ORIGIN, dirs[t % 8], 60, 0.01, kicks=kicks)
+            errs.append(err)
+            t += 1
+        curves.append(tuple(errs))
+    criterion = curves[0][-1]
+
+    def reach(curve):
+        return next((i + 1 for i, e in enumerate(curve) if e <= criterion), len(curve) + 1)
+
+    return curves, curves[1][0] - criterion, float(reach(curves[2]) - reach(curves[0]))
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.02, 0.5])
+@pytest.mark.parametrize("phases", [
+    ((0.0, 1), (90.0, 33), (0.0, 34), (45.0, 35), (0.0, 100)),
+    ((0.0, 35), (90.0, 100), (0.0, 33), (90.0, 1), (0.0, 34)),
+], ids=["ascending", "mixed"])
+def test_run_lur_draws_the_kicks_of_per_trial_draws(monkeypatch, noise, phases):
+    # Phases of one trial, of one 34-trial kick block and either side of it,
+    # and of several blocks and a part.
+    made = []
+
+    def recorded(seed):
+        made.append(SplitMix64(seed))
+        return made[-1]
+
+    monkeypatch.setattr(procedural, "SplitMix64", recorded)
+    sched = LurSchedule(phases)
+    got = run_lur(ReachLearner(), sched, noise=noise, gain=1.0, seed=7)
+    rng = SplitMix64(7)
+    curves, interference, savings = per_trial_run_lur(ReachLearner(), sched, noise, 1.0, rng)
+    assert [np.array(c).tobytes() for c in got.phase_errors] == [
+        np.array(c).tobytes() for c in curves]
+    assert np.array([got.interference, got.savings]).tobytes() == np.array(
+        [interference, savings]).tobytes()
+    assert [g._state for g in made] == [rng._state]
 
 
 @pytest.mark.parametrize("angles, interference, savings", [
@@ -545,6 +597,9 @@ def test_vehicle_matches_numpy_reference_bit_for_bit(seed):
         want = reference_vehicle_step(want, field, 0.1)
         assert np.array(v.position).tobytes() == np.array(want.position).tobytes()
         assert v.heading == want.heading
+        assert v == replace(v)  # every field as __init__ makes it
+        assert v.color == reference_sample(field, want.position)[1]
+        assert v.distance == cmyk_distance(v.color, v.target)
     for pos in [*r.uniform(-1.5, 1.5, (200, 2)), *field.vertices, np.array([-0.0, 0.0])]:
         assert sample_cmyk(field, pos) == reference_sample(field, pos)[1]
         point = field._settle(*pos.tolist())[0]

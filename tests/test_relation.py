@@ -1,5 +1,8 @@
 """Closed-loop relation stepping, loop-mode isolation, entropy scores."""
 
+import math
+import struct
+from collections import Counter
 from dataclasses import fields, replace
 
 import pytest
@@ -303,6 +306,59 @@ def test_entropy_ordering_universal(outputs, bins):
 
 def test_an_overflowing_range_is_binned_as_its_half():
     outputs = [-1.7e308, -1e308, 0.0, 1e308, 1.7e308]
-    assert _bin_outputs(outputs, 4) == _bin_outputs([y / 2 for y in outputs], 4) == [0, 0, 2, 3, 3]
+    halves = [y / 2 for y in outputs]
+    assert _bin_outputs(outputs, 4).tolist() == _bin_outputs(halves, 4).tolist() == [0, 0, 2, 3, 3]
     traj = outputs_trajectory(outputs)
     assert point_regulation_score(traj, bins=4) == pytest.approx(1.5219280948873621)
+
+
+def counter_point_score(outputs, bins):
+    """``point_regulation_score`` as a loop over Python floats and a Counter."""
+    def bin_outputs(outputs):
+        lo, hi = min(outputs), max(outputs)
+        if hi == lo:
+            return [0] * len(outputs)
+        width = (hi - lo) / bins
+        if width in (0.0, math.inf) and -math.inf < lo < hi < math.inf:
+            scale = 0.5 if width else 2.0**1000
+            return bin_outputs([y * scale for y in outputs])
+        return [min(int((y - lo) / width), bins - 1) for y in outputs]
+
+    counts = Counter(bin_outputs(outputs))
+    total = sum(counts.values())
+    h = 0.0
+    for c in counts.values():  # in the order each bin first occurs
+        h -= c / total * math.log2(c / total)
+    return h
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+OUTPUTS = st.one_of(
+    FINITE.flatmap(lambda y: st.lists(st.just(y), min_size=1, max_size=40)),  # constant
+    st.lists(FINITE, min_size=1, max_size=200),  # ranges that overflow among them
+    st.lists(st.integers(-60, 60).map(lambda k: k * 5e-324), min_size=1, max_size=200),
+    # A few distinct values, repeated, so bins recur in any first-occurrence order.
+    st.lists(FINITE, min_size=2, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=300)),
+)
+
+
+@settings(max_examples=300)
+@given(OUTPUTS, st.integers(2, 64))
+@example([3.0] * 8 + [2.0] * 8 + [1.0] * 7 + [0.0] * 4, 4)  # sorted bin order sums differently
+@example([0.0, 5e-324], 2)  # the range's width underflows to 0
+@example([-1.7e308, 1.7e308], 64)  # the range overflows to inf
+def test_point_score_matches_a_counter_bit_for_bit(outputs, bins):
+    got = point_regulation_score(outputs_trajectory(outputs), bins=bins)
+    assert struct.pack("<d", got) == struct.pack("<d", counter_point_score(outputs, bins))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.floats(), min_size=1, max_size=50),
+       st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 50), st.integers(2, 64))
+@example([1.0], math.nan, 1, 2)  # a nan among equal outputs once scored 0
+@example([math.inf], math.inf, 0, 2)  # so did constant infinite outputs
+def test_point_score_rejects_outputs_not_finite(outputs, bad, at, bins):
+    outputs = [*outputs[:at], bad, *outputs[at:]]
+    with pytest.raises(ValueError, match="outputs must be finite"):
+        point_regulation_score(outputs_trajectory(outputs), bins=bins)
