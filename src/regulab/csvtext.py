@@ -13,6 +13,11 @@ never contains, and the chunk's text is the matrix with every 0xFF deleted.
 The matrix and the arrays the fields are computed in are made once per
 ``rows`` call and reused by every chunk.
 
+A chunk's float columns are formatted in one call, their values laid end to
+end (a single column is its own slice). Runs of equal values are found by
+their bits, so -0.0 and 0.0, which compare equal, stay apart: only the
+first value of a run is formatted, and its field is copied to the rest.
+
 Float digits. A finite nonzero ``a`` inside the exponent range is scaled to
 ``s = a * 10**(16 - E)``, ``E = floor(log10(a))``, into [1e16, 1e17), with
 a double-double power of ten ``hi + lo`` and ``a * hi`` exact to double
@@ -39,8 +44,12 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 # Bytes of field slots per chunk, _FLOAT_BYTES per column and row (an int
-# field is never wider); scratch adds about 150 bytes a row. At 1 << 18 the
-# 4-column pid CSV of the loops benchmark raised its peak RSS by 0.4 MB.
+# field is never wider). Scratch adds 164 bytes per float value of a chunk
+# (and per row, if no column is float), and a chunk holds at most
+# CHUNK_BYTES // _FLOAT_BYTES = 6144 float values, so at most 1.0 MB. Writing
+# a 100,000-row CSV of random floats raised VmHWM by 1.06 MB with the tick
+# and 3 float columns of pid, and by 1.24 MB with the tick and 7 of vehicle
+# (Python 3.11, numpy 2.4, Linux).
 CHUNK_BYTES = 3 << 16
 
 _DROP = 0xFF  # a field byte the row does not use
@@ -166,8 +175,8 @@ def _float_field(x: np.ndarray, field: np.ndarray, scratch: list) -> None:
     """Write ``format(v, ".17g")`` of each float64 ``v`` of ``x`` into the
     4-word uint64 ``field``, all but its separator byte."""
     (quad, table, float_base), m = _tables(), len(x)
-    f, exponent, groups, bools, _ = scratch
-    (f0, f1, f2, f3, f4, f5), (ok, zero, tmp) = f[:, :m], bools[:, :m]
+    f, exponent, groups, bools = scratch[:4]
+    (f0, f1, f2, f3, f4, f5), (ok, zero, tmp) = f[:, :m], bools[:3, :m]
     a = np.abs(x, f0)
     np.logical_and(np.greater_equal(a, _A_MIN, ok), np.less(a, _A_MAX, tmp), ok)  # not 0, nan, inf
     np.equal(a, 0.0, zero)
@@ -220,6 +229,8 @@ def _float_field(x: np.ndarray, field: np.ndarray, scratch: list) -> None:
     key = np.maximum(last[0], last[1], out=f0.view(np.int64))
     np.add(np.add(key, key, key), exponent[:, _KEY], key)
     key += np.signbit(x, tmp)
+    # _float_fields may pass this scratch as ``field``: each word below reads
+    # only its own word of base.
     base = np.take(float_base, key, axis=0, out=groups[:m].view(np.uint64), mode="clip")
     lead += _MAGIC + 48.0  # the leading digit's byte in the low bits, shifted up
     np.bitwise_or(base[:, 0], np.left_shift(lead.view(np.uint64), 48, lead.view(np.uint64)),
@@ -243,6 +254,33 @@ def _float_field(x: np.ndarray, field: np.ndarray, scratch: list) -> None:
         fallback = np.flatnonzero(np.logical_not(ok, tmp))
         _text_field(_Texts([format(v, ".17g") for v in x[fallback].tolist()]),
                     field.view(np.uint8), fallback)
+
+
+def _float_fields(x: np.ndarray, fields: Sequence[np.ndarray], scratch: list) -> None:
+    """Write ``format(v, ".17g")`` of each float64 ``v`` of ``x``, the values
+    of ``len(fields)`` columns one after another, into the columns' 4-word
+    uint64 ``fields``, all but their separator bytes. Of each run of values
+    with equal bits only the first is formatted."""
+    n, m = len(x), len(fields[0])
+    first = scratch[3][3, :n]
+    first[0] = True
+    np.not_equal(x[1:].view(np.int64), x[:-1].view(np.int64), first[1:])
+    runs = np.count_nonzero(first)
+    if runs == n and len(fields) == 1:
+        return _float_field(x, fields[0], scratch)
+    # _float_field builds each field in its groups scratch and ORs it into
+    # ``field`` item by item, so that scratch can be the ``field`` itself.
+    out = scratch[2][:runs].view(np.uint64)
+    if runs == n:
+        _float_field(x, out, scratch)
+    else:
+        _float_field(np.compress(first, x, out=scratch[4][1, :runs]), out, scratch)
+        run = np.cumsum(first, out=scratch[0][0, :n].view(np.int64))
+        run -= 1  # the run of each value
+        # Into _float_field's exponent scratch: a strided out makes take slower.
+        out = np.take(out, run, axis=0, out=_rows(scratch[1], n, 4).view(np.uint64), mode="clip")
+    for j, field in enumerate(fields):
+        field[...] = out[j * m:(j + 1) * m]
 
 
 def _int_field(v: np.ndarray, field: np.ndarray, scratch: list) -> None:
@@ -333,8 +371,10 @@ def rows(*columns: Sequence) -> Iterator[bytes]:
         return
     kinds = list(map(_kind, columns))
     n = min(step := chunk_rows(len(columns)), total := len(columns[0]))
-    scratch = _arena([(np.float64, (6, n)), (np.int64, (n, 8)), (np.float64, (n, 4)),
-                      (bool, (3, n)), (np.uint8, (n * _FLOAT_BYTES * len(columns),))])
+    span = n * max(1, kinds.count("float"))  # a chunk's float values, and its rows
+    scratch = _arena([(np.float64, (6, span)), (np.int64, (span, 8)), (np.float64, (span, 4)),
+                      (bool, (4, span)), (np.float64, (2, span)),
+                      (np.uint8, (n * _FLOAT_BYTES * len(columns),))])
     for start in range(0, total, step):
         stop = min(start + step, total)
         values = [_chunk(c, kind, start, stop) for c, kind in zip(columns, kinds)]
@@ -342,16 +382,20 @@ def rows(*columns: Sequence) -> Iterator[bytes]:
         size = (stop - start) * sum(widths)  # beyond the slots only for wide text
         matrix = scratch[-1] if size <= scratch[-1].size else np.empty(size, np.uint8)
         mat = _rows(matrix, stop - start, sum(widths))
-        at = 0
-        for v, width in zip(values, widths):
-            field = mat[:, at:at + width]
-            if isinstance(v, _Texts):
+        ends = list(itertools.accumulate(widths))
+        fields = [mat[:, end - width:end] for end, width in zip(ends, widths)]
+        floats = [(v, field.view(np.uint64)) for v, field, kind in zip(values, fields, kinds)
+                  if kind == "float"]
+        if floats:
+            x, slots = zip(*floats)
+            gathered = scratch[4][0, :len(x) * (stop - start)]
+            _float_fields(x[0] if len(x) == 1 else np.concatenate(x, out=gathered), slots, scratch)
+        for v, field, kind in zip(values, fields, kinds):
+            if kind == "text":
                 _text_field(v, field)
-            elif v.dtype == np.float64:
-                _float_field(v, field.view(np.uint64), scratch)
-            else:
+            elif kind == "int":
                 _int_field(v, field.view(np.uint32), scratch)
-            at += width
-            mat[:, at - 1] = ord(",")
+        for end in ends:
+            mat[:, end - 1] = ord(",")
         mat[:, -1] = ord("\n")
         yield mat.tobytes().translate(None, b"\xff")

@@ -91,7 +91,8 @@ def rotation_matrix(angle_deg: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CurlField:
-    """Velocity-dependent field F = gain * Rot(angle) * v."""
+    """Velocity-dependent field F = gain * Rot(angle) * v. Its matrix rows
+    are kept as floats once, for the reaches in it."""
 
     gain: float
     angle: float
@@ -102,6 +103,7 @@ class CurlField:
         if not math.isfinite(self.angle):
             raise ValueError(f"angle must be finite, got {self.angle}")
         object.__setattr__(self, "angle", self.angle % 360.0)
+        object.__setattr__(self, "_rows", tuple(map(tuple, self.matrix.tolist())))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -164,7 +166,7 @@ def run_trial(l: ReachLearner, f: CurlField, start: np.ndarray, target: np.ndarr
     # Each matrix-vector row and squared length is ``_fma`` written out, with
     # the splits of vx and of the field's first column hoisted out of the
     # loop; ``_fma`` itself runs wherever the fast path's guard fails.
-    (m00, m01), (m10, m11) = f.matrix.tolist()
+    (m00, m01), (m10, m11) = f._rows
     m00h, m10h = _SPLIT * m00 - (_SPLIT * m00 - m00), _SPLIT * m10 - (_SPLIT * m10 - m10)
     m00l, m10l = m00 - m00h, m10 - m10h
     f00, f01, f10, f11 = np.asarray(l.fast, dtype=float).ravel().tolist()
@@ -236,9 +238,10 @@ def run_trial(l: ReachLearner, f: CurlField, start: np.ndarray, target: np.ndarr
         denom = (fsum((h, p - h + 2.0 * ah * al + al * al, c))
                  if lo < p < hi > c else _fma(vy, vy, c)) + 1e-12
     r = l.fast_retention
-    fast = np.array([[f00 * r, f01 * r], [f10 * r, f11 * r]])
-    slow = np.array([[s00, s01], [s10, s11]])
-    return replace(l, fast=fast, slow=slow), dev_sum / steps
+    fast, slow = np.array([f00 * r, f01 * r, f10 * r, f11 * r, s00, s01, s10, s11]).reshape(2, 2, 2)
+    learned = object.__new__(type(l))  # l's rates, checked when l was made
+    vars(learned).update(vars(l), fast=fast, slow=slow)
+    return learned, dev_sum / steps
 
 
 class ReachDivergenceError(RuntimeError):
@@ -489,7 +492,8 @@ def vehicle_step(v: Vehicle, field_: CmykField, dt: float) -> Vehicle:
     next step reads as the body's (so step it in the same field); a vehicle
     without them solves the color here. Both are built without ``__init__``:
     ``_settle`` returns a finite position and channels in [0, 1], so only
-    the new heading, which a steep turn can overflow, is checked."""
+    the new heading, which a steep turn can overflow, is checked; one not
+    finite raises VehicleDivergenceError."""
     check_dt(dt)
     h = v.heading
     cos_h, sin_h = math.cos(h), math.sin(h)
@@ -507,7 +511,7 @@ def vehicle_step(v: Vehicle, field_: CmykField, dt: float) -> Vehicle:
     ahead = dt * speed
     new_pos, color = field_._settle(x + ahead * cos_h, y + ahead * sin_h)
     if not math.isfinite(new_heading):
-        replace(v, position=new_pos, heading=new_heading)  # raises Vehicle's own error
+        raise VehicleDivergenceError("vehicle step diverged: the heading is not finite")
     point = object.__new__(CmykPoint)
     vars(point).update(zip("cmyk", color))
     stepped = object.__new__(type(v))

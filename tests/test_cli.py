@@ -627,8 +627,7 @@ def test_empty_diffuse_input_or_levels_is_usage_error(tmp_path, capsys, flag, re
 @pytest.mark.parametrize("dt, code, err", [
     # The first step: dt * turn gain overflows, and inf times the sensors' zero
     # difference is a nan heading, while the body is clamped onto a corner.
-    ("1e10", 2, "regulab: invalid parameters: position must be a finite 2-vector and heading "
-     "finite, got (0.0, 0.0) and nan\n"),
+    ("1e10", 1, "regulab: runtime error: vehicle step diverged: the heading is not finite\n"),
     ("1e300", 1, "regulab: runtime error: vehicle step diverged: a point is too far from the "
      "arena to clamp (its squared distance overflows)\n"),
 ])

@@ -141,6 +141,53 @@ def test_columns_of_every_kind_across_chunks():
     assert_same(range(n), floats, ints, symbols, singles)
 
 
+# Floats that runs of equal values are drawn from: zeros of both signs, the
+# fallback values (nan, infinities, the least subnormal and the near tie
+# near_ties()[0]) and two the fast path writes.
+RUN_FLOATS = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 9.962711698787393e-07,
+                       1.5, -2.25e-7])
+
+
+@st.composite
+def runs_of(draw, n: int) -> np.ndarray:
+    """``n`` floats of RUN_FLOATS in runs of drawn values and lengths."""
+    runs = draw(st.lists(st.tuples(st.integers(0, len(RUN_FLOATS) - 1), st.integers(1, n)),
+                         min_size=1, max_size=8))
+    picks, lengths = zip(*runs)
+    return np.resize(np.repeat(RUN_FLOATS[list(picks)], lengths), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_runs_of_equal_floats_across_columns_and_chunks(data):
+    floats = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 2 * csvtext.chunk_rows(floats + 2) + 3))
+    columns = [data.draw(runs_of(n)) for _ in range(floats)]
+    single = data.draw(st.integers(0, floats - 1))
+    columns[single] = columns[single].astype(np.float32)
+    columns += [np.arange(n) % 7 - 3, [f"s{i // 5 % 3}" for i in range(n)]]
+    assert_same(*data.draw(st.permutations(columns)))
+
+
+def test_each_chunk_formats_its_float_columns_in_one_call(monkeypatch):
+    formatted = []
+    float_field = csvtext._float_field
+
+    def counted(x, field, scratch):
+        formatted.append(len(x))
+        float_field(x, field, scratch)
+
+    monkeypatch.setattr(csvtext, "_float_field", counted)
+    step = csvtext.chunk_rows(4)
+    r = np.random.default_rng(7)
+    x, u, e = r.random((3, step + 5))  # pid's columns: tick, x, u, e
+    assert_same(range(step + 5), x, u, e)
+    assert formatted == [3 * step, 15]
+    formatted.clear()
+    assert_same(range(step), np.full(step, 0.25), np.full(step, 0.25), np.full(step, 0.25))
+    assert formatted == [1]
+
+
 def test_a_long_series_is_written_in_chunks_of_at_most_a_mebibyte():
     chunks = list(csvtext.rows(range(10**6), np.random.default_rng(6).random(10**6)))
     assert len(chunks) > 1
