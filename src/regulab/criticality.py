@@ -16,7 +16,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from .rng import _BLOCK, SplitMix64
+from .rng import SplitMix64
 
 # Exponents at or above this produce a series so sparse it resembles
 # black noise; the generator refuses them.
@@ -105,26 +105,23 @@ def nfb_map(s: np.ndarray) -> np.ndarray:
 
 def _release_ticks(n: int, sched: BurstSchedule, rng: SplitMix64) -> np.ndarray:
     """Running sums of gaps ``next_int(interval_min, interval_max)`` up to
-    ``n``; ``rng`` ends right after the first gap past ``n``. The bound never
-    changes, so a draw that ``next_below`` would reject is simply dropped."""
-    lo, m = sched.interval_min, sched.interval_max - sched.interval_min + 1
-    last_ok = np.uint64((2**64 // m) * m - 1)
+    ``n``; ``rng`` ends right after the first gap past ``n``. A round of
+    ``(n - tick) // interval_max`` gaps cannot pass ``n``, so each round draws
+    them as one run of ``belows``; scalar draws finish the last few."""
+    lo, hi = sched.interval_min, sched.interval_max
     chunks, tick = [], 0
-    while True:
-        u = rng.u64s(min(_BLOCK, (n - tick) // lo + 1))
-        kept = np.flatnonzero(u <= last_ok)
-        offsets = u[kept] if m == 2**64 else u[kept] % np.uint64(m)
-        # Any gap past n ends the series, so clipping both terms to n + 1
-        # keeps the sums in int64 without changing where they pass n.
-        gaps = np.minimum(offsets, n + 1).astype(np.int64) + min(lo, n + 1)
-        ticks = tick + np.cumsum(gaps)
-        inside = int(np.searchsorted(ticks, n, side="right"))
-        chunks.append(ticks[:inside])
-        if inside < ticks.size:
-            rng.rewind(u.size - 1 - int(kept[inside]))
-            return np.concatenate(chunks)
+    while k := (n - tick) // hi:  # only while hi <= n: each bound hi - lo + 1 fits in uint64
+        gaps = rng.belows(np.full(k, hi - lo + 1, dtype=np.uint64)).astype(np.int64)
+        gaps += lo
+        ticks = np.cumsum(gaps)
+        ticks += tick
+        chunks.append(ticks)
         if ticks.size:
             tick = int(ticks[-1])
+    tail = []
+    while (tick := tick + rng.next_int(lo, hi)) <= n:
+        tail.append(tick)
+    return np.concatenate([*chunks, np.array(tail, dtype=np.int64)])
 
 
 def accumulate_release(

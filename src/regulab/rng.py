@@ -12,9 +12,10 @@ increment 0x9E3779B97F4A7C15; output is the finalizer mix of the state.
 Because the state only ever moves by that constant, the k-th output after
 state ``s`` is ``mix(s + k * GAMMA mod 2**64)``: the generator is
 counter-based in the sense of Salmon et al. (SC 2011), "Parallel random
-numbers: as easy as 1, 2, 3". ``u64s`` relies on this identity to compute a
-block of draws as one numpy ``uint64`` expression, bit-identical to the
-same number of ``next_u64`` calls.
+numbers: as easy as 1, 2, 3". Every draw relies on this identity: one numpy
+``uint64`` expression, ``_outputs``, computes a block of outputs from the
+state. ``u64s`` and ``belows`` take such a block directly, and the scalar
+draws serve their outputs one at a time from a small look-ahead block.
 
 ``shuffle`` builds its order from one sort and pointer jumping, after Shun,
 Gu, Blelloch, Fineman & Gibbons (SODA 2015), "Sequential random permutation,
@@ -30,11 +31,28 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# Largest block that ``floats``, ``shuffle`` and the burst gaps draw at
-# once; bounds their temporaries to a few hundred kilobytes.
+# Largest block that ``floats`` and ``shuffle`` draw at once; bounds their
+# temporaries to a few hundred kilobytes.
 _BLOCK = 1 << 16
+# Outputs that the scalar draws compute at once. Small, because a ``split()``
+# child often draws only once.
+_AHEAD = 256
 
 RNG_ALGORITHM = "splitmix64"
+
+
+def _outputs(state: int, n: int) -> np.ndarray:
+    """The ``n`` outputs that follow ``state``, as one uint64 array: the
+    finalizer mix of the states ``state + k * GAMMA`` for k = 1..n."""
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(state)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 class SplitMix64:
@@ -45,32 +63,31 @@ class SplitMix64:
     stream, which is how per-stage sub-seeds are produced.
     """
 
-    __slots__ = ("_state",)
+    __slots__ = ("_end", "_ahead")
 
     def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
+        self._end = seed & _MASK64  # the state after the last output computed
+        self._ahead: list[int] = []  # outputs computed and not drawn yet, the next one last
+
+    @property
+    def _state(self) -> int:
+        """The state after the last output drawn."""
+        return (self._end - len(self._ahead) * _GAMMA) & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+        ahead = self._ahead
+        if not ahead:
+            ahead = self._ahead = _outputs(self._end, _AHEAD)[::-1].tolist()
+            self._end = (self._end + _AHEAD * _GAMMA) & _MASK64
+        return ahead.pop()
 
     def u64s(self, n: int) -> np.ndarray:
         """The next ``n`` outputs of ``next_u64`` as one uint64 array."""
         if n < 0:
             raise ValueError(f"draw count must be >= 0, got {n}")
-        z = np.arange(1, n + 1, dtype=np.uint64)
-        z *= np.uint64(_GAMMA)
-        z += np.uint64(self._state)
-        self._state = (self._state + n * _GAMMA) & _MASK64
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_MIX1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
-        return z
+        state = self._state
+        self._end, self._ahead = (state + n * _GAMMA) & _MASK64, []
+        return _outputs(state, n)
 
     def floats(self, n: int) -> np.ndarray:
         """The next ``n`` outputs of ``next_float`` as one float64 array."""
@@ -104,14 +121,26 @@ class SplitMix64:
             raise ValueError(f"empty range [{lo}, {hi}]")
         return lo + self.next_below(hi - lo + 1)
 
+    def belows(self, bounds: np.ndarray) -> np.ndarray:
+        """``next_below(m)`` for each bound m of a uint64 array in turn, up to
+        the first draw that ``next_below`` rejects: the values drawn before
+        it. The rejected draw is consumed, so a call that asks again for
+        its bound goes on as ``next_below`` would."""
+        if not bounds.all():
+            raise ValueError("bounds must be in [1, 2**64)")
+        state = self._state
+        below, accepted = _below(_outputs(state, bounds.size), bounds)
+        taken = bounds.size if accepted.all() else int(accepted.argmin())
+        self._end, self._ahead = (state + min(taken + 1, bounds.size) * _GAMMA) & _MASK64, []
+        return below[:taken]
+
     def shuffle(self, items) -> None:
         """In-place Fisher-Yates shuffle of a list or a 1-D ndarray.
 
         Step k, for k from len - 1 down to 1, swaps items k and the target
-        ``H[k] = next_below(k + 1)``. The targets are drawn a block at a
-        time; a draw that ``next_below`` would reject ends the block, and
-        the state is rewound so that ``next_below`` replays it. The order is
-        then built with no loop over the items by ``_fisher_yates_order``.
+        ``H[k] = next_below(k + 1)``. The targets are drawn by ``belows`` a
+        block at a time, and the order is then built with no loop over the
+        items by ``_fisher_yates_order``.
         """
         if len(items) < 2:
             return
@@ -126,20 +155,10 @@ class SplitMix64:
         target = np.zeros(n, dtype=np.int32 if n < 2**31 else np.int64)
         i = n - 1
         while i > 0:
-            bounds = np.arange(i + 1, max(i + 1 - _BLOCK, 1), -1, dtype=np.uint64)
-            below, accepted = _below(self.u64s(bounds.size), bounds)
-            taken = bounds.size if accepted.all() else int(accepted.argmin())
-            target[i + 1 - taken : i + 1] = below[:taken][::-1]
-            i -= taken
-            if taken < bounds.size:  # the draw at ``taken`` is rejected
-                self.rewind(bounds.size - taken)
-                target[i] = self.next_below(i + 1)
-                i -= 1
+            below = self.belows(np.arange(i + 1, max(i + 1 - _BLOCK, 1), -1, dtype=np.uint64))
+            target[i + 1 - below.size : i + 1] = below[::-1]
+            i -= below.size
         return target
-
-    def rewind(self, k: int) -> None:
-        """Step the state back over the last ``k`` draws."""
-        self._state = (self._state - k * _GAMMA) & _MASK64
 
     def split(self) -> "SplitMix64":
         """Child generator seeded from this stream."""

@@ -21,7 +21,7 @@ from regulab.criticality import (
     threshold_model,
 )
 from regulab.rng import SplitMix64
-from test_rng import scalar_shuffle
+from test_rng import Forge, ScalarMix, draws, scalar_shuffle, state_of
 
 
 # --- generator ------------------------------------------------------------
@@ -210,55 +210,35 @@ def reference_accumulate_release(s, sched, rng):
     return bursts, np.asarray(times, dtype=int), np.asarray(magnitudes, dtype=float)
 
 
-class ForgedStream(SplitMix64):
-    """SplitMix64 whose draw number ``FORGE_AT`` (counted from the seed) is
-    2**64 - 1, which next_below rejects for any bound that is not a power
-    of two. Scalar and block draws see the same stream."""
-
-    FORGE_AT = None
+def assert_release_matches_reference(s, sched, seed, monkeypatch, forge_at=()):
+    """``accumulate_release`` against the scalar loop on ``ScalarMix``, with
+    the draws numbered ``forge_at`` (from 0) forged into rejections."""
+    forge = Forge(monkeypatch, [state_of(seed, k) for k in forge_at])
     made = []
 
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.drawn = 0
-        ForgedStream.made.append(self)
+    class Recorded(SplitMix64):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
 
-    def next_u64(self):
-        u = super().next_u64()
-        self.drawn += 1
-        return 2**64 - 1 if self.drawn - 1 == self.FORGE_AT else u
-
-    def u64s(self, n):
-        u = super().u64s(n)
-        if self.FORGE_AT is not None and 0 <= self.FORGE_AT - self.drawn < n:
-            u[self.FORGE_AT - self.drawn] = np.uint64(2**64 - 1)
-        self.drawn += n
-        return u
-
-    def rewind(self, k):
-        super().rewind(k)
-        self.drawn -= k
-
-
-def assert_release_matches_reference(s, sched, seed, monkeypatch, forge_at=None):
-    monkeypatch.setattr(ForgedStream, "FORGE_AT", forge_at)
-    monkeypatch.setattr(ForgedStream, "made", [])
-    monkeypatch.setattr(criticality, "SplitMix64", ForgedStream)
+    monkeypatch.setattr(criticality, "SplitMix64", Recorded)
     bursts, events = accumulate_release(s, sched, seed)
-    ref_rng = SplitMix64(seed) if forge_at is None else ForgedStream(seed)
+    ref_rng = ScalarMix(seed, forge.states)
     ref_bursts, ref_times, ref_magnitudes = reference_accumulate_release(s, sched, ref_rng)
     assert bursts.tobytes() == ref_bursts.tobytes()
     assert events.times.dtype == ref_times.dtype
     assert events.times.tolist() == ref_times.tolist()
     assert events.magnitudes.tobytes() == ref_magnitudes.tobytes()
     assert events.intervals.tolist() == np.diff(ref_times).tolist()
-    assert ForgedStream.made[0]._state == ref_rng._state
+    assert made[0]._state == ref_rng._state
+    assert forge.fired(made[0], seed)
 
 
 @pytest.mark.parametrize("n,lo,hi", [
     (1, 1, 1), (3, 10, 20), (50, 50, 50), (51, 50, 50), (5000, 1, 1), (70000, 1, 3),
     (70000, 1, 1), (2000, 4, 10), (300, 1, 2**64), (300, 2**70, 2**70 + 5),
     (3000, 1, 2**63 + 1),  # rejects about half of all draws
+    (40, 3, 40), (400, 3, 8), (7, 2, 10), (700, 7, 7), (1000, 7, 7),
 ])
 def test_release_matches_scalar_loop(n, lo, hi, monkeypatch):
     s = SplitMix64(n).floats(n)
@@ -271,10 +251,33 @@ def test_release_matches_scalar_loop_on_signed_zeros(monkeypatch):
         assert_release_matches_reference(s, BurstSchedule(lo, hi), 3, monkeypatch)
 
 
-@pytest.mark.parametrize("forge_at", [0, 1, 7])
+def release_draw(site, n, sched, seed):
+    """The number of the draw at ``site`` of ``_release_ticks(n, sched,
+    SplitMix64(seed))``: in its last run of ``belows`` or in the scalar tail."""
+    runs, belows = [], SplitMix64.belows
+
+    def recorded(gen, bounds):
+        runs.append((draws(seed, gen._state), bounds.size))
+        return belows(gen, bounds)
+
+    rng = SplitMix64(seed)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(SplitMix64, "belows", recorded)
+        criticality._release_ticks(n, sched, rng)
+    assert len(runs) > 1
+    first, size = runs[-1]
+    return {"last-run-first": first, "last-run-last": first + size - 1,
+            "tail-first": first + size, "tail-last": draws(seed, rng._state) - 1}[site]
+
+
+@pytest.mark.parametrize("forge_at", [0, 1, 7, "last-run-first", "last-run-last", "tail-first",
+                                      "tail-last"])
 def test_release_drops_a_rejected_gap_draw(forge_at, monkeypatch):
-    s = SplitMix64(1).floats(400)
-    assert_release_matches_reference(s, BurstSchedule(3, 9), 5, monkeypatch, forge_at)
+    # 7 does not divide 2**64. Seed 2's last run of belows is draws 65-67, its tail 68-69.
+    s, sched = SplitMix64(1).floats(400), BurstSchedule(3, 9)
+    if isinstance(forge_at, str):
+        forge_at = release_draw(forge_at, s.size, sched, 2)
+    assert_release_matches_reference(s, sched, 2, monkeypatch, [forge_at])
 
 
 @settings(max_examples=60, deadline=None)

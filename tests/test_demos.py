@@ -21,7 +21,8 @@ from regulab.demos import (
     gd_regulate,
     q_regulate,
 )
-from regulab.rng import _GAMMA, _MIX1, _MIX2, SplitMix64
+from regulab.rng import _AHEAD, _GAMMA, _MIX1, _MIX2, SplitMix64
+from test_rng import ScalarMix
 
 
 # --- gradient descent ---------------------------------------------------------
@@ -392,7 +393,7 @@ def q_draws_match_scalar_draws(cfg, seed, monkeypatch):
     monkeypatch.setattr(demos, "SplitMix64", Recorded)
     _, q, _ = q_regulate(cfg, seed)
     got, = made
-    rng = SplitMix64(seed)
+    rng = ScalarMix(seed)
     want = scalar_q_regulate(cfg, rng)
     cells = [(x, y) for y in range(cfg.height) for x in range(cfg.width)]
     assert np.array([q[c].tolist() for c in cells]).tobytes() == np.array(want).tobytes()
@@ -412,13 +413,13 @@ def test_q_block_draws_match_scalar_draws(size, episodes, exploration, seed, mon
 @pytest.mark.parametrize("episodes", [1, 3])
 def test_q_run_that_ends_inside_the_first_block(episodes, monkeypatch):
     cfg = QConfig(width=3, height=3, goal_cell=(2, 2), episodes=episodes)
-    assert 0 < q_draws_match_scalar_draws(cfg, 5, monkeypatch) < demos._DRAW_BLOCK
+    assert 0 < q_draws_match_scalar_draws(cfg, 5, monkeypatch) < _AHEAD
 
 
 def test_q_run_over_many_blocks(monkeypatch):
-    # Every step explores: two draws a step, about 30 blocks.
+    # Every step explores: two draws a step, over 900 look-ahead blocks.
     cfg = QConfig(width=8, height=8, goal_cell=(7, 7), episodes=500, exploration=1.0)
-    assert q_draws_match_scalar_draws(cfg, 3, monkeypatch) > 20 * demos._DRAW_BLOCK
+    assert q_draws_match_scalar_draws(cfg, 3, monkeypatch) > 20 * _AHEAD
 
 
 def unmix(z):

@@ -10,7 +10,91 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regulab.rng import _BLOCK, SplitMix64, _below, _fisher_yates_order
+from regulab import rng
+from regulab.rng import _AHEAD, _BLOCK, SplitMix64, _below, _fisher_yates_order
+
+MASK = 2**64 - 1
+GAMMA = 0x9E3779B97F4A7C15
+GAMMA_INV = pow(GAMMA, -1, 2**64)
+
+
+class ScalarMix:
+    """SplitMix64 in pure Python, one draw at a time (Steele, Lea & Flood's
+    finalizer): the independent reference for every draw of ``SplitMix64``,
+    whose outputs all come from one numpy expression. The output of a state
+    in ``forged`` is 2**64 - 1, as under ``Forge``."""
+
+    def __init__(self, seed, forged=frozenset()):
+        self._state = seed & MASK
+        self.forged = forged
+
+    def next_u64(self):
+        self._state = z = (self._state + GAMMA) & MASK
+        if z in self.forged:
+            return MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+        return z ^ (z >> 31)
+
+    def next_float(self):
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def next_below(self, n):
+        limit = (2**64 // n) * n
+        while (u := self.next_u64()) >= limit:
+            pass
+        return u % n
+
+    def next_int(self, lo, hi):
+        return lo + self.next_below(hi - lo + 1)
+
+    def belows(self, bounds):
+        """One next_below draw for each bound in turn, up to the first it rejects."""
+        out = []
+        for m in bounds:
+            u = self.next_u64()
+            if u >= (2**64 // m) * m:
+                break
+            out.append(u % m)
+        return out
+
+    def split(self):
+        return ScalarMix(self.next_u64(), self.forged)
+
+
+def draws(start, end):
+    """How many draws take a generator from state ``start`` to ``end``."""
+    return (end - start) * GAMMA_INV & MASK
+
+
+def state_of(seed, k):
+    """The state whose output is draw number ``k`` (from 0) of ``SplitMix64(seed)``."""
+    return (seed + (k + 1) * GAMMA) & MASK
+
+
+class Forge:
+    """Makes the output of each state in ``states`` 2**64 - 1, which
+    next_below rejects for any bound that is not a power of two. It wraps
+    ``rng._outputs``, the one expression that scalar and block draws alike
+    come from, so a forged draw is found by its state however the draws
+    are blocked."""
+
+    def __init__(self, monkeypatch, states=()):
+        self.states = set(states)
+        outputs = rng._outputs
+
+        def forged(state, n):
+            z = outputs(state, n)
+            for at in self.states:
+                if 0 <= (k := draws(state, at) - 1) < n:
+                    z[k] = MASK
+            return z
+
+        monkeypatch.setattr(rng, "_outputs", forged)
+
+    def fired(self, gen, seed):
+        """Whether ``gen``, seeded with ``seed``, has drawn every forged output."""
+        return all(draws(seed, at) <= draws(seed, gen._state) for at in self.states)
 
 
 # Published splitmix64 outputs for seed 0 (Steele/Lea/Flood finalizer).
@@ -89,7 +173,7 @@ BLOCK_SEEDS = (0, 1, 0xDEADBEEF, 2**64 - 1)
 BLOCK_SIZES = (0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 200_001)
 
 
-def scalar_shuffle(items: list, rng: SplitMix64) -> None:
+def scalar_shuffle(items: list, rng) -> None:
     """Reference Fisher-Yates: one next_below draw per swap."""
     for i in range(len(items) - 1, 0, -1):
         j = rng.next_below(i + 1)
@@ -99,7 +183,7 @@ def scalar_shuffle(items: list, rng: SplitMix64) -> None:
 @pytest.mark.parametrize("seed", BLOCK_SEEDS)
 def test_u64s_matches_next_u64(seed):
     for n in (0, 1, 5, 1000):
-        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        block, scalar = SplitMix64(seed), ScalarMix(seed)
         assert block.u64s(n).tolist() == [scalar.next_u64() for _ in range(n)]
         assert block._state == scalar._state
         assert block.next_u64() == scalar.next_u64()
@@ -108,15 +192,59 @@ def test_u64s_matches_next_u64(seed):
 @pytest.mark.parametrize("seed", BLOCK_SEEDS)
 def test_floats_match_next_float(seed):
     for n in (0, 1, _BLOCK + 3):
-        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        block, scalar = SplitMix64(seed), ScalarMix(seed)
         values = block.floats(n)
         assert values.dtype == np.float64
         assert values.tolist() == [scalar.next_float() for _ in range(n)]
         assert block._state == scalar._state
 
 
+RUNS = st.sampled_from([0, 1, 2, _AHEAD - 1, _AHEAD, _AHEAD + 1, 2 * _AHEAD + 1])
+BELOW_BOUNDS = st.sampled_from([1, 2, 3, 7, 2**32 + 1, 2**63 + 1, 2**64 - 1])
+DRAW_STEPS = st.one_of(
+    st.tuples(st.sampled_from(["next_u64", "next_float", "u64s", "floats"]), RUNS),
+    st.tuples(st.just("next_below"), BELOW_BOUNDS | st.just(2**64)),
+    # A run of bounds repeating a pattern; "forged" rejects the run's last draw.
+    st.tuples(st.just("belows"), RUNS, st.lists(BELOW_BOUNDS, min_size=1, max_size=4)),
+    st.tuples(st.just("forged"), RUNS.filter(bool), st.lists(st.integers(1, 1000), min_size=1,
+                                                              max_size=4)),
+    st.tuples(st.just("split")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, MASK), st.lists(st.tuples(st.integers(0, 3), DRAW_STEPS), max_size=12))
+def test_draws_match_scalar_reference_in_any_order(seed, steps):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        forge = Forge(monkeypatch)
+        pairs = [(SplitMix64(seed), ScalarMix(seed, forge.states))]
+        for pick, (kind, *args) in steps:
+            gen, ref = pairs[pick % len(pairs)]
+            if kind == "split":
+                pairs.append((gen.split(), ref.split()))
+            elif kind in ("next_u64", "next_float"):
+                for _ in range(args[0]):
+                    assert getattr(gen, kind)() == getattr(ref, kind)()
+                    assert gen._state == ref._state
+            elif kind == "next_below":
+                assert gen.next_below(args[0]) == ref.next_below(args[0])
+            elif kind in ("u64s", "floats"):
+                scalar = ref.next_u64 if kind == "u64s" else ref.next_float
+                assert getattr(gen, kind)(args[0]).tolist() == [scalar() for _ in range(args[0])]
+            else:
+                bounds = np.resize(np.array(args[1], dtype=np.uint64), args[0])
+                if kind == "forged":  # 3 does not divide 2**64
+                    bounds[-1] = 3
+                    forge.states.add((gen._state + bounds.size * GAMMA) & MASK)
+                got = gen.belows(bounds).tolist()
+                assert got == ref.belows(bounds.tolist())
+                if kind == "forged":
+                    assert len(got) == bounds.size - 1
+            assert gen._state == ref._state
+
+
 def assert_shuffle_matches_scalar(seed, n):
-    scalar = SplitMix64(seed)
+    scalar = ScalarMix(seed)
     expected = [float(v) for v in range(n)]
     scalar_shuffle(expected, scalar)
     for items in ([float(v) for v in range(n)], np.arange(n, dtype=float)):
@@ -138,37 +266,15 @@ def test_shuffle_matches_scalar_reference_any_length(n, seed):
     assert_shuffle_matches_scalar(seed, n)
 
 
-class RejectingOnce(SplitMix64):
-    """Forges the draw at ``REJECT_AT`` of the first block into one that
-    next_below rejects for any bound that is not a power of two."""
-
-    REJECT_AT = 10
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.blocks = 0
-        self.replays = 0
-
-    def u64s(self, n):
-        u = super().u64s(n)
-        if self.blocks == 0 and n > self.REJECT_AT:
-            u[self.REJECT_AT] = np.uint64(2**64 - 1)
-        self.blocks += 1
-        return u
-
-    def next_below(self, n):
-        self.replays += 1
-        return super().next_below(n)
-
-
-def test_shuffle_replays_rejected_draw_through_next_below():
+def test_shuffle_replays_rejected_draw_through_next_below(monkeypatch):
     n = 1000  # the forged draw bounds index 989, and 2**64 mod 990 != 0
-    forged, scalar = RejectingOnce(42), SplitMix64(42)
+    forge = Forge(monkeypatch, [state_of(42, 10)])
+    forged, scalar = SplitMix64(42), ScalarMix(42, forge.states)
     a, b = list(range(n)), list(range(n))
     forged.shuffle(a)
     scalar_shuffle(b, scalar)
-    assert forged.replays == 1
-    assert forged.blocks == 2
+    assert forge.fired(forged, 42)
+    assert draws(42, forged._state) == n  # n - 1 swaps and the rejected draw
     assert a == b
     assert forged._state == scalar._state
 
@@ -252,7 +358,7 @@ def test_shuffle_order_does_not_depend_on_sort_dispatch(features):
     want = []
     for seed in seeds:
         items = list(range(200_001))
-        scalar_shuffle(items, SplitMix64(seed))
+        scalar_shuffle(items, ScalarMix(seed))
         want.append(hashlib.sha256(np.array(items, dtype="<i8").tobytes()).hexdigest())
     assert proc.stdout.split() == want
 
@@ -262,4 +368,11 @@ def test_block_draws_reject_negative_count(draw):
     g = SplitMix64(0)
     with pytest.raises(ValueError):
         getattr(g, draw)(-1)
+    assert g._state == 0
+
+
+def test_belows_rejects_a_zero_bound():
+    g = SplitMix64(0)
+    with pytest.raises(ValueError):
+        g.belows(np.array([3, 0], dtype=np.uint64))
     assert g._state == 0

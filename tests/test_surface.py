@@ -31,10 +31,6 @@ KEPT_MEMBERS = {
     "relation.InternalModel.estimate": "the internal model's readout",
     "relation.InternalModel.observe_state": "the one-step reference for run_relation_carry's "
                                             "window",
-    "rng.SplitMix64.next_int": "criterion 08's draws and the scalar reference for "
-                               "_release_ticks",
-    "rng.SplitMix64.next_float": "the scalar reference for floats and for q_regulate's "
-                                 "block of draws",
 }
 
 
