@@ -369,9 +369,9 @@ _REQUIRED = object()
 # Work budgets of the count flags that size a run, so a run too large for the
 # host is refused before it starts. At its bound, on a 2-vCPU Xeon:
 MAX_TICKS = 10**6  # relation: 2.3-2.9 s, 129 MB
-MAX_PID_STEPS = 10**7  # 6 s, 337 MB
+MAX_PID_STEPS = 10**7  # 5-5.5 s, 261 MB
 MAX_GD_ITERS = 10**6  # demo gd: 1.4 s, 55 MB
-MAX_SERIES = 10**7  # avalanche --n, and --factor, a block of it: 2.6-5.2 s, 192-678 MB
+MAX_SERIES = 10**7  # avalanche --n, --factor: 2.3-6.7 s, 192-302 MB; bursts at gaps 1..1 650 MB
 MAX_VEHICLE_STEPS = 10**6  # 20 s, 85 MB
 
 _COMMON = (("seed", seed, _REQUIRED), ("output", output_path, _REQUIRED))

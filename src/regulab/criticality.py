@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import pairwise
 
 import numpy as np
 
@@ -140,21 +139,22 @@ def accumulate_release(
     if s.size == 0:
         raise ValueError("input series must be non-empty")
     ends = _release_ticks(s.size, sched, SplitMix64(seed))
-    # Each burst is summed from 0.0 in index order, as the accumulator does
-    # (not with sum(), which compensates its rounding from Python 3.12 on).
-    values = s.tolist()
-    magnitudes = []
-    for start, end in pairwise([0, *ends.tolist()]):
-        acc = 0.0
-        for v in values[start:end]:
-            acc += v
-        magnitudes.append(acc)
+    # Burst k is row k, padded with 0.0: accumulate adds along a row in index
+    # order, as the accumulator does (np.sum would pair the terms). The
+    # accumulator never holds -0.0, so the padding changes none of its sums,
+    # and + 0.0 turns the -0.0 of an all -0.0 row into the accumulator's 0.0.
+    lengths = np.diff(ends, prepend=0)
+    rows = np.zeros((ends.size, lengths.max(initial=1)))  # a column even with no release
+    rows[np.arange(rows.shape[1]) < lengths[:, None]] = s[:lengths.sum()]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as the loop gives
+        magnitudes = np.add.accumulate(rows, axis=1, out=rows)[:, -1] + 0.0
+    del rows  # before the burst series is filled, so both are not in the peak
     times = ends - 1
     bursts = np.zeros(s.size, dtype=float)
     bursts[times] = magnitudes
     events = AvalancheEvents(
         times=times,
-        magnitudes=np.asarray(magnitudes, dtype=float),
+        magnitudes=magnitudes,
         intervals=np.diff(times),
     )
     return bursts, events

@@ -63,7 +63,7 @@ class PidState:
 class PidTrajectory:
     """Closed-loop record: x[k], u[k], e[k] at tick k."""
 
-    ticks: np.ndarray
+    ticks: range
     x: np.ndarray
     u: np.ndarray
     e: np.ndarray
@@ -147,7 +147,7 @@ def simulate_pid(
             es[k + 1:] = e
             break
         x, integral, prev_error = x_next, step_integral, e
-    return PidTrajectory(ticks=np.arange(T, dtype=int), x=xs, u=us, e=es)
+    return PidTrajectory(ticks=range(T), x=xs, u=us, e=es)
 
 
 def _same_bits(a: float, b: float | None) -> bool:

@@ -32,7 +32,7 @@ bins). Both use equal-width bins over the observed output range.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Collection, Hashable, Iterator, Optional
 
@@ -210,7 +210,6 @@ def run_relation_carry(
     policy, observe, observations = regulator.policy, regulator.observe, regulator.observations
     goal = rel.goal
     feedback = rel.mode == LoopMode.CLOSED
-    window = None if rel.model is None else deque(rel.model.window, maxlen=rel.model.horizon)
     s_state, r_state = rel.s_state, rel.r_state
     columns = s_col, r_col, out_col, err_col, phi_col, rho_col = [], [], [], [], [], []
     for k in range(T):
@@ -221,8 +220,6 @@ def run_relation_carry(
             raise DestroyedVarietyError(observed, tick=k)
         next_r, control = policy(observed, r_state)
         next_s = transition(s_state, control if feedback else idle, phi)
-        if window is not None:
-            window.append(s_state)
         s_col.append(s_state)
         r_col.append(r_state)
         out_col.append(output)
@@ -230,7 +227,9 @@ def run_relation_carry(
         phi_col.append(phi)
         rho_col.append(rho)
         s_state, r_state = next_s, next_r
-    model = None if window is None else replace(rel.model, window=tuple(window))
+    if (model := rel.model) is not None:
+        h = model.horizon
+        model = replace(model, window=(model.window + tuple(s_col[-h:]))[-h:])
     traj = Trajectory(*map(tuple, columns))
     return traj, replace(rel, s_state=s_state, r_state=r_state, model=model)
 

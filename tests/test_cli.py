@@ -835,6 +835,19 @@ def test_vehicle_memory_does_not_grow_with_the_step_count(tmp_path):
     assert peak[50_000] - peak[1000] <= 8 * 1024, peak
 
 
+@pytest.mark.parametrize("gaps, limit", [(["--interval-min", 1, "--interval-max", 1], 100),
+                                         ([], 48)])
+def test_bursts_memory_grows_by_few_bytes_a_value(tmp_path, gaps, limit):
+    # Each burst was once summed over Python lists of every value: about
+    # 143 B a value with a release every tick, and 70 B at the default gaps.
+    peak = {}
+    for n in (10**5, 10**6):
+        argv = ["avalanche", "bursts", "--n", n, *gaps, "--seed", 0, "-o", f"b{n}.csv"]
+        code, err, peak[n] = run_regulab(argv, tmp_path)
+        assert code == 0, err
+    assert (peak[10**6] - peak[10**5]) * 1024 <= limit * (10**6 - 10**5), peak
+
+
 def test_relation_at_its_bound_holds_columns_not_rows(tmp_path):
     # Six columns of 8 MB each, held as lists while the ticks run and as
     # tuples after, then the writer's text lists, over an import of about

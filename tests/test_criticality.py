@@ -224,7 +224,8 @@ def assert_release_matches_reference(s, sched, seed, monkeypatch, forge_at=()):
     monkeypatch.setattr(criticality, "SplitMix64", Recorded)
     bursts, events = accumulate_release(s, sched, seed)
     ref_rng = ScalarMix(seed, forge.states)
-    ref_bursts, ref_times, ref_magnitudes = reference_accumulate_release(s, sched, ref_rng)
+    with np.errstate(over="ignore", invalid="ignore"):  # the loop's own inf and nan
+        ref_bursts, ref_times, ref_magnitudes = reference_accumulate_release(s, sched, ref_rng)
     assert bursts.tobytes() == ref_bursts.tobytes()
     assert events.times.dtype == ref_times.dtype
     assert events.times.tolist() == ref_times.tolist()
@@ -249,6 +250,61 @@ def test_release_matches_scalar_loop_on_signed_zeros(monkeypatch):
     s = np.array([-0.0, 0.0, -0.0, -0.0, 1.0, -1.0, -0.0] * 40)
     for lo, hi in ((1, 1), (1, 2), (2, 2), (1, 4)):
         assert_release_matches_reference(s, BurstSchedule(lo, hi), 3, monkeypatch)
+
+
+# Burst values the padding of a burst's row must not change: each tiled over
+# the series, so bursts start with and are made of each of them. No burst
+# meets two NaNs of different bits, as inf + -inf (-nan on x86-64) and nan
+# would: IEEE 754 leaves open which of the two a sum keeps, and numpy's
+# accumulate and Python's float + keep different ones. The CSV writes both
+# as nan.
+SPECIAL_VALUES = {
+    "leading -0.0": [-0.0, 1.5, -0.0, -0.0, 2.0, -0.0, -0.0, -0.0],
+    "only -0.0": [-0.0],
+    "subnormals": [5e-324, -5e-324, 1e-310, 5e-324, -1e-310, 2.2250738585072014e-308],
+    "infinities": [math.inf, 1.0, -math.inf, -0.0, math.inf, -math.inf, 2.0],
+    "nan": [math.nan, 1.0, -0.0, math.inf, math.nan, -2.0],
+    "overflow": [1.7e308, 1.7e308, -1.7e308, -0.0, -1.7e308, -1.7e308, 1.0, 1e308],
+}
+
+
+@pytest.mark.parametrize("values", SPECIAL_VALUES.values(), ids=SPECIAL_VALUES)
+@pytest.mark.parametrize("lo,hi", [(1, 1), (1, 3), (2, 5), (4, 4), (3, 9)])
+def test_release_matches_scalar_loop_on_special_values(values, lo, hi, monkeypatch):
+    s = np.resize(np.array(values), 96)
+    for seed in range(4):
+        assert_release_matches_reference(s, BurstSchedule(lo, hi), seed, monkeypatch)
+
+
+@pytest.mark.parametrize("values", SPECIAL_VALUES.values(), ids=SPECIAL_VALUES)
+def test_release_matches_scalar_loop_with_no_release_or_one(values, monkeypatch):
+    s = np.resize(np.array(values), 9)
+    for lo, hi, count in ((10, 20, 0), (9, 9, 1)):
+        bursts, events = accumulate_release(s, BurstSchedule(lo, hi), 1)
+        assert len(events.times) == count
+        assert_release_matches_reference(s, BurstSchedule(lo, hi), 1, monkeypatch)
+
+
+def seed_with_longest_burst(where, n, sched):
+    """The first seed whose bursts over ``n`` values are at least three, with
+    one longest, ``where`` is "first", "last" or "middle" of them."""
+    for seed in range(1000):
+        lengths = np.diff(criticality._release_ticks(n, sched, SplitMix64(seed)), prepend=0)
+        longest = np.flatnonzero(lengths == lengths.max()) if lengths.size >= 3 else []
+        if len(longest) == 1:
+            k, last = longest[0], lengths.size - 1
+            if {"first": k == 0, "last": k == last, "middle": 0 < k < last}[where]:
+                return seed
+    raise AssertionError(f"no seed below 1000 has its longest burst {where}")
+
+
+@pytest.mark.parametrize("where", ["first", "last", "middle"])
+@pytest.mark.parametrize("values", SPECIAL_VALUES.values(), ids=SPECIAL_VALUES)
+def test_release_matches_scalar_loop_wherever_the_longest_burst_is(where, values, monkeypatch):
+    # The longest burst's row is the only one the table does not pad.
+    sched = BurstSchedule(1, 6)
+    seed = seed_with_longest_burst(where, 24, sched)
+    assert_release_matches_reference(np.resize(np.array(values), 24), sched, seed, monkeypatch)
 
 
 def release_draw(site, n, sched, seed):
