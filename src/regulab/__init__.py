@@ -11,7 +11,3 @@ so their outputs do not depend on numpy's BLAS/LAPACK build.
 """
 
 __version__ = "0.1.0"
-
-from .rng import RNG_ALGORITHM, SplitMix64
-
-__all__ = ["RNG_ALGORITHM", "SplitMix64", "__version__"]

@@ -69,10 +69,10 @@ def _atomic_write(files: Files) -> None:
     "wb")`` gives, then rename each temp over its path in order: a run's
     manifest, its last file, is renamed last. Files and chunks are written as
     they come, never joined, so no long series or whole set is held at once.
-    A failure before the renames unlinks every temp, so the files appear
-    together or not at all. Before the first rename the last file's old
-    target is unlinked, so a failing ``os.replace`` leaves the files renamed
-    before it beside no manifest, never beside one of another run."""
+    A failure before the renames, a target that is a directory included,
+    unlinks every temp, so the files appear together or not at all. Then the
+    last file's old target is unlinked, so a failing ``os.replace`` leaves the
+    files renamed before it beside no manifest, never beside one of another run."""
     temps: list[tuple[Path, Path]] = []
     try:
         for path, chunks in files:
@@ -83,6 +83,9 @@ def _atomic_write(files: Files) -> None:
             with os.fdopen(fd, "wb") as fh:
                 for chunk in chunks:
                     fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+        for _, path in temps:  # its rename would fail after the unlink below
+            if path.is_dir():
+                raise IsADirectoryError(f"output path is a directory: {path}")
         temps[-1][1].unlink(missing_ok=True)
         for tmp, path in temps:
             os.replace(tmp, path)
@@ -297,7 +300,7 @@ def _cmd_demo(a) -> tuple[Files, dict]:
 
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

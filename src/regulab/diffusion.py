@@ -23,6 +23,7 @@ at 8-bit quantization; binary and ASCII (P2) PGM are read.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +32,9 @@ from typing import Union
 import numpy as np
 
 from .rng import SplitMix64
+
+# A PGM header token after whitespace and whole '#' comments (no token starts with '#').
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?=\n|\Z))*(?!#)(\S+)")
 
 
 @dataclass(frozen=True)
@@ -120,18 +124,14 @@ def gen_noise_field(w: int, h: int, spec: NoiseSpec, seed: int) -> GrayImage:
     """I.i.d. noise raster, generated row-major from the seeded project RNG."""
     if w < 1 or h < 1:
         raise ValueError(f"field must be at least 1x1, got {w}x{h}")
-    rng = SplitMix64(seed)
-    if isinstance(spec, UniformBlend):
-        flat = rng.floats(w * h)
-    elif isinstance(spec, PowerMask):
-        inv = 1.0 / spec.shape
-        flat = rng.floats(w * h)
+    if not isinstance(spec, (UniformBlend, PowerMask)):
+        raise TypeError(f"unknown noise spec: {spec!r}")
+    flat = SplitMix64(seed).floats(w * h)
+    if isinstance(spec, PowerMask):
         # float_power's float64 loop calls libm pow on each element, as float **
         # does; numpy's power differs in the last ulp on AVX-512. The values
         # still depend on which pow variant (FMA or not) libm picks.
-        np.float_power(flat, inv, out=flat)
-    else:
-        raise TypeError(f"unknown noise spec: {spec!r}")
+        np.float_power(flat, 1.0 / spec.shape, out=flat)
     flat.flags.writeable = False
     return GrayImage(width=w, height=h, pixels=flat.reshape(h, w))
 
@@ -200,22 +200,14 @@ def read_pgm(path: str | Path) -> GrayImage:
     if magic not in (b"P5", b"P2"):
         raise ValueError(f"not a PGM file (magic {magic!r})")
 
-    # Tokenize the header, skipping '#' comments to end of line.
     tokens: list[bytes] = []
     pos = 2
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
+    for _ in range(3):
+        token = _PGM_TOKEN.match(data, pos)
+        if token is None:
             raise ValueError("truncated PGM header")
-        tokens.append(data[start:pos])
+        tokens.append(token[1])
+        pos = token.end()
     w, h, maxval = (int(t) for t in tokens)
     if w < 1 or h < 1:
         raise ValueError(f"PGM size must be at least 1x1, got {w}x{h}")

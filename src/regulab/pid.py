@@ -55,8 +55,7 @@ class PidGains:
 @dataclass(frozen=True)
 class PidState:
     integral: float = 0.0
-    prev_error: float = 0.0
-    initialized: bool = False
+    prev_error: float | None = None  # None before the first step
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,8 @@ def pid_step(
     (error - prev_error)/dt, 0 on the first call."""
     check_dt(dt)
     integral = st.integral + error * dt
-    out = _control(g, integral, st.prev_error if st.initialized else None, error, dt)
-    return out, PidState(integral=integral, prev_error=error, initialized=True)
+    out = _control(g, integral, st.prev_error, error, dt)
+    return out, PidState(integral=integral, prev_error=error)
 
 
 def simulate_pid(

@@ -110,32 +110,19 @@ def classify_mapping(m: StateMapping) -> MappingClass:
     for the four tags; the variety ratio |R| / |S| is always reported."""
     if len(m.pairs) == 0:
         raise ValueError("cannot classify an empty mapping")
-    n_r = len(m.r_states)
-    n_s = len(m.s_states)
+    n_r, n_s = len(m.r_states), len(m.s_states)
     ratio = Fraction(n_r, n_s)
-
-    r_used = [r for r, _ in m.pairs]
-    s_used = [s for _, s in m.pairs]
-    r_degree_one = len(set(r_used)) == len(r_used) == len(m.pairs)
-    injective = r_degree_one and len(set(s_used)) == len(m.pairs)
-
-    bijection = (
-        injective
-        and len(m.pairs) == n_r == n_s
-        and set(r_used) == set(m.r_states.labels)
-        and set(s_used) == set(m.s_states.labels)
-    )
-    if bijection:
+    # StateMapping's pairs are distinct and of known labels, so sizes decide.
+    r_used, s_used = map(set, zip(*m.pairs))
+    every_r_mapped = len(r_used) == n_r
+    every_s_covered = len(s_used) == n_s
+    injective = len(r_used) == len(s_used) == len(m.pairs)
+    if every_r_mapped and every_s_covered and injective:
         return MappingClass(MappingTag.ISOMORPHIC, ratio)
-
-    every_r_mapped = set(r_used) == set(m.r_states.labels)
     if every_r_mapped and injective and n_r < n_s:
         return MappingClass(MappingTag.UNDERSPECIFIED, ratio)
-
-    every_s_covered = set(s_used) == set(m.s_states.labels)
     if n_r > n_s and every_s_covered:
         return MappingClass(MappingTag.ALIASED, ratio)
-
     return MappingClass(MappingTag.MIXED, ratio)
 
 
@@ -163,7 +150,7 @@ def load_mapping_csv(path: str | Path) -> StateMapping:
     """Read a mapping from CSV with header ``r_state,s_state``, one pair per
     row. State sets are inferred from the pairs, in first-seen order."""
     pairs: list[tuple[str, str]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["r_state", "s_state"]:

@@ -224,6 +224,32 @@ def test_config_equals_form_is_honoured(tmp_path):
     assert len(out.read_text().splitlines()) == 2 + 50
 
 
+def test_config_with_a_byte_order_mark_reads_as_without(tmp_path):
+    # Editors that save "UTF-8 with BOM" once made the first key '\ufeffn'.
+    outs = []
+    for name, encoding in [("plain", "utf-8"), ("bom", "utf-8-sig")]:
+        (tmp_path / name).mkdir()
+        cfg = tmp_path / name / "run.cfg"
+        cfg.write_text("n=5\ne=0.5\n", encoding=encoding)
+        outs.append(tmp_path / name / "out.csv")
+        assert run(["--config", cfg, "avalanche", "gen", "--seed", 4, "-o", outs[-1]]) == 0
+    assert (tmp_path / "bom" / "run.cfg").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_pairs_with_a_byte_order_mark_read_as_without(tmp_path, monkeypatch):
+    # The BOM once stuck to the header's first name: got ['\ufeffr_state', 's_state'].
+    outs = []
+    for name, encoding in [("plain", "utf-8"), ("bom", "utf-8-sig")]:
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)  # relative paths: the params line names --pairs
+        Path("pairs.csv").write_text("r_state,s_state\nr1,s1\nr2,s1\n", encoding=encoding)
+        assert run(["variety", "--pairs", "pairs.csv", "--seed", 0, "-o", "verdict.csv"]) == 0
+        outs.append(tmp_path / name / "verdict.csv")
+    assert (tmp_path / "bom" / "pairs.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 @pytest.mark.parametrize("argv", [["--config"], ["avalanche", "gen", "--seed", 4, "--config"]])
 def test_config_without_path_is_one_line_usage_error(capsys, argv):
     assert run(argv) == 2
@@ -956,6 +982,22 @@ def test_failing_rename_leaves_no_manifest(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("regulab: runtime error: ")
     names = [p.name for p in tmp_path.iterdir()]
     assert not [n for n in names if n.endswith((".manifest.jsonl", ".tmp"))], names
+
+
+def test_directory_at_an_output_path_keeps_the_last_manifest(tmp_path, capsys):
+    # The old manifest was once unlinked before the rename onto the directory failed.
+    argv = ["avalanche", "gen", "--n", 10, "--seed", 1, "-o", tmp_path / "out.csv"]
+    assert run(argv) == 0
+    manifest = tmp_path / "out.csv.manifest.jsonl"
+    before = manifest.read_bytes()
+    (tmp_path / "out.csv").unlink()
+    (tmp_path / "out.csv").mkdir()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("regulab: ") and "out.csv" in err
+    assert ".tmp" not in err
+    assert manifest.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.manifest.jsonl"]
 
 
 def test_run_files_take_the_mode_open_gives(tmp_path):

@@ -230,6 +230,30 @@ def test_pgm_comment_header(tmp_path):
     assert img.pixels[0, 1] == pytest.approx(127 / 255)
 
 
+@pytest.mark.parametrize("data, result", [
+    (b"P5# after the magic\n2 1 255\n\x00\xff", (2, 1)),
+    (b"P5 2 1\n# runs to the end", "truncated PGM header"),
+    (b"P5 2 1 255# no newline", "invalid literal for int() with base 10: b'255#'"),
+    (b"P2 1#2 1 9", "invalid literal for int() with base 10: b'1#2'"),
+    (b"P5\v2\f1\v255\f\x00\xff", (2, 1)),
+    (b"P5\x852 1 255\n\x00\xff", "invalid literal for int() with base 10: b'\\x852'"),
+], ids=["comment-after-magic", "comment-to-end", "hash-ending-a-token", "hash-inside-a-token",
+        "vertical-tab-and-form-feed", "x85-is-a-token-byte"])
+def test_pgm_header_tokens(tmp_path, data, result):
+    # Header whitespace is ASCII whitespace; a comment starts where a token
+    # would and runs to its newline.
+    p = tmp_path / "h.pgm"
+    p.write_bytes(data)
+    if isinstance(result, str):
+        with pytest.raises(ValueError) as err:
+            read_pgm(p)
+        assert str(err.value) == result
+    else:
+        img = read_pgm(p)
+        assert (img.width, img.height) == result
+        assert img.pixels.tolist() == [[0.0, 1.0]]
+
+
 def test_pgm_rejects_garbage(tmp_path):
     p = tmp_path / "g.bin"
     p.write_bytes(b"JUNKJUNK")

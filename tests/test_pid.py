@@ -63,8 +63,10 @@ def test_proportional_only_stateless():
 
 def test_first_step_derivative_is_zero():
     gains = PidGains(kp=0.0, ti=math.inf, td=1.0)
+    assert PidState().prev_error is None
     out, st_ = pid_step(gains, PidState(), error=5.0, dt=0.1)
     assert out == 0.0
+    assert st_ == PidState(integral=5.0 * 0.1, prev_error=5.0)
     out2, _ = pid_step(gains, st_, error=6.0, dt=0.1)
     assert out2 == pytest.approx((6.0 - 5.0) / 0.1)
 

@@ -131,6 +131,37 @@ def test_mixed_when_both_failures_present():
     assert classify_mapping(m).tag is MappingTag.MIXED
 
 
+def oracle_tag(r_labels, s_labels, pairs):
+    """The tag read off the module docstring's definitions, one by one."""
+    image = [s for _, s in pairs]
+    preimage = [r for r, _ in pairs]
+    every_r_mapped = set(preimage) == set(r_labels)
+    every_s_covered = set(image) == set(s_labels)
+    one_to_one = len(set(preimage)) == len(pairs) == len(set(image))
+    if every_r_mapped and every_s_covered and one_to_one:
+        return MappingTag.ISOMORPHIC
+    if len(r_labels) < len(s_labels) and every_r_mapped and one_to_one:
+        return MappingTag.UNDERSPECIFIED
+    if len(r_labels) > len(s_labels) and every_s_covered:
+        return MappingTag.ALIASED
+    return MappingTag.MIXED
+
+
+def test_every_small_mapping_matches_the_definitions():
+    seen = set()
+    for n_r, n_s in itertools.product(range(1, 4), repeat=2):
+        r_labels = [f"r{i}" for i in range(n_r)]
+        s_labels = [f"s{j}" for j in range(n_s)]
+        grid = list(itertools.product(r_labels, s_labels))
+        for k in range(1, len(grid) + 1):
+            for pairs in itertools.combinations(grid, k):
+                cls = classify_mapping(mapping(r_labels, s_labels, pairs))
+                assert cls.tag is oracle_tag(r_labels, s_labels, pairs), pairs
+                assert cls.variety_ratio == Fraction(n_r, n_s)
+                seen.add(cls.tag)
+    assert seen == set(MappingTag)
+
+
 def test_empty_mapping_rejected():
     with pytest.raises(ValueError):
         classify_mapping(mapping("a", "b", []))
