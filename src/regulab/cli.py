@@ -8,8 +8,9 @@ and manifest appear together or not at all. The manifest replaces any earlier
 one and records the tool version, subcommand, resolved parameters, seed,
 output files, RNG algorithm, and the wall time to the last output byte. The
 CSV ``# params:`` line and the manifest are both derived from the parsed
-flags. A command imports its own simulation family when it runs, and no
-other. ``diffuse`` writes each level to its temp file as soon as the level is
+flags. A command imports its own simulation family, with numpy, when it
+runs, and no other: parsing, ``--help`` and every usage error load no numpy.
+``diffuse`` writes each level to its temp file as soon as the level is
 made, so it holds one level in memory rather than all of them.
 
 A CSV holds the ``# params:`` line, a header, then one row per sample.
@@ -20,14 +21,16 @@ same double), a ``range`` or integer array as ``str``, texts as they are.
 Exit codes: 0 success, 2 usage or parameter error, 1 runtime error, each
 error with a one-line reason on stderr. Every float flag must be a finite
 number, every count flag a positive integer and ``--seed`` an integer in
-[0, 2**64). A count that sizes a run is bounded: ``relation --ticks``,
-``vehicle run --steps`` and ``demo gd --iters`` at 10**6, ``pid --steps``,
-every ``avalanche --n`` and ``avalanche smooth --factor`` at 10**7. nan,
-±inf, 0, a negative count or a count over its bound exits 2 before any file
-is written, as does a negative ``lur`` noise or slow rate or ``vehicle`` goal
-radius, an empty ``--output``, ``--pairs``, ``--config``, ``--input`` or
-``diffuse`` level list, or a ``lur`` schedule or ``demo q`` grid or run over
-its budget. Running out of memory exits 1.
+[0, 2**64). A negative value may follow its flag after a space, as in
+``--x0 -1e-3`` or ``--phases -30:20``. A count that sizes a run is bounded:
+``relation --ticks``, ``vehicle run --steps`` and ``demo gd --iters`` at
+10**6, ``pid --steps``, every ``avalanche --n`` and ``avalanche smooth
+--factor`` at 10**7. nan, ±inf, 0, a negative count or a count over its
+bound exits 2 before any file is written, as does a negative ``lur`` noise
+or slow rate or ``vehicle`` goal radius, an empty ``--output``, ``--pairs``,
+``--config``, ``--input`` or ``diffuse`` level list, or a ``lur`` schedule
+or ``demo q`` grid or run over its budget. Running out of memory, or a
+numpy that cannot be imported, exits 1.
 
 Flags override a config file, which overrides built-in defaults. The file
 is given as ``--config path`` or ``--config=path`` before the subcommand and
@@ -46,15 +49,13 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .rng import RNG_ALGORITHM, SplitMix64
 
 Files = Iterable[tuple[Path, Iterable[str | bytes]]]  # (path, chunks) pairs to write
 
@@ -120,6 +121,8 @@ def emit_manifest(a: argparse.Namespace, outputs: list[Path], wall_time_s: float
     output. ``params`` holds every namespace entry but the handler, the config
     path and the output path, as strings, with ``seed`` as an int, so the
     subcommand words are there for a replay."""
+    from .rng import RNG_ALGORITHM
+
     params = {k: str(v) for k, v in vars(a).items() if k not in ("func", "config", "output")}
     params["seed"] = a.seed
     record = {"version": __version__, "subcommand": a.subcommand, "params": params,
@@ -170,6 +173,7 @@ _AVALANCHE_HEADERS = {"bursts": "tick,burst", "rank": "rank,value",
 
 def _cmd_avalanche(a) -> tuple[Files, dict]:
     from . import criticality as crit
+    from .rng import SplitMix64
     extras: dict = {}
     shown: dict = {}
     if a.action == "bursts":
@@ -195,6 +199,8 @@ def _cmd_avalanche(a) -> tuple[Files, dict]:
 
 
 def _cmd_diffuse(a) -> tuple[Files, dict]:
+    import numpy as np
+
     from . import diffusion as diff
     img = diff.synthetic_portrait() if a.input is None else diff.read_pgm(a.input)
     if a.levels is None:
@@ -227,6 +233,8 @@ def _cmd_diffuse(a) -> tuple[Files, dict]:
 
 
 def _cmd_lur(a) -> tuple[Files, dict]:
+    import numpy as np
+
     from . import procedural as proc
     phases = []
     for chunk in a.phases.split(","):
@@ -247,6 +255,8 @@ def _cmd_lur(a) -> tuple[Files, dict]:
 
 
 def _cmd_vehicle(a) -> tuple[Files, dict]:
+    import numpy as np
+
     from . import procedural as proc
     field_ = proc.equilateral_field()
     centroid = field_.vertices.mean(axis=0)
@@ -270,6 +280,8 @@ def _cmd_vehicle(a) -> tuple[Files, dict]:
 
 
 def _cmd_demo(a) -> tuple[Files, dict]:
+    import numpy as np
+
     from . import demos
     if a.which == "gd":
         traj, error, annotation = demos.gd_regulate((a.tx, a.ty), (a.x0, a.y0), a.lr, a.iters)
@@ -361,6 +373,13 @@ def _count(limit: int) -> Callable[[str], int]:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # A word that starts with "-" and a digit, or "-." and a digit, is a
+        # value: "--x0 -1e-3" and "--phases -30:20" as well as "--kp -5".
+        # argparse's own pattern takes only plain integers and decimals.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message: str):  # exit 2 with a one-line reason
         raise UsageError(message)
 
@@ -499,6 +518,20 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return args
 
 
+def _import_failure(exc: ImportError) -> str:
+    """One line for an import that failed, numpy's in a run say, whose text
+    may run to 20 lines: the module's name and the last non-empty line of the
+    text. The name is the one the import system gives, else that of the
+    innermost module whose import raised."""
+    import traceback
+
+    modules = [frame.f_globals.get("__name__") for frame, _ in traceback.walk_tb(exc.__traceback__)
+               if frame.f_code.co_name == "<module>"]
+    name = exc.name or (modules[-1] if modules else None)
+    last = next((line.strip() for line in reversed(str(exc).splitlines()) if line.strip()), "")
+    return f"{name or 'a module'} failed to import: {last}"
+
+
 def dispatch(argv: list[str]) -> int:
     try:
         args = _parse(list(argv))
@@ -520,11 +553,13 @@ def dispatch(argv: list[str]) -> int:
     except (ValueError, KeyError, OverflowError) as exc:
         print(f"regulab: invalid parameters: {exc}", file=sys.stderr)
         return 2
-    except (OSError, RuntimeError, MemoryError) as exc:  # a bare MemoryError has no text
+    except (OSError, RuntimeError, MemoryError, ImportError) as exc:
+        # A bare MemoryError has no text; an ImportError's may run to 20 lines.
+        reason = _import_failure(exc) if isinstance(exc, ImportError) else str(exc)
         # The traceback holds the failed run's frames and all they made:
         # free them, or printing may run out of memory too.
         exc.__traceback__ = None
-        print(f"regulab: runtime error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        print(f"regulab: runtime error: {reason or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -23,8 +23,11 @@ sys.exit(code)
 """
 
 # Caps the child's address space at its size so far plus a headroom in bytes.
+# numpy and OpenBLAS, which ``regulab.cli`` does not import, are mapped
+# first, so the cap leaves the headroom to the run.
 _CAP = """
 import resource
+import numpy
 with open("/proc/self/status", encoding="ascii") as fh:
     size = 1024 * int(next(line.split()[1] for line in fh if line.startswith("VmSize:")))
 resource.setrlimit(resource.RLIMIT_AS, (size + {headroom}, size + {headroom}))
@@ -36,8 +39,8 @@ def run_regulab(argv, cwd: Path, headroom: int | None = None,
     """Exit code, stderr and peak resident set in KiB (VmHWM) of the command
     ``regulab *argv``, run in ``cwd`` by a fresh interpreter with one
     OpenBLAS thread. With ``headroom``, the child caps its address space
-    (RLIMIT_AS) at its size once ``regulab.cli`` is imported plus
-    ``headroom`` bytes. Skips the calling test where /proc/self/status, the
+    (RLIMIT_AS) at its size once ``regulab.cli`` and numpy are imported
+    plus ``headroom`` bytes. Skips the calling test where /proc/self/status, the
     source of VmHWM and VmSize, is missing."""
     if not Path("/proc/self/status").exists():
         pytest.skip("no /proc/self/status to read VmHWM from")

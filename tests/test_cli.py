@@ -401,7 +401,8 @@ def test_seed_outside_64_bits_is_one_line_usage_error(tmp_path, capsys, value):
     # Masked to 64 bits, -1 and 2**64 - 1 once wrote the same bytes.
     (tmp_path / "c.cfg").write_text(f"seed={value}\n")
     words = ["pid", "--steps", 5, "-o", tmp_path / "p.csv"]
-    for argv in ([*words, f"--seed={value}"], ["--config", tmp_path / "c.cfg", *words]):
+    for argv in ([*words, f"--seed={value}"], [*words, "--seed", value],
+                 ["--config", tmp_path / "c.cfg", *words]):
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("regulab: usage error: argument --seed: ") and "2**64" in err
@@ -413,6 +414,27 @@ def test_largest_seed_is_accepted(tmp_path):
     out = tmp_path / "p.csv"
     assert run(["pid", "--steps", 5, "--seed", 2**64 - 1, "-o", out]) == 0
     assert json.loads(out.with_suffix(".csv.manifest.jsonl").read_text())["seed"] == 2**64 - 1
+
+
+NEGATIVE_VALUES = [
+    (["pid", "--disturbance", "-5e-1"], "disturbance=-0.5"),
+    (["pid", "--setpoint", "-.5e1"], "setpoint=-5.0"),
+    (["demo", "gd", "--x0", "-1e-3"], "x0=-0.001;0.0"),
+    (["demo", "gd", "--ty", "-2"], "target=1.0;-2.0"),
+    (["lur", "run", "--phases", "-30:20"], "phases=-30:20"),
+]
+
+
+@pytest.mark.parametrize("spell", ["space", "equals"])
+@pytest.mark.parametrize("argv, shown", NEGATIVE_VALUES, ids=[" ".join(a) for a, _ in NEGATIVE_VALUES])
+def test_negative_value_may_follow_its_flag_after_a_space(tmp_path, argv, shown, spell):
+    # argparse's own pattern once read "-5e-1" and "-30:20" after a space as
+    # option names: "expected one argument", exit 2.
+    *words, flag, value = argv
+    out = tmp_path / "x.csv"
+    given = [flag, value] if spell == "space" else [f"{flag}={value}"]
+    assert run([*words, *given, "--seed", 0, "-o", out]) == 0
+    assert shown in out.read_text().splitlines()[0].split()
 
 
 def test_config_switch_true_sets_the_flag(tmp_path):
@@ -529,6 +551,45 @@ def test_run_out_of_memory_is_one_line_runtime_error(tmp_path, argv, headroom_mi
     assert code == 1, err
     assert err.splitlines() == [f"regulab: runtime error: {reason}"]
     assert list(tmp_path.iterdir()) == []
+
+
+# A numpy whose import raises numpy's own kind of text: many lines, the
+# cause last.
+STAND_IN_NUMPY = '''raise ImportError("""
+
+IMPORTANT: PLEASE READ THIS FOR ADVICE ON HOW TO SOLVE THIS ISSUE!
+
+Importing the numpy C-extensions failed.
+
+Original error was: libstand_in.so: cannot open shared object file
+""")
+'''
+
+
+@pytest.mark.parametrize("argv", [
+    ["pid"],  # fails importing its family
+    ["variety", "--pairs", "../pairs.csv"],  # fails in the CSV writer, its temp file open
+])
+@pytest.mark.parametrize("numpy_, reason", [
+    ("none", "import of numpy halted; None in sys.modules"),
+    ("stand-in", "Original error was: libstand_in.so: cannot open shared object file"),
+])
+def test_numpy_that_cannot_load_is_one_line_runtime_error(tmp_path, argv, numpy_, reason):
+    (tmp_path / "pairs.csv").write_text("r_state,s_state\na,x\n")
+    (tmp_path / "stand-in" / "numpy").mkdir(parents=True)
+    (tmp_path / "stand-in" / "numpy" / "__init__.py").write_text(STAND_IN_NUMPY)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, str(tmp_path / "stand-in")] if numpy_ == "stand-in" else [src]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    block = "sys.modules['numpy'] = None; " if numpy_ == "none" else ""
+    code = f"import sys; {block}from regulab.cli import main; main()"
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    proc = subprocess.run([sys.executable, "-c", code, *argv, "--seed", "0", "-o", "x.csv"],
+                          cwd=run_dir, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines() == [f"regulab: runtime error: numpy failed to import: {reason}"]
+    assert list(run_dir.iterdir()) == []
 
 
 def test_gap_range_wider_than_two_to_the_64_is_usage_error(tmp_path):
@@ -759,24 +820,28 @@ def test_grid_over_the_cell_budget_is_usage_error_before_any_table(tmp_path, cap
 
 FAMILIES = ("criticality", "demos", "diffusion", "pid", "procedural", "relation", "variety")
 
-# A group's help, from a fresh interpreter: ``regulab <words> --help``.
-GROUP_HELPS = """
+# From a fresh interpreter: each group's help, ``regulab <words> --help``,
+# then the exit codes of the dispatches of ``argvs``, with the modules
+# loaded after the helps and after the dispatches.
+FRONT_END = """
 import contextlib, io, json, sys
-from regulab.cli import _COMMANDS, build_parser
-helps = {}
+from regulab.cli import _COMMANDS, build_parser, dispatch
+helps = {{}}
 for path, (handler, *_) in _COMMANDS.items():
     if isinstance(handler, str):
         with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.suppress(SystemExit):
             build_parser().parse_args([*path, "--help"])
         helps[" ".join(path)] = out.getvalue()
-print(json.dumps([sorted(sys.modules), helps]))
+after_helps = sorted(sys.modules)
+codes = [dispatch(argv) for argv in {argvs!r}]
+print(json.dumps([after_helps, helps, codes, sorted(sys.modules)]))
 """
 
 
 def test_building_the_parser_loads_no_csv_writer(tmp_path):
-    # Fresh interpreters: each command imports its own family, and the CSV
-    # writer, when it runs, so building the parser loads neither and a run
-    # loads no other family.
+    # Fresh interpreters: each command imports its own family, numpy and the
+    # CSV writer when it runs, so parsing, every help and every usage error
+    # load none of them, and a run loads no other family.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
 
@@ -786,10 +851,16 @@ def test_building_the_parser_loads_no_csv_writer(tmp_path):
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
-    modules, helps = json.loads(fresh(GROUP_HELPS))
-    assert [m for m in modules if m.split(".")[0] == "regulab"] == [
-        "regulab", "regulab.cli", "regulab.rng"]
-    assert "numpy" in modules
+    config = write_config(tmp_path, "steps 10\n")  # not key=value
+    out = str(tmp_path / "p.csv")
+    argvs = [["pid", "--seed", "0"], ["--config", str(config), "pid", "--seed", "0", "-o", out],
+             ["pid", "--seed", "-1", "-o", out]]
+    modules, helps, codes, after = json.loads(fresh(FRONT_END.format(argvs=argvs)))
+    assert codes == [2, 2, 2]
+    for loaded in (modules, after):
+        assert [m for m in loaded if m.split(".")[0] == "regulab"] == ["regulab", "regulab.cli"]
+        assert "numpy" not in loaded
+    assert list(tmp_path.iterdir()) == [config]
     for group, help_text in helps.items():
         words = tuple(group.split())
         names = [path[-1] for path in _COMMANDS if path and path[:-1] == words]
