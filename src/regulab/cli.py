@@ -22,7 +22,9 @@ Exit codes: 0 success, 2 usage or parameter error, 1 runtime error, each
 error with a one-line reason on stderr. Every float flag must be a finite
 number, every count flag a positive integer and ``--seed`` an integer in
 [0, 2**64). A negative value may follow its flag after a space, as in
-``--x0 -1e-3`` or ``--phases -30:20``. A count that sizes a run is bounded:
+``--x0 -1e-3`` or ``--phases -30:20``; ``-inf`` or ``-nan`` after a space
+is a value too, refused as non-finite. Flags and config keys are written in
+full: ``--see`` is not ``--seed``. A count that sizes a run is bounded:
 ``relation --ticks``, ``vehicle run --steps`` and ``demo gd --iters`` at
 10**6, ``pid --steps``, every ``avalanche --n`` and ``avalanche smooth
 --factor`` at 10**7. nan, ±inf, 0, a negative count or a count over its
@@ -374,11 +376,14 @@ def _count(limit: int) -> Callable[[str], int]:
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        # A word that starts with "-" and a digit, or "-." and a digit, is a
-        # value: "--x0 -1e-3" and "--phases -30:20" as well as "--kp -5".
+        # Flags are spelled in full: "--see" is not "--seed", nor "k" in a
+        # config file "kp".
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+        # A word that starts with "-" and a digit, "-." and a digit, "-inf" or
+        # "-nan" is a value: "--x0 -1e-3" and "--phases -30:20" as well as
+        # "--kp -5", and "--x0 -inf" reaches the finite-number check.
         # argparse's own pattern takes only plain integers and decimals.
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"(?i)^-(?:\.?\d|inf|nan)")
 
     def error(self, message: str):  # exit 2 with a one-line reason
         raise UsageError(message)
@@ -393,7 +398,7 @@ _REQUIRED = object()
 MAX_TICKS = 10**6  # relation: 2.3-2.9 s, 129 MB
 MAX_PID_STEPS = 10**7  # 5-5.5 s, 261 MB
 MAX_GD_ITERS = 10**6  # demo gd: 1.4 s, 55 MB
-MAX_SERIES = 10**7  # avalanche --n, --factor: 2.3-6.7 s, 192-302 MB; bursts at gaps 1..1 650 MB
+MAX_SERIES = 10**7  # avalanche --n, --factor: 2.3-8.1 s, 114-302 MB; bursts at gaps 1..1 496 MB
 MAX_VEHICLE_STEPS = 10**6  # 20 s, 85 MB
 
 _COMMON = (("seed", seed, _REQUIRED), ("output", output_path, _REQUIRED))

@@ -102,24 +102,22 @@ def nfb_map(s: np.ndarray) -> np.ndarray:
     return np.abs(s[:-1] - s[1:])
 
 
-def _release_ticks(n: int, sched: BurstSchedule, rng: SplitMix64) -> np.ndarray:
-    """Running sums of gaps ``next_int(interval_min, interval_max)`` up to
-    ``n``; ``rng`` ends right after the first gap past ``n``. A round of
-    ``(n - tick) // interval_max`` gaps cannot pass ``n``, so each round draws
-    them as one run of ``belows``; scalar draws finish the last few."""
+def _release_gaps(n: int, sched: BurstSchedule, rng: SplitMix64) -> np.ndarray:
+    """Gaps ``next_int(interval_min, interval_max)`` while their running sum
+    stays at most ``n``; ``rng`` ends right after the first gap past it. A
+    round of ``(n - tick) // interval_max`` gaps cannot pass ``n``, so each
+    round draws them as one run of ``belows``; scalar draws finish the last few."""
     lo, hi = sched.interval_min, sched.interval_max
     chunks, tick = [], 0
     while k := (n - tick) // hi:  # only while hi <= n: each bound hi - lo + 1 fits in uint64
-        gaps = rng.belows(np.full(k, hi - lo + 1, dtype=np.uint64)).astype(np.int64)
+        gaps = rng.belows(np.broadcast_to(np.uint64(hi - lo + 1), k)).view(np.int64)
         gaps += lo
-        ticks = np.cumsum(gaps)
-        ticks += tick
-        chunks.append(ticks)
-        if ticks.size:
-            tick = int(ticks[-1])
+        chunks.append(gaps)
+        tick += int(gaps.sum())
     tail = []
-    while (tick := tick + rng.next_int(lo, hi)) <= n:
-        tail.append(tick)
+    while (gap := rng.next_int(lo, hi)) <= n - tick:
+        tick += gap
+        tail.append(gap)
     return np.concatenate([*chunks, np.array(tail, dtype=np.int64)])
 
 
@@ -138,26 +136,21 @@ def accumulate_release(
     s = np.asarray(input_series, dtype=float)
     if s.size == 0:
         raise ValueError("input series must be non-empty")
-    ends = _release_ticks(s.size, sched, SplitMix64(seed))
+    lengths = _release_gaps(s.size, sched, SplitMix64(seed))
     # Burst k is row k, padded with 0.0: accumulate adds along a row in index
     # order, as the accumulator does (np.sum would pair the terms). The
     # accumulator never holds -0.0, so the padding changes none of its sums,
     # and + 0.0 turns the -0.0 of an all -0.0 row into the accumulator's 0.0.
-    lengths = np.diff(ends, prepend=0)
-    rows = np.zeros((ends.size, lengths.max(initial=1)))  # a column even with no release
+    rows = np.zeros((lengths.size, lengths.max(initial=1)))  # a column even with no release
     rows[np.arange(rows.shape[1]) < lengths[:, None]] = s[:lengths.sum()]
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as the loop gives
         magnitudes = np.add.accumulate(rows, axis=1, out=rows)[:, -1] + 0.0
     del rows  # before the burst series is filled, so both are not in the peak
-    times = ends - 1
+    times = np.cumsum(lengths)
+    times -= 1
     bursts = np.zeros(s.size, dtype=float)
     bursts[times] = magnitudes
-    events = AvalancheEvents(
-        times=times,
-        magnitudes=magnitudes,
-        intervals=np.diff(times),
-    )
-    return bursts, events
+    return bursts, AvalancheEvents(times=times, magnitudes=magnitudes, intervals=lengths[1:])
 
 
 def rank_order(s: np.ndarray, descending: bool = True) -> np.ndarray:
@@ -181,8 +174,8 @@ def threshold_model(n: int, e_model: float) -> tuple[np.ndarray, int]:
         raise ValueError(f"curve length must be >= 1, got {n}")
     if not (0 < e_model < math.inf):  # also rejects nan
         raise ValueError(f"model exponent must be positive and finite, got {e_model}")
-    t = np.arange(n, 0, -1, dtype=float)
-    curve = t ** -e_model
+    curve = np.arange(n, 0, -1, dtype=float)
+    curve **= -e_model
     return curve, int(np.argmax(curve >= curve.mean()))
 
 

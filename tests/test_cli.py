@@ -289,12 +289,24 @@ def test_missing_required_flag_is_one_line_usage_error(tmp_path, monkeypatch, ca
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("line", ["bogus=1", "kp=2.0"])  # unknown; belongs to pid
-def test_config_key_the_subcommand_lacks_is_usage_error(tmp_path, line):
+@pytest.mark.parametrize("line, words", [
+    pytest.param("bogus=1", ["avalanche", "gen"], id="bogus=1"),  # unknown
+    pytest.param("kp=2.0", ["avalanche", "gen"], id="kp=2.0"),  # belongs to pid
+    pytest.param("k=2", ["pid"], id="k=2"),  # pid's kp, abbreviated
+])
+def test_config_key_the_subcommand_lacks_is_usage_error(tmp_path, capsys, line, words):
     cfg = write_config(tmp_path, line + "\n")
     out = tmp_path / "out.csv"
-    assert run(["--config", cfg, "avalanche", "gen", "--seed", 4, "-o", out]) == 2
+    assert run(["--config", cfg, *words, "--seed", 4, "-o", out]) == 2
+    assert capsys.readouterr().err == f"regulab: usage error: unrecognized arguments: --{line}\n"
     assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+def test_abbreviated_flag_is_usage_error(tmp_path, capsys):
+    # argparse reads a unique prefix as its flag: "--see" once set the seed.
+    assert run(["pid", "--see", 3, "-o", tmp_path / "out.csv"]) == 2
+    assert capsys.readouterr().err == "regulab: usage error: unrecognized arguments: --see 3\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_run_leaves_defaults_for_the_next_run(tmp_path):
@@ -341,13 +353,16 @@ FLOAT_FLAGS = [
 ]
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-nan"])
 @pytest.mark.parametrize("words, flag", FLOAT_FLAGS,
                          ids=[" ".join((*w, f)) for w, f in FLOAT_FLAGS])
-def test_nonfinite_float_flag_is_usage_error_and_writes_nothing(tmp_path, words, flag, value):
-    # --flag=value, because argparse reads a separate "-inf" as an option name.
-    assert run([*words, f"{flag}={value}", "--seed", 0, "-o", tmp_path / "out.csv"]) == 2
-    assert list(tmp_path.iterdir()) == []
+def test_nonfinite_float_flag_is_usage_error_and_writes_nothing(tmp_path, capsys, words, flag,
+                                                                value):
+    for spelling in ([f"{flag}={value}"], [flag, value]):
+        assert run([*words, *spelling, "--seed", 0, "-o", tmp_path / "out.csv"]) == 2
+        assert capsys.readouterr().err == (
+            f"regulab: usage error: argument {flag}: must be a finite number, got {value!r}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -932,17 +947,29 @@ def test_vehicle_memory_does_not_grow_with_the_step_count(tmp_path):
     assert peak[50_000] - peak[1000] <= 8 * 1024, peak
 
 
-@pytest.mark.parametrize("gaps, limit", [(["--interval-min", 1, "--interval-max", 1], 100),
+def bytes_a_value(tmp_path, *argv):
+    """Growth of the peak resident set of ``regulab avalanche *argv --n n``
+    from n = 10**5 to 10**6, in bytes a value."""
+    peak = {}
+    for n in (10**5, 10**6):
+        code, err, peak[n] = run_regulab(["avalanche", *argv, "--n", n, "--seed", 0,
+                                          "-o", f"{n}.csv"], tmp_path)
+        assert code == 0, err
+    return (peak[10**6] - peak[10**5]) * 1024 / (10**6 - 10**5)
+
+
+@pytest.mark.parametrize("gaps, limit", [(["--interval-min", 1, "--interval-max", 1], 56),
                                          ([], 48)])
 def test_bursts_memory_grows_by_few_bytes_a_value(tmp_path, gaps, limit):
     # Each burst was once summed over Python lists of every value: about
     # 143 B a value with a release every tick, and 70 B at the default gaps.
-    peak = {}
-    for n in (10**5, 10**6):
-        argv = ["avalanche", "bursts", "--n", n, *gaps, "--seed", 0, "-o", f"b{n}.csv"]
-        code, err, peak[n] = run_regulab(argv, tmp_path)
-        assert code == 0, err
-    assert (peak[10**6] - peak[10**5]) * 1024 <= limit * (10**6 - 10**5), peak
+    # Release ticks turned back into gaps once took 65 B a value at gaps 1..1.
+    assert bytes_a_value(tmp_path, "bursts", *gaps) <= limit
+
+
+def test_threshold_memory_grows_by_few_bytes_a_value(tmp_path):
+    # The curve was once powered into a second array: about 14 B a value.
+    assert bytes_a_value(tmp_path, "threshold") <= 11
 
 
 def test_relation_at_its_bound_holds_columns_not_rows(tmp_path):

@@ -289,7 +289,7 @@ def seed_with_longest_burst(where, n, sched):
     """The first seed whose bursts over ``n`` values are at least three, with
     one longest, ``where`` is "first", "last" or "middle" of them."""
     for seed in range(1000):
-        lengths = np.diff(criticality._release_ticks(n, sched, SplitMix64(seed)), prepend=0)
+        lengths = criticality._release_gaps(n, sched, SplitMix64(seed))
         longest = np.flatnonzero(lengths == lengths.max()) if lengths.size >= 3 else []
         if len(longest) == 1:
             k, last = longest[0], lengths.size - 1
@@ -308,7 +308,7 @@ def test_release_matches_scalar_loop_wherever_the_longest_burst_is(where, values
 
 
 def release_draw(site, n, sched, seed):
-    """The number of the draw at ``site`` of ``_release_ticks(n, sched,
+    """The number of the draw at ``site`` of ``_release_gaps(n, sched,
     SplitMix64(seed))``: in its last run of ``belows`` or in the scalar tail."""
     runs, belows = [], SplitMix64.belows
 
@@ -319,7 +319,7 @@ def release_draw(site, n, sched, seed):
     rng = SplitMix64(seed)
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(SplitMix64, "belows", recorded)
-        criticality._release_ticks(n, sched, rng)
+        criticality._release_gaps(n, sched, rng)
     assert len(runs) > 1
     first, size = runs[-1]
     return {"last-run-first": first, "last-run-last": first + size - 1,
