@@ -182,8 +182,8 @@ def _cmd_avalanche(a) -> tuple[Files, dict]:
         sched = crit.BurstSchedule(a.interval_min, a.interval_max)
         rng = SplitMix64(a.seed)
         moments = rng.floats(a.n)
-        values, events = crit.accumulate_release(moments, sched, rng.next_u64())
-        extras["release_count"] = int(len(events.times))
+        values, times = crit.accumulate_release(moments, sched, rng.next_u64())
+        extras["release_count"] = len(times)
     elif a.action == "threshold":
         values, extras["crossing_index"] = crit.threshold_model(a.n, a.e_model)
     else:
@@ -302,7 +302,7 @@ def _cmd_demo(a) -> tuple[Files, dict]:
         name = [demos.ACTION_NAMES[policy[c]] for c in cells]
         table = _csv(a, "x,y,greedy_action,value", *xy, name, np.array([q[c].max() for c in cells]))
     roles_path = a.output.with_name(a.output.stem + "_roles.jsonl")
-    lines = [json.dumps({"component": comp, "role": role, "interpretive": annotation.interpretive},
+    lines = [json.dumps({"component": comp, "role": role, "interpretive": True},
                         sort_keys=True) for comp, role in sorted(annotation.assignments.items())]
     return [(a.output, table), (roles_path, ["\n".join(lines) + "\n"])], {}
 
@@ -398,7 +398,7 @@ _REQUIRED = object()
 MAX_TICKS = 10**6  # relation: 2.3-2.9 s, 129 MB
 MAX_PID_STEPS = 10**7  # 5-5.5 s, 261 MB
 MAX_GD_ITERS = 10**6  # demo gd: 1.4 s, 55 MB
-MAX_SERIES = 10**7  # avalanche --n, --factor: 2.3-8.1 s, 114-302 MB; bursts at gaps 1..1 496 MB
+MAX_SERIES = 10**7  # avalanche --n, --factor: 2.3-8.1 s, 114-302 MB; bursts at gaps 1..1 344 MB
 MAX_VEHICLE_STEPS = 10**6  # 20 s, 85 MB
 
 _COMMON = (("seed", seed, _REQUIRED), ("output", output_path, _REQUIRED))

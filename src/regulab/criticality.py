@@ -23,24 +23,6 @@ MAX_EXPONENT = 6.0
 
 
 @dataclass(frozen=True)
-class AvalancheEvents:
-    """Detected burst events: times strictly increasing, one interval per
-    consecutive pair."""
-
-    times: np.ndarray
-    magnitudes: np.ndarray
-    intervals: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.times) != len(self.magnitudes):
-            raise ValueError("times and magnitudes must align")
-        if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("event times must be strictly increasing")
-        if len(self.intervals) != max(len(self.times) - 1, 0):
-            raise ValueError("need exactly one interval per consecutive pair")
-
-
-@dataclass(frozen=True)
 class BurstSchedule:
     """Inclusive range of gaps (in ticks) between consecutive releases."""
 
@@ -123,7 +105,7 @@ def _release_gaps(n: int, sched: BurstSchedule, rng: SplitMix64) -> np.ndarray:
 
 def accumulate_release(
     input_series: np.ndarray, sched: BurstSchedule, seed: int
-) -> tuple[np.ndarray, AvalancheEvents]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Accumulate the input and release it in bursts at random gaps.
 
     A running accumulator sums the input sample by sample. At ticks
@@ -131,7 +113,8 @@ def accumulate_release(
     the accumulator is emitted as a burst magnitude and reset; every other
     tick emits 0. The burst series has the same length as the input, so
     the sum of all bursts plus whatever is left in the accumulator equals
-    the input sum exactly.
+    the input sum exactly. Returns (burst series, release ticks): the ticks
+    are strictly increasing int64 indices into the series.
     """
     s = np.asarray(input_series, dtype=float)
     if s.size == 0:
@@ -146,11 +129,11 @@ def accumulate_release(
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as the loop gives
         magnitudes = np.add.accumulate(rows, axis=1, out=rows)[:, -1] + 0.0
     del rows  # before the burst series is filled, so both are not in the peak
-    times = np.cumsum(lengths)
+    times = np.cumsum(lengths, out=lengths)  # the lengths are read no more
     times -= 1
     bursts = np.zeros(s.size, dtype=float)
     bursts[times] = magnitudes
-    return bursts, AvalancheEvents(times=times, magnitudes=magnitudes, intervals=lengths[1:])
+    return bursts, times
 
 
 def rank_order(s: np.ndarray, descending: bool = True) -> np.ndarray:

@@ -5,7 +5,7 @@ tabular Q-learning on a deterministic gridworld, each returned together
 with a role annotation naming which algorithm component plays which part
 of a closed-loop regulation motif (system, regulator, internal model,
 disturbance, goal, output domain, feedback leg). The assignments are an
-interpretation and are marked as such in the annotation metadata.
+interpretation, and the CLI marks each one as such.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ class RoleAnnotation:
     """One regulation role per named algorithm component."""
 
     assignments: dict[str, str]
-    interpretive: bool = True
 
     def __post_init__(self) -> None:
         for comp, role in self.assignments.items():
@@ -93,25 +92,25 @@ def gd_regulate(
 
 MAX_CELLS = 100_000  # per grid: its tables are lists with one entry per cell
 MAX_Q_STEPS = 10**9  # per run: about 15 minutes at 0.9 us a step (a 300x300 grid)
+STEP_REWARD = -1.0
+GOAL_REWARD = 0.0
+LEARN_RATE = 0.5
+DISCOUNT = 0.9
 
 
 @dataclass(frozen=True)
 class QConfig:
     """Deterministic gridworld with moves N/S/E/W clamped at the walls, at
-    most ``MAX_CELLS`` cells. Stepping costs ``step_reward``; entering the
-    goal cell ends the episode with ``goal_reward``. An episode ends after
+    most ``MAX_CELLS`` cells. Stepping costs ``STEP_REWARD``; entering the
+    goal cell ends the episode with ``GOAL_REWARD``. The table starts at 0
+    and learns at ``LEARN_RATE`` with ``DISCOUNT``. An episode ends after
     ``8 * width * height`` steps; a run takes at most ``MAX_Q_STEPS``."""
 
     width: int
     height: int
     goal_cell: tuple[int, int]
-    step_reward: float = -1.0
-    goal_reward: float = 0.0
-    learn_rate: float = 0.5
-    discount: float = 0.9
     exploration: float = 0.1
     episodes: int = 500
-    init_value: float = 0.0
 
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
@@ -122,10 +121,6 @@ class QConfig:
         gx, gy = self.goal_cell
         if not (0 <= gx < self.width and 0 <= gy < self.height):
             raise ValueError(f"goal cell {self.goal_cell} is outside the grid")
-        if not (0 < self.learn_rate <= 1):
-            raise ValueError(f"learn rate must be in (0, 1], got {self.learn_rate}")
-        if not (0 <= self.discount < 1):
-            raise ValueError(f"discount must be in [0, 1), got {self.discount}")
         if not (0 <= self.exploration <= 1):
             raise ValueError(f"exploration must be in [0, 1], got {self.exploration}")
         if self.episodes < 1:
@@ -133,9 +128,6 @@ class QConfig:
         if self.episodes * 8 * self.width * self.height > MAX_Q_STEPS:
             raise ValueError(f"a run takes at most {MAX_Q_STEPS} steps, and {self.episodes} "
                              f"episodes of up to {8 * self.width * self.height} steps exceed it")
-        for name in ("step_reward", "goal_reward", "init_value"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name.replace('_', ' ')} must be finite, got {getattr(self, name)}")
 
 
 # N, S, E, W displacements; ties in the greedy argmax break toward the
@@ -171,11 +163,10 @@ def q_regulate(
     number = {c: i for i, c in enumerate(cells)}
     goal = number[cfg.goal_cell]
     moves = [[number[_grid_step(cfg, c, a)] for a in range(len(ACTIONS))] for c in cells]
-    q = [[float(cfg.init_value)] * len(ACTIONS) for _ in cells]
-    q[goal] = [0.0] * len(ACTIONS)  # terminal: no future value
+    q = [[0.0] * len(ACTIONS) for _ in cells]  # the goal's row, terminal, stays 0
     step_cap = 8 * cfg.width * cfg.height
     starts = [i for i in range(len(cells)) if i != goal]
-    lr, discount, exploration = cfg.learn_rate, cfg.discount, cfg.exploration
+    exploration = cfg.exploration
     for _ in range(cfg.episodes):
         if not starts:
             break
@@ -188,9 +179,9 @@ def q_regulate(
                 a = _argmax(row)
             nxt = moves[cell][a]
             done = nxt == goal
-            reward = cfg.goal_reward if done else cfg.step_reward
+            reward = GOAL_REWARD if done else STEP_REWARD
             best_next = 0.0 if done else max(q[nxt])
-            row[a] += lr * (reward + discount * best_next - row[a])
+            row[a] += LEARN_RATE * (reward + DISCOUNT * best_next - row[a])
             cell = nxt
             if done:
                 break

@@ -139,9 +139,11 @@ class ReachLearner:
         return self.fast + self.slow
 
 
+TRACKING_GAIN = 12.0  # stiffness pulling the hand's velocity back to the desired one
+
+
 def run_trial(l: ReachLearner, f: CurlField, start: np.ndarray, target: np.ndarray, steps: int,
-              dt: float, tracking_gain: float = 12.0,
-              kicks: list[float] | None = None) -> tuple[ReachLearner, float]:
+              dt: float, kicks: list[float] | None = None) -> tuple[ReachLearner, float]:
     """One reach. Returns the post-trial learner (fast process decayed) and
     the trial error: the mean deviation of the hand from the straight-path
     position schedule. Deviation is measured against the moving desired
@@ -216,8 +218,8 @@ def run_trial(l: ReachLearner, f: CurlField, start: np.ndarray, target: np.ndarr
         s01 += slow_rate * u01
         s10 += slow_rate * u10
         s11 += slow_rate * u11
-        vx = vx + dt * (rx + tracking_gain * (vdx - vx))
-        vy = vy + dt * (ry + tracking_gain * (vdy - vy))
+        vx = vx + dt * (rx + TRACKING_GAIN * (vdx - vx))
+        vy = vy + dt * (ry + TRACKING_GAIN * (vdy - vy))
         px = px + dt * vx
         py = py + dt * vy
         qx = qx + dt * vdx
@@ -284,8 +286,8 @@ def run_lur(l: ReachLearner, sched: LurSchedule, noise: float = 0.0, gain: float
     """Run the phase schedule with learner state carried across phases.
 
     Each trial is a unit-length reach at constant desired velocity, 60 Euler
-    steps of 0.01 s, with ``run_trial``'s default tracking stiffness pulling
-    the hand's velocity back to that profile. ``noise`` (finite, >= 0) scales a
+    steps of 0.01 s, with ``TRACKING_GAIN`` pulling the hand's velocity back
+    to that profile. ``noise`` (finite, >= 0) scales a
     uniform disturbance on the felt residual force; 0 keeps the dynamics fully
     deterministic. Reach directions cycle through 8 around the circle
     (center-out), which keeps the compensator excited in both dimensions.

@@ -15,9 +15,8 @@ symbol through its policy. One tick runs in a fixed order:
 
 Disturbances arrive as a pair per tick: one symbol for the system channel
 (fed to its transition) and one for the regulator channel. The regulator
-channel corrupts the observation before the policy sees it, through an
-optional hook on the regulator; with no hook it is carried in the
-trajectory's ``rho`` column but has no effect.
+channel is data only: it is carried in the trajectory's ``rho`` column and
+changes nothing the regulator sees.
 
 Everything is a frozen value; stepping returns a new relation. A run is
 therefore a pure function of (relation, disturbance stream, tick count),
@@ -85,14 +84,11 @@ class DiscreteSystem:
 @dataclass(frozen=True)
 class Regulator:
     """Policy maps (observed output, own state) to (next state, control
-    symbol) and must be total over the declared observation range x states.
-    ``observe`` optionally corrupts the observation with the regulator-side
-    disturbance symbol before the policy sees it."""
+    symbol) and must be total over the declared observation range x states."""
 
     states: StateSet
     observations: frozenset
     policy: Callable[[float, Symbol], tuple[Symbol, Symbol]]
-    observe: Optional[Callable[[float, Symbol], float]] = None
 
     def __post_init__(self) -> None:
         for y in self.observations:
@@ -123,10 +119,6 @@ class InternalModel:
         counts = Counter(self.window)
         total = len(self.window)
         return {s: c / total for s, c in counts.items()}
-
-    def observe_state(self, s_state: Symbol) -> "InternalModel":
-        window = (self.window + (s_state,))[-self.horizon:]
-        return replace(self, window=window)
 
 
 class LoopMode:
@@ -207,7 +199,7 @@ def run_relation_carry(
         raise ValueError(f"disturbance stream has {len(disturbance_stream)} entries, need {T}")
     system, regulator = rel.system, rel.regulator
     emission, transition, idle = system.emission, system.transition, system.idle_input
-    policy, observe, observations = regulator.policy, regulator.observe, regulator.observations
+    policy, observations = regulator.policy, regulator.observations
     goal = rel.goal
     feedback = rel.mode == LoopMode.CLOSED
     s_state, r_state = rel.s_state, rel.r_state
@@ -215,10 +207,9 @@ def run_relation_carry(
     for k in range(T):
         phi, rho = disturbance_stream[k]
         output = emission(s_state)
-        observed = output if observe is None else observe(output, rho)
-        if observed not in observations:
-            raise DestroyedVarietyError(observed, tick=k)
-        next_r, control = policy(observed, r_state)
+        if output not in observations:
+            raise DestroyedVarietyError(output, tick=k)
+        next_r, control = policy(output, r_state)
         next_s = transition(s_state, control if feedback else idle, phi)
         s_col.append(s_state)
         r_col.append(r_state)

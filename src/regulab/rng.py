@@ -134,21 +134,16 @@ class SplitMix64:
         self._end, self._ahead = (state + min(taken + 1, bounds.size) * _GAMMA) & _MASK64, []
         return below[:taken]
 
-    def shuffle(self, items) -> None:
-        """In-place Fisher-Yates shuffle of a list or a 1-D ndarray.
+    def shuffle(self, items: np.ndarray) -> None:
+        """In-place Fisher-Yates shuffle of a 1-D ndarray.
 
         Step k, for k from len - 1 down to 1, swaps items k and the target
         ``H[k] = next_below(k + 1)``. The targets are drawn by ``belows`` a
         block at a time, and the order is then built with no loop over the
         items by ``_fisher_yates_order``.
         """
-        if len(items) < 2:
-            return
-        perm = _fisher_yates_order(self._swap_targets(len(items)))
-        if isinstance(items, np.ndarray):
-            items[...] = items[perm]
-        else:
-            items[:] = list(map(items.__getitem__, perm.tolist()))
+        if len(items) > 1:
+            items[...] = items[_fisher_yates_order(self._swap_targets(len(items)))]
 
     def _swap_targets(self, n: int) -> np.ndarray:
         """``H[k] = next_below(k + 1)`` drawn for k = n - 1 down to 1; H[0] = 0."""
@@ -166,9 +161,11 @@ class SplitMix64:
 
 
 def _below(u: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``u % m``, and whether ``next_below(m)`` takes each draw: iff u - u % m <= 2**64 - m."""
+    """``u % m``, and whether ``next_below(m)`` takes each draw: iff u - u % m
+    <= 2**64 - m. ``u`` is overwritten."""
     below = u % m
-    return below, u - below <= -m  # -m wraps to 2**64 - m
+    u -= below
+    return below, u <= -m  # -m wraps to 2**64 - m
 
 
 def _fisher_yates_order(target: np.ndarray) -> np.ndarray:

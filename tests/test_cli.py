@@ -958,12 +958,13 @@ def bytes_a_value(tmp_path, *argv):
     return (peak[10**6] - peak[10**5]) * 1024 / (10**6 - 10**5)
 
 
-@pytest.mark.parametrize("gaps, limit", [(["--interval-min", 1, "--interval-max", 1], 56),
+@pytest.mark.parametrize("gaps, limit", [(["--interval-min", 1, "--interval-max", 1], 44),
                                          ([], 48)])
 def test_bursts_memory_grows_by_few_bytes_a_value(tmp_path, gaps, limit):
     # Each burst was once summed over Python lists of every value: about
     # 143 B a value with a release every tick, and 70 B at the default gaps.
-    # Release ticks turned back into gaps once took 65 B a value at gaps 1..1.
+    # Release ticks turned back into gaps once took 65 B a value at gaps 1..1,
+    # and an events object checking its times with np.diff 48 B.
     assert bytes_a_value(tmp_path, "bursts", *gaps) <= limit
 
 

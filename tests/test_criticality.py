@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from regulab import criticality
 from regulab.criticality import (
-    AvalancheEvents,
     BurstSchedule,
     accumulate_release,
     gen_power_series,
@@ -150,10 +149,9 @@ def test_maps_reject_short_input():
 def test_release_every_tick_is_identity():
     rng = SplitMix64(11)
     s = np.array([rng.next_float() for _ in range(64)])
-    bursts, events = accumulate_release(s, BurstSchedule(1, 1), seed=17)
+    bursts, times = accumulate_release(s, BurstSchedule(1, 1), seed=17)
     assert np.allclose(bursts, s, atol=0)
-    assert len(events.times) == 64
-    assert np.all(events.intervals == 1)
+    assert times.tolist() == list(range(64))
 
 
 def test_conservation_and_release_count_bounds():
@@ -161,24 +159,22 @@ def test_conservation_and_release_count_bounds():
     for seed in range(50):
         rng = SplitMix64(seed)
         s = np.array([rng.next_float() for _ in range(1001)])
-        bursts, events = accumulate_release(s, sched, seed=seed + 1000)
+        bursts, times = accumulate_release(s, sched, seed=seed + 1000)
         total_in = math.fsum(s)
         residue = total_in - math.fsum(bursts)
         assert abs((math.fsum(bursts) + residue) - total_in) <= 1e-12 * abs(total_in)
         # recompute residue independently: sum after the last release tick
-        last = events.times[-1]
+        last = times[-1]
         direct_residue = math.fsum(s[last + 1 :])
         assert abs(residue - direct_residue) <= 1e-12
-        assert 91 <= len(events.times) <= 251
+        assert 91 <= len(times) <= 251
 
 
 def test_burst_events_match_burst_series():
     rng = SplitMix64(2)
     s = np.array([rng.next_float() for _ in range(500)])
-    bursts, events = accumulate_release(s, BurstSchedule(3, 7), seed=5)
-    times = np.flatnonzero(bursts > 0)
-    assert np.array_equal(times, events.times)
-    assert np.array_equal(bursts[times], events.magnitudes)
+    bursts, times = accumulate_release(s, BurstSchedule(3, 7), seed=5)
+    assert np.array_equal(np.flatnonzero(bursts > 0), times)
 
 
 def test_schedule_validation():
@@ -222,15 +218,14 @@ def assert_release_matches_reference(s, sched, seed, monkeypatch, forge_at=()):
             made.append(self)
 
     monkeypatch.setattr(criticality, "SplitMix64", Recorded)
-    bursts, events = accumulate_release(s, sched, seed)
+    bursts, times = accumulate_release(s, sched, seed)
     ref_rng = ScalarMix(seed, forge.states)
     with np.errstate(over="ignore", invalid="ignore"):  # the loop's own inf and nan
         ref_bursts, ref_times, ref_magnitudes = reference_accumulate_release(s, sched, ref_rng)
     assert bursts.tobytes() == ref_bursts.tobytes()
-    assert events.times.dtype == ref_times.dtype
-    assert events.times.tolist() == ref_times.tolist()
-    assert events.magnitudes.tobytes() == ref_magnitudes.tobytes()
-    assert events.intervals.tolist() == np.diff(ref_times).tolist()
+    assert times.dtype == ref_times.dtype
+    assert times.tolist() == ref_times.tolist()
+    assert bursts[times].tobytes() == ref_magnitudes.tobytes()
     assert made[0]._state == ref_rng._state
     assert forge.fired(made[0], seed)
 
@@ -280,8 +275,8 @@ def test_release_matches_scalar_loop_on_special_values(values, lo, hi, monkeypat
 def test_release_matches_scalar_loop_with_no_release_or_one(values, monkeypatch):
     s = np.resize(np.array(values), 9)
     for lo, hi, count in ((10, 20, 0), (9, 9, 1)):
-        bursts, events = accumulate_release(s, BurstSchedule(lo, hi), 1)
-        assert len(events.times) == count
+        _, times = accumulate_release(s, BurstSchedule(lo, hi), 1)
+        assert len(times) == count
         assert_release_matches_reference(s, BurstSchedule(lo, hi), 1, monkeypatch)
 
 
@@ -362,8 +357,8 @@ def test_rank_order_of_generator_is_exact_power_curve():
 def test_interval_rank_order_monotone():
     rng = SplitMix64(4)
     s = np.array([rng.next_float() for _ in range(1001)])
-    _, events = accumulate_release(s, BurstSchedule(4, 10), seed=6)
-    ranked = rank_order(events.intervals.astype(float), descending=True)
+    _, times = accumulate_release(s, BurstSchedule(4, 10), seed=6)
+    ranked = rank_order(np.diff(times).astype(float), descending=True)
     assert np.all(np.diff(ranked) <= 0)
 
 
@@ -412,15 +407,3 @@ def test_smooth_hundredfold_preserves_grand_mean():
 def test_smooth_rejects_non_divisor():
     with pytest.raises(ValueError):
         smooth_model(np.arange(10.0), 3)
-
-
-# --- events -------------------------------------------------------------------
-
-
-def test_events_invariants():
-    with pytest.raises(ValueError):
-        AvalancheEvents(
-            times=np.array([3, 1]),
-            magnitudes=np.array([1.0, 1.0]),
-            intervals=np.array([-2]),
-        )

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from regulab import procedural
 from regulab.procedural import (
     MAX_TRIALS,
+    TRACKING_GAIN,
     CmykField,
     CmykPoint,
     CurlField,
@@ -243,8 +244,7 @@ def test_vehicle_rejects_a_negative_or_nan_goal_radius(radius):
     fixture_vehicle(equilateral_field(), goal_radius=0.0)
 
 
-def reference_run_trial(l, f, start, target, steps, dt, tracking_gain=12.0, noise=0.0,
-                        rng=None):
+def reference_run_trial(l, f, start, target, steps, dt, noise=0.0, rng=None):
     """``run_trial`` as a loop of numpy vector operations, one draw per kick."""
     span = target - start
     v_des = span / (steps * dt)
@@ -262,7 +262,7 @@ def reference_run_trial(l, f, start, target, steps, dt, tracking_gain=12.0, nois
         update = np.outer(felt, vel) / (float(vel @ vel) + 1e-12)
         fast += l.rate * update
         slow += l.slow_rate * update
-        vel = vel + dt * (residual + tracking_gain * (v_des - vel))
+        vel = vel + dt * (residual + TRACKING_GAIN * (v_des - vel))
         pos = pos + dt * vel
         pos_des = pos_des + dt * v_des
         dev_sum += float(np.linalg.norm(pos - pos_des))
@@ -282,8 +282,8 @@ def test_run_trial_matches_numpy_reference_bit_for_bit(seed):
     noise = (0.0, 0.02, 0.5)[seed % 3]
     rngs = SplitMix64(seed), SplitMix64(seed)
     kicks = (noise * (2.0 * rngs[0].floats(120) - 1.0)).tolist() if noise else None
-    got_l, got = run_trial(learner, f, start, target, 60, 0.01, 9.0, kicks)
-    want_l, want = reference_run_trial(learner, f, start, target, 60, 0.01, 9.0, noise, rngs[1])
+    got_l, got = run_trial(learner, f, start, target, 60, 0.01, kicks)
+    want_l, want = reference_run_trial(learner, f, start, target, 60, 0.01, noise, rngs[1])
     assert got == want
     assert got_l.fast.tobytes() == want_l.fast.tobytes()
     assert got_l.slow.tobytes() == want_l.slow.tobytes()

@@ -148,7 +148,7 @@ def test_next_below_bounds_up_to_two_to_the_64():
 
 @given(st.lists(st.integers(), min_size=0, max_size=50), st.integers(0, 2**64 - 1))
 def test_shuffle_is_permutation(items, seed):
-    shuffled = list(items)
+    shuffled = np.array(items, dtype=object)
     SplitMix64(seed).shuffle(shuffled)
     assert sorted(shuffled) == sorted(items)
 
@@ -247,11 +247,10 @@ def assert_shuffle_matches_scalar(seed, n):
     scalar = ScalarMix(seed)
     expected = [float(v) for v in range(n)]
     scalar_shuffle(expected, scalar)
-    for items in ([float(v) for v in range(n)], np.arange(n, dtype=float)):
-        block = SplitMix64(seed)
-        block.shuffle(items)
-        assert list(items) == expected
-        assert block._state == scalar._state
+    items, block = np.arange(n, dtype=float), SplitMix64(seed)
+    block.shuffle(items)
+    assert items.tolist() == expected
+    assert block._state == scalar._state
 
 
 @pytest.mark.parametrize("n", BLOCK_SIZES)
@@ -270,12 +269,12 @@ def test_shuffle_replays_rejected_draw_through_next_below(monkeypatch):
     n = 1000  # the forged draw bounds index 989, and 2**64 mod 990 != 0
     forge = Forge(monkeypatch, [state_of(42, 10)])
     forged, scalar = SplitMix64(42), ScalarMix(42, forge.states)
-    a, b = list(range(n)), list(range(n))
+    a, b = np.arange(n), list(range(n))
     forged.shuffle(a)
     scalar_shuffle(b, scalar)
     assert forge.fired(forged, 42)
     assert draws(42, forged._state) == n  # n - 1 swaps and the rejected draw
-    assert a == b
+    assert a.tolist() == b
     assert forged._state == scalar._state
 
 

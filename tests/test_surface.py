@@ -1,4 +1,5 @@
-"""Every public function, class and class member of ``regulab`` is reached by a run.
+"""Every public function, class, class member, setting and returned field
+of ``regulab`` is reached by a run.
 
 A public name that only tests call belongs in the tests. A module-level
 function or class counts as reached when code in ``src/regulab/`` outside its
@@ -6,11 +7,21 @@ own definition, or in ``scripts/``, names it. A public method or property of
 a public class counts as reached when that code reads it as an attribute
 (``x.name``) outside its own body: a bare name that happens to match, such as
 a loop variable, does not reach a member. Docstrings and comments never
-count. The few names kept for readers and tests alone are listed, each with
-its reason.
+count.
+
+A setting that only tests set is variety no run uses. Every parameter of a
+public function or method, and every field of a public dataclass, that has
+a default must be set by some call in that code: by keyword, by position,
+or through ``replace(...)``. A field of a dataclass that a public function
+returns must be read as an attribute outside its own class. The calls are
+matched by name, as the members are.
+
+The few names kept for readers and tests alone are listed, each with its
+reason.
 """
 
 import ast
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -29,8 +40,19 @@ KEPT = {
 KEPT_MEMBERS = {
     "procedural.ReachLearner.comp": "criterion 09's learned compensation",
     "relation.InternalModel.estimate": "the internal model's readout",
-    "relation.InternalModel.observe_state": "the one-step reference for run_relation_carry's "
-                                            "window",
+}
+
+KEPT_SETTINGS = {
+    "diffusion.synthetic_portrait.w": "tests draw small portraits; a run takes the 96x96 one",
+    "diffusion.synthetic_portrait.h": "tests draw small portraits; a run takes the 96x96 one",
+    "procedural.ReachLearner.fast": "run_trial sets it on the learner it builds without __init__",
+    "procedural.ReachLearner.slow": "run_trial sets it on the learner it builds without __init__",
+    "procedural.run_expanding_goal.dt": "run_expanding_goal is kept without a run, above",
+}
+
+KEPT_FIELDS = {
+    "procedural.StageReport.visited": "run_expanding_goal's report, kept with it",
+    "procedural.StageReport.total": "run_expanding_goal's report, kept with it",
 }
 
 
@@ -88,3 +110,97 @@ def test_every_public_member_is_read_or_kept_for_a_reason():
     unread = {name for name, body in members
               if read[body.name] == attributes_read(body)[body.name]}
     assert unread == set(KEPT_MEMBERS)
+
+
+def is_dataclass(cls):
+    return any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def field_defaults(cls):
+    """(name, position in ``__init__``) of each field with a default; a
+    field(init=False) takes no place there."""
+    fields = [stmt for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    fields = [f for f in fields if not (isinstance(f.value, ast.Call) and any(
+        k.arg == "init" and getattr(k.value, "value", None) is False for k in f.value.keywords))]
+    return [(f.target.id, i) for i, f in enumerate(fields) if f.value is not None]
+
+
+def parameter_defaults(fn, skip):
+    """(name, position in a call) of each parameter of ``fn`` with a
+    default, the first ``skip`` left out; a keyword-only one has no position."""
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    return [*((a.arg, i - skip) for i, a in enumerate(positional) if i >= first),
+            *((a.arg, math.inf) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d)]
+
+
+def settings():
+    """(qualified name, the name a call uses, position) of each setting with
+    a default of a public function, dataclass or method of a public class."""
+    for path, module in sources():
+        if path.parent != PACKAGE:
+            continue
+        for stmt in module.body:
+            owners = []
+            if is_public(stmt, ast.FunctionDef):
+                owners.append((stmt.name, stmt.name, parameter_defaults(stmt, 0)))
+            elif is_public(stmt, ast.ClassDef):
+                if is_dataclass(stmt):
+                    owners.append((stmt.name, stmt.name, field_defaults(stmt)))
+                owners += [(f"{stmt.name}.{m.name}", m.name, parameter_defaults(m, 1))
+                           for m in stmt.body if is_public(m, ast.FunctionDef)]
+            for owner, callee, defaults in owners:
+                for name, position in defaults:
+                    yield f"{path.stem}.{owner}.{name}", callee, name, position
+
+
+def test_every_setting_is_set_by_a_run_or_kept_for_a_reason():
+    # Per callee name: the most positional arguments a call passes (all, after
+    # a *starred one) and the keywords. replace() sets its keywords on any
+    # dataclass.
+    positions, keywords = Counter(), set()
+    for _, module in sources():
+        for call in (n for n in ast.walk(module) if isinstance(n, ast.Call)):
+            callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+            positions[callee] = max(positions[callee], math.inf if starred else len(call.args))
+            keywords.update((callee, k.arg) for k in call.keywords)
+    unset = {qualified for qualified, callee, name, position in settings()
+             if positions[callee] <= position
+             and not {(callee, name), ("replace", name)} & keywords}
+    assert unset == set(KEPT_SETTINGS)
+
+
+def annotated_names(annotation):
+    """The names in a return annotation, string annotations parsed."""
+    for n in ast.walk(annotation):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield from annotated_names(ast.parse(n.value, mode="eval"))
+
+
+def test_every_returned_field_is_read_or_kept_for_a_reason():
+    read, dataclasses, returned = Counter(), {}, set()
+    for path, module in sources():
+        read += attributes_read(module)
+        if path.parent != PACKAGE:
+            continue
+        for stmt in module.body:
+            if is_public(stmt, ast.ClassDef):
+                if is_dataclass(stmt):
+                    dataclasses[stmt.name] = f"{path.stem}.{stmt.name}", stmt
+                functions = [m for m in stmt.body if is_public(m, ast.FunctionDef)]
+            else:
+                functions = [stmt] if is_public(stmt, ast.FunctionDef) else []
+            for fn in functions:
+                if fn.returns is not None:
+                    returned.update(annotated_names(fn.returns))
+    unread = {f"{qualified}.{stmt.target.id}"
+              for qualified, cls in map(dataclasses.get, returned & set(dataclasses))
+              for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+              if read[stmt.target.id] == attributes_read(cls)[stmt.target.id]}
+    assert unread == set(KEPT_FIELDS)
