@@ -123,7 +123,7 @@ class QConfig:
             raise ValueError(f"goal cell {self.goal_cell} is outside the grid")
         if not (0 <= self.exploration <= 1):
             raise ValueError(f"exploration must be in [0, 1], got {self.exploration}")
-        if self.episodes < 1:
+        if not self.episodes >= 1:  # refuses nan too
             raise ValueError(f"need at least 1 episode, got {self.episodes}")
         if self.episodes * 8 * self.width * self.height > MAX_Q_STEPS:
             raise ValueError(f"a run takes at most {MAX_Q_STEPS} steps, and {self.episodes} "

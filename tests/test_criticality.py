@@ -407,3 +407,22 @@ def test_smooth_hundredfold_preserves_grand_mean():
 def test_smooth_rejects_non_divisor():
     with pytest.raises(ValueError):
         smooth_model(np.arange(10.0), 3)
+
+
+# --- events -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 1), (3, 7), (10, 20)])
+def test_events_invariants(lo, hi):
+    rng = SplitMix64(8)
+    s = np.array([rng.next_float() for _ in range(1001)])
+    bursts, times = accumulate_release(s, BurstSchedule(lo, hi), seed=9)
+    assert times.dtype == np.int64
+    # the first release ends the first gap; each later one a gap after the last
+    assert lo - 1 <= times[0] <= hi - 1
+    assert np.all((lo <= np.diff(times)) & (np.diff(times) <= hi))
+    assert times[-1] < s.size <= times[-1] + hi
+    quiet = np.ones(s.size, dtype=bool)
+    quiet[times] = False
+    assert np.all(bursts[quiet] == 0.0)
+    assert np.all(bursts[times] > 0.0)

@@ -231,6 +231,16 @@ def test_q_values_bounded():
         assert np.all(values <= bound + 1e-9)
 
 
+def test_q_myopic_discount_zero(monkeypatch):
+    # The update bootstraps through DISCOUNT: at 0 each value is the reward
+    # of one step, so the cells next to the goal step straight onto it.
+    monkeypatch.setattr(demos, "DISCOUNT", 0.0)
+    cfg = QConfig(width=3, height=3, goal_cell=(2, 2), exploration=0.3, episodes=4000)
+    policy, _, _ = q_regulate(cfg, seed=5)
+    assert ACTION_NAMES[policy[(1, 2)]] == "E"
+    assert ACTION_NAMES[policy[(2, 1)]] == "S"
+
+
 def test_q_role_annotation():
     _, _, ann = q_regulate(three_by_three(), seed=1)
     assert ann.assignments == {
@@ -247,6 +257,13 @@ def test_q_config_validation():
         QConfig(width=3, height=3, goal_cell=(5, 5))
     with pytest.raises(ValueError):
         QConfig(width=0, height=3, goal_cell=(0, 0))
+
+
+@pytest.mark.parametrize("name, message", [("exploration", "exploration"), ("episodes", "episode")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_q_config_rejects_nonfinite_values(name, message, value):
+    with pytest.raises(ValueError, match=message):
+        QConfig(width=3, height=3, goal_cell=(2, 2), **{name: value})
 
 
 @pytest.mark.parametrize("width, height", [(MAX_CELLS + 1, 1), (1, MAX_CELLS + 1),
