@@ -10,8 +10,15 @@ only what it can prove; ``format`` writes every value it cannot.
 A chunk is one uint8 matrix: a fixed-width field per column, each ending
 with its separator. Field bytes a row does not use hold 0xFF, which UTF-8
 never contains, and the chunk's text is the matrix with every 0xFF deleted.
-The matrix and the arrays the fields are computed in are made once per
-``rows`` call and reused by every chunk.
+The matrix and the arrays the fields are computed in are scratch in one
+anonymous mapping, reused by every chunk. A process keeps one such mapping
+across tables: ``rows`` takes it on entry and puts it back when its
+generator ends or is closed, and a ``rows`` that finds it taken maps its own,
+so no two tables share scratch. It is sized for the default chunk of any
+table of up to 6144 columns, 1.15 MiB (wider tables grow it). A table of at
+least ``LONG_ROWS`` rows is written in chunks twice as long, in a mapping of
+its own that is unmapped when the table is done: fewer chunks pay each
+chunk's fixed cost.
 
 A chunk's float columns are formatted in one call, their values laid end to
 end (a single column is its own slice). Runs of equal values are found by
@@ -43,14 +50,19 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-# Bytes of field slots per chunk, _FLOAT_BYTES per column and row (an int
-# field is never wider). Scratch adds 164 bytes per float value of a chunk
-# (and per row, if no column is float), and a chunk holds at most
-# CHUNK_BYTES // _FLOAT_BYTES = 6144 float values, so at most 1.0 MB. Writing
-# a 100,000-row CSV of random floats raised VmHWM by 1.06 MB with the tick
-# and 3 float columns of pid, and by 1.24 MB with the tick and 7 of vehicle
-# (Python 3.11, numpy 2.4, Linux).
+# Bytes of field slots per default chunk, _FLOAT_BYTES per column and row
+# (an int field is never wider). Scratch adds 164 bytes per float value of a
+# chunk (and per row, if no column is float), and a default chunk holds at
+# most CHUNK_BYTES // _FLOAT_BYTES = 6144 float values, so the kept mapping
+# is 6144 * 164 + CHUNK_BYTES bytes, 1.15 MiB; a long table's chunks take
+# twice that in a mapping of their own. Writing a 100,000-row CSV of random
+# floats raised VmHWM by 1.06 MB with the tick and 3 float columns of pid,
+# and by 1.24 MB with the tick and 7 of vehicle (Python 3.11, numpy 2.4,
+# Linux). ``avalanche gen --n 10000000`` peaks at 301.2 MiB with doubled
+# chunks as with default ones: its peak is the shuffle's, before any row.
 CHUNK_BYTES = 3 << 16
+# Rows from which a table is written in chunks of twice chunk_rows rows.
+LONG_ROWS = 1 << 17
 
 _DROP = 0xFF  # a field byte the row does not use
 
@@ -96,7 +108,9 @@ _POWERS, _KEY, _MOVE, _EXP_WORD = slice(0, 4), 4, 5, 7  # _MOVE: two words
 def _arena(shapes: Sequence[tuple]) -> list[np.ndarray]:
     """Arrays of the given (dtype, shape)s in an anonymous mapping of their
     own, unmapped when the last is freed. In the malloc heap they would split
-    the free space that a run's large arrays reuse, and the heap would grow."""
+    the free space that a run's large arrays reuse, and the heap would grow.
+    The lookup tables live in one for the life of the process, and so does
+    the scratch that ``rows`` keeps between tables."""
     spans = [-(-np.dtype(dtype).itemsize * math.prod(shape) // 64) * 64 for dtype, shape in shapes]
     arena = mmap.mmap(-1, sum(spans))
     offsets = itertools.accumulate(spans, initial=0)
@@ -357,24 +371,56 @@ def _width(values) -> int:
 
 
 def chunk_rows(columns: int) -> int:
-    """Rows in each chunk ``rows`` yields for ``columns`` columns."""
+    """Rows in each chunk ``rows`` yields for ``columns`` columns, in a table
+    of fewer than ``LONG_ROWS`` rows."""
     return max(1, CHUNK_BYTES // (_FLOAT_BYTES * columns))
+
+
+def _scratch(span: int, size: int) -> list[np.ndarray]:
+    """Scratch for chunks of at most ``span`` float values (and rows) and
+    ``size`` bytes of field slots, the slot matrix last."""
+    return _arena([(np.float64, (6, span)), (np.int64, (span, 8)), (np.float64, (span, 4)),
+                   (bool, (4, span)), (np.float64, (2, span)), (np.uint8, (size,))])
+
+
+# The kept scratch, while no rows generator holds it.
+_kept: list[list[np.ndarray]] = []
 
 
 def rows(*columns: Sequence) -> Iterator[bytes]:
     """CSV body lines, row k made of item k of every column, as UTF-8 bytes
-    in chunks of ``chunk_rows(len(columns))`` rows, the last maybe fewer.
-    Columns are of equal length, each a float array (written as
-    ``format(v, ".17g")``), a ``range`` or signed-integer array (as ``str``)
-    or a sequence of ``str``; any other array is a TypeError."""
+    in chunks of ``chunk_rows(len(columns))`` rows, twice that in a table of
+    at least ``LONG_ROWS`` rows, the last chunk maybe fewer. Columns are of
+    equal length, each a float array (written as ``format(v, ".17g")``), a
+    ``range`` or signed-integer array (as ``str``) or a sequence of ``str``;
+    any other array is a TypeError."""
     if not columns or len(columns[0]) == 0:
         return
     kinds = list(map(_kind, columns))
-    n = min(step := chunk_rows(len(columns)), total := len(columns[0]))
-    span = n * max(1, kinds.count("float"))  # a chunk's float values, and its rows
-    scratch = _arena([(np.float64, (6, span)), (np.int64, (span, 8)), (np.float64, (span, 4)),
-                      (bool, (4, span)), (np.float64, (2, span)),
-                      (np.uint8, (n * _FLOAT_BYTES * len(columns),))])
+    total = len(columns[0])
+    long = total >= LONG_ROWS
+    step = chunk_rows(len(columns)) * (2 if long else 1)
+    span = step * max(1, kinds.count("float"))  # a chunk's float values, and its rows
+    size = step * _FLOAT_BYTES * len(columns)
+    if long:
+        scratch = _scratch(span, size)
+    else:
+        try:
+            scratch = _kept.pop()  # one atomic step: no two callers get it
+        except IndexError:
+            scratch = None
+        if scratch is None or span > scratch[0].shape[1] or size > scratch[-1].size:
+            scratch = _scratch(max(span, CHUNK_BYTES // _FLOAT_BYTES), max(size, CHUNK_BYTES))
+    try:
+        yield from _chunks(columns, kinds, total, step, scratch)
+    finally:
+        if not long and not _kept:
+            _kept.append(scratch)
+
+
+def _chunks(columns: Sequence, kinds: list[str], total: int, step: int,
+            scratch: list[np.ndarray]) -> Iterator[bytes]:
+    """The chunks of ``rows``, of ``step`` rows each, built in ``scratch``."""
     for start in range(0, total, step):
         stop = min(start + step, total)
         values = [_chunk(c, kind, start, stop) for c, kind in zip(columns, kinds)]

@@ -165,6 +165,8 @@ def _below(u: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     <= 2**64 - m. ``u`` is overwritten."""
     below = u % m
     u -= below
+    if not any(m.strides):  # one bound broadcast: negate it once, not n times
+        m = m.reshape(-1)[:1]
     return below, u <= -m  # -m wraps to 2**64 - m
 
 

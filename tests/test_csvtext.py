@@ -1,7 +1,9 @@
 """CSV writer: the bytes ``"{:.17g}".format`` and ``str`` give, on any column
 of the types it takes."""
 
+import itertools
 import math
+import mmap
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -192,6 +194,83 @@ def test_a_long_series_is_written_in_chunks_of_at_most_a_mebibyte():
     chunks = list(csvtext.rows(range(10**6), np.random.default_rng(6).random(10**6)))
     assert len(chunks) > 1
     assert max(map(len, chunks)) <= 2**20
+
+
+def layouts() -> list[tuple]:
+    """Tables of different layouts, together through every route: fallback
+    floats, int64 extremes, text wider than its slots and non-ASCII, eight
+    float columns (the most float values a chunk holds) and a long table."""
+    step = csvtext.chunk_rows(3)
+    n = step + len(SEAM_FLOATS)
+    r = np.random.default_rng(8)
+    floats = r.standard_normal(n)
+    floats[step - 4:step + 4] = SEAM_FLOATS
+    ints = r.integers(-10**6, 10**6, n)
+    ints[step - 2:step + 2] = -(2**63), 2**63 - 1, -(2**63), 2**63 - 1
+    wide = [f"é€😀{i % 3}" * 20 for i in range(csvtext.chunk_rows(1) + 3)]
+    many = r.random((8, csvtext.chunk_rows(8) + 1)) * 10.0 ** r.integers(-30, 30, 8)[:, None]
+    return [(range(n), floats, ints), (wide,), (np.array(SEAM_FLOATS), [f"s{i}" for i in range(8)]),
+            tuple(many), (np.array([-(2**63), 2**63 - 1, 0]),), (range(10**6, 10**6 + 7),),
+            (np.arange(csvtext.LONG_ROWS) * 0.1,), (np.array([0.5, -0.0]), ["x", "y"])]
+
+
+def test_tables_written_back_to_back_keep_their_bytes():
+    tables = layouts()
+    for order in (tables, tables[::-1], tables + tables):
+        assert [written(*t) for t in order] == [reference(*t) for t in order]
+
+
+def test_tables_written_in_turn_keep_their_bytes(monkeypatch):
+    # One table holds the kept scratch; each other maps its own while alive.
+    monkeypatch.setattr(csvtext, "_kept", [])
+    tables = layouts()
+    turns = itertools.zip_longest(*(csvtext.rows(*t) for t in tables), fillvalue=b"")
+    assert list(map(b"".join, zip(*turns))) == [reference(*t) for t in tables]
+    assert len(csvtext._kept) == 1
+
+
+def test_a_writer_closed_after_its_first_chunk_gives_its_scratch_back(monkeypatch):
+    monkeypatch.setattr(csvtext, "_kept", [])
+    step = csvtext.chunk_rows(2)
+    x = np.random.default_rng(9).random(2 * step)
+    writer = csvtext.rows(range(2 * step), x)
+    assert next(writer) == reference(range(step), x[:step])
+    assert csvtext._kept == []  # held while the writer is alive
+    writer.close()
+    [scratch] = csvtext._kept
+    assert_same(np.array(SEAM_FLOATS), range(8))
+    assert csvtext._kept == [scratch]
+
+
+def test_short_tables_in_one_process_map_scratch_once(monkeypatch):
+    csvtext._tables()  # mapped once a process
+    monkeypatch.setattr(csvtext, "_kept", [])
+    maps = []
+    mapping = mmap.mmap
+
+    def counted(*args):
+        maps.append(args)
+        return mapping(*args)
+
+    monkeypatch.setattr(mmap, "mmap", counted)
+    assert_same(range(5), np.linspace(0, 1, 5))
+    assert_same(*np.random.default_rng(10).random((8, csvtext.chunk_rows(8) + 1)))
+    assert len(maps) == 1
+
+
+@pytest.mark.parametrize("n, step", [(csvtext.LONG_ROWS, 2 * csvtext.chunk_rows(2)),
+                                     (csvtext.LONG_ROWS - 1, csvtext.chunk_rows(2))])
+def test_a_long_table_is_formatted_in_chunks_twice_as_long(monkeypatch, n, step):
+    formatted = []
+    float_field = csvtext._float_field
+
+    def counted(x, field, scratch):
+        formatted.append(len(x))
+        float_field(x, field, scratch)
+
+    monkeypatch.setattr(csvtext, "_float_field", counted)
+    assert_same(range(n), np.random.default_rng(12).random(n))
+    assert formatted == [step] * (n // step) + [n % step]
 
 
 def test_text_columns_keep_any_character():

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,29 @@ def test_one_modulo_rule_matches_next_below_limit():
     assert below.tolist() == [u % m for u, m in zip(draws, bounds)]
     assert accepted.tolist() == [u < (2**64 // m) * m for u, m in zip(draws, bounds)]
     assert not all(accepted) and any(accepted)
+
+
+def test_one_modulo_rule_holds_for_a_broadcast_bound():
+    for m in BOUNDS:
+        limit = (2**64 // m) * m
+        draws = sorted({0, m - 1, limit - 1, limit, 2**64 - 1} - {2**64})
+        below, accepted = _below(np.array(draws, dtype=np.uint64),
+                                 np.broadcast_to(np.uint64(m), len(draws)))
+        assert below.tolist() == [u % m for u in draws]
+        assert accepted.tolist() == [u < limit for u in draws]
+
+
+def test_belows_of_one_broadcast_bound_take_few_bytes_a_value():
+    # The acceptance limit was once negated n wide for a broadcast bound: 25 B
+    # a value. The outputs, their remainders and the accepted flags are 17.
+    n = 10**6
+    tracemalloc.start()
+    try:
+        SplitMix64(0).belows(np.broadcast_to(np.uint64(1), n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18 * n
 
 
 SORT_CHILD = """
