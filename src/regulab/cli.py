@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -141,12 +140,11 @@ def emit_manifest(a: argparse.Namespace, outputs: list[Path], wall_time_s: float
 
 def _cmd_relation(a) -> tuple[Files, dict]:
     from . import relation as rel
-    mode = rel.LoopMode.CLOSED if a.mode == "closed" else rel.LoopMode.FEEDFORWARD
-    relation = rel.toggle_benchmark(mode=mode)
-    stream = [("kick", "calm")] * a.ticks
-    traj = rel.run_relation(relation, stream, a.ticks)
-    table = itertools.chain([_params_line(a)], rel.trajectory_to_csv(traj))
-    return [(a.output, table)], {"point_entropy_bits": rel.point_regulation_score(traj, bins=2)}
+    # The stream is freed after the ticks, and the score's arrays before the columns are built.
+    traj = rel.run_relation(rel.toggle_benchmark(a.mode), [("kick", "calm")] * a.ticks, a.ticks)
+    extras = {"point_entropy_bits": rel.point_regulation_score(traj, bins=2)}
+    columns = rel.trajectory_to_csv(traj)
+    return [(a.output, _csv(a, "tick,s_state,r_state,output,error,phi,rho", *columns))], extras
 
 
 def _cmd_variety(a) -> tuple[Files, dict]:
@@ -201,17 +199,16 @@ def _cmd_avalanche(a) -> tuple[Files, dict]:
 
 
 def _cmd_diffuse(a) -> tuple[Files, dict]:
+    try:
+        levels = None if a.levels is None else [float(x) for x in a.levels.split(",")]
+    except ValueError:
+        raise UsageError(f"levels must be a comma list of numbers, got {a.levels!r}") from None
     import numpy as np
 
     from . import diffusion as diff
     img = diff.synthetic_portrait() if a.input is None else diff.read_pgm(a.input)
-    if a.levels is None:
+    if levels is None:
         levels = diff.DEFAULT_UNIFORM_ALPHAS if a.mode == "uniform" else diff.DEFAULT_POWER_SHAPES
-    else:
-        try:
-            levels = [float(x) for x in a.levels.split(",")]
-        except ValueError:
-            raise UsageError(f"levels must be a comma list of numbers, got {a.levels!r}") from None
     sched = (diff.uniform_schedule(levels) if a.mode == "uniform"
              else diff.power_schedule(levels, alpha=a.alpha))
     base = a.output
@@ -235,9 +232,6 @@ def _cmd_diffuse(a) -> tuple[Files, dict]:
 
 
 def _cmd_lur(a) -> tuple[Files, dict]:
-    import numpy as np
-
-    from . import procedural as proc
     phases = []
     for chunk in a.phases.split(","):
         try:
@@ -245,6 +239,9 @@ def _cmd_lur(a) -> tuple[Files, dict]:
             phases.append((float(angle_s), int(trials_s)))
         except ValueError:
             raise UsageError(f"phase must be ANGLE:TRIALS, got {chunk!r}") from None
+    import numpy as np
+
+    from . import procedural as proc
     sched = proc.LurSchedule(tuple(phases))
     learner = proc.ReachLearner(rate=a.rate, slow_rate=a.slow_rate, fast_retention=a.retention)
     result = proc.run_lur(learner, sched, noise=a.noise, gain=a.gain, seed=a.seed)
@@ -282,6 +279,11 @@ def _cmd_vehicle(a) -> tuple[Files, dict]:
 
 
 def _cmd_demo(a) -> tuple[Files, dict]:
+    if a.which == "q":
+        try:
+            w, h = map(int, a.grid.split("x"))
+        except ValueError:
+            raise UsageError(f"grid must be WIDTHxHEIGHT, got {a.grid!r}") from None
     import numpy as np
 
     from . import demos
@@ -290,10 +292,6 @@ def _cmd_demo(a) -> tuple[Files, dict]:
         table = _csv(a, "iter,x0,x1,error", range(len(traj)), *traj.T, error, tx=None, ty=None,
                      y0=None, target=f"{a.tx};{a.ty}", x0=f"{a.x0};{a.y0}")
     else:
-        try:
-            w, h = map(int, a.grid.split("x"))
-        except ValueError:
-            raise UsageError(f"grid must be WIDTHxHEIGHT, got {a.grid!r}") from None
         cfg = demos.QConfig(width=w, height=h, goal_cell=(w - 1, h - 1),
                             episodes=a.episodes, exploration=a.epsilon)
         policy, q, annotation = demos.q_regulate(cfg, a.seed)

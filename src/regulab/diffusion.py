@@ -1,13 +1,12 @@
 """Forward noising of grayscale images.
 
-Two noise families, both blended into the image by a pixelwise convex
-combination ``out = (1 - alpha) * img + alpha * noise``:
-
-* uniform fields, each pixel drawn uniformly on [0, 1), with the blend
-  fraction alpha as the noising level;
-* power-law fields, each pixel drawn from the density a * x^(a-1) on
-  [0, 1) (inverse-CDF: u^(1/a)), where small shape values pile mass near
-  zero and the field's own blend alpha defaults to 0.75.
+One noise family, blended into the image by a pixelwise convex
+combination ``out = (1 - alpha) * img + alpha * noise``: power-law fields,
+each pixel drawn from the density a * x^(a-1) on [0, 1) (inverse-CDF:
+u^(1/a)), where small shape values pile mass near zero. Shape 1 is uniform
+noise: the uniform schedule blends it with the fraction alpha as the
+noising level, and the power schedule varies the shape at one alpha, 0.75
+by default.
 
 A schedule applies one fresh noise field per step to the ORIGINAL image
 (independent noisings, not a chained walk), with per-step generators split
@@ -27,7 +26,6 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 
@@ -69,17 +67,6 @@ class GrayImage:
 
 
 @dataclass(frozen=True)
-class UniformBlend:
-    """Uniform noise blended at fraction ``alpha``."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-
-
-@dataclass(frozen=True)
 class PowerMask:
     """Power-law noise with density shape * x^(shape-1), blended at
     fraction ``alpha``."""
@@ -94,12 +81,9 @@ class PowerMask:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
 
 
-NoiseSpec = Union[UniformBlend, PowerMask]
-
-
 @dataclass(frozen=True)
 class NoiseSchedule:
-    steps: tuple[NoiseSpec, ...]
+    steps: tuple[PowerMask, ...]
 
     def __post_init__(self) -> None:
         if len(self.steps) == 0:
@@ -113,25 +97,24 @@ DEFAULT_POWER_SHAPES = (0.8, 0.6, 0.4, 0.2, 0.01)
 
 
 def uniform_schedule(alphas=DEFAULT_UNIFORM_ALPHAS) -> NoiseSchedule:
-    return NoiseSchedule(tuple(UniformBlend(a) for a in alphas))
+    return NoiseSchedule(tuple(PowerMask(1.0, a) for a in alphas))
 
 
 def power_schedule(shapes=DEFAULT_POWER_SHAPES, alpha: float = 0.75) -> NoiseSchedule:
     return NoiseSchedule(tuple(PowerMask(s, alpha) for s in shapes))
 
 
-def gen_noise_field(w: int, h: int, spec: NoiseSpec, seed: int) -> GrayImage:
-    """I.i.d. noise raster, generated row-major from the seeded project RNG."""
+def gen_noise_field(w: int, h: int, shape: float, seed: int) -> GrayImage:
+    """I.i.d. power-law noise raster of the given shape, generated row-major
+    from the seeded project RNG."""
     if w < 1 or h < 1:
         raise ValueError(f"field must be at least 1x1, got {w}x{h}")
-    if not isinstance(spec, (UniformBlend, PowerMask)):
-        raise TypeError(f"unknown noise spec: {spec!r}")
     flat = SplitMix64(seed).floats(w * h)
-    if isinstance(spec, PowerMask):
+    if shape != 1.0:  # u ** 1.0 is u
         # float_power's float64 loop calls libm pow on each element, as float **
         # does; numpy's power differs in the last ulp on AVX-512. The values
         # still depend on which pow variant (FMA or not) libm picks.
-        np.float_power(flat, 1.0 / spec.shape, out=flat)
+        np.float_power(flat, 1.0 / shape, out=flat)
     flat.flags.writeable = False
     return GrayImage(width=w, height=h, pixels=flat.reshape(h, w))
 
@@ -167,9 +150,10 @@ def run_schedule(
     step's result."""
     master = SplitMix64(seed)
     base = img
-    for spec in sched.steps:
+    for mask in sched.steps:
         sub_seed = master.split().next_u64()
-        noised = blend(base, gen_noise_field(base.width, base.height, spec, sub_seed), spec.alpha)
+        noised = blend(base, gen_noise_field(base.width, base.height, mask.shape, sub_seed),
+                       mask.alpha)
         if cumulative:
             base = noised
         yield noised

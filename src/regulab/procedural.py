@@ -459,10 +459,10 @@ class Vehicle:
 
     position: tuple[float, float]
     heading: float
+    target: CmykPoint
     sensor_offset: float = 0.05
     speed_gain: float = 0.5
     turn_gain: float = 8.0
-    target: CmykPoint = None
     goal_radius: float = 0.05
     color: CmykPoint | None = field(default=None, init=False, compare=False)
     distance: float | None = field(default=None, init=False, compare=False)
@@ -484,8 +484,6 @@ class Vehicle:
             raise ValueError(f"position must be a finite 2-vector and heading finite, "
                              f"got {self.position} and {self.heading}")
         object.__setattr__(self, "position", p)
-        if self.target is None:
-            raise ValueError("vehicle needs a target color")
 
 
 def vehicle_step(v: Vehicle, field_: CmykField, dt: float) -> Vehicle:

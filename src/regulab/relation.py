@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Collection, Hashable, Iterator, Optional
+from typing import Callable, Collection, Hashable, Optional
 
 import numpy as np
 
@@ -122,8 +122,8 @@ class InternalModel:
 
 
 class LoopMode:
-    CLOSED = "ClosedLoop"
-    FEEDFORWARD = "OpenLoopFeedforward"
+    CLOSED = "closed"
+    FEEDFORWARD = "feedforward"
 
 
 @dataclass(frozen=True)
@@ -287,22 +287,17 @@ def path_regulation_score(traj: Trajectory, order: int, bins: int) -> float:
     return max(0.0, _entropy_bits(blocks_hi.values()) - _entropy_bits(blocks_lo.values()))
 
 
-def trajectory_to_csv(traj: Trajectory) -> Iterator[bytes]:
-    """The CSV as UTF-8 chunks: the header ``tick,s_state,r_state,output,
-    error,phi,rho``, then the rows ``csvtext.rows`` builds, LF line endings
-    and 17-significant-digit floats (``output`` and ``error`` are written as
-    floats and the symbols as text, whatever their types)."""
-    from . import csvtext  # on first use: importing the module loads no writer code
+def trajectory_to_csv(traj: Trajectory) -> tuple:
+    """The columns of the CSV header ``tick,s_state,r_state,output,error,phi,
+    rho``, built in that order: the ticks, ``output`` and ``error`` as float
+    arrays, and the symbols as text, whatever their types."""
 
     def text(column: tuple) -> list[str]:  # as "{}" writes it, a float symbol too
         return list(map(format, column))
 
-    yield b"tick,s_state,r_state,output,error,phi,rho\n"
-    yield from csvtext.rows(
-        range(len(traj)), text(traj.s_state), text(traj.r_state),
-        np.asarray(traj.output, dtype=float), np.asarray(traj.error, dtype=float),
-        text(traj.phi), text(traj.rho),
-    )
+    return (range(len(traj)), text(traj.s_state), text(traj.r_state),
+            np.asarray(traj.output, dtype=float), np.asarray(traj.error, dtype=float),
+            text(traj.phi), text(traj.rho))
 
 
 def toggle_benchmark(mode: str = LoopMode.CLOSED) -> ClosedLoopRelation:

@@ -24,8 +24,6 @@ from regulab.criticality import (
 from regulab.demos import gd_regulate, q_regulate
 from regulab.diffusion import (
     GrayImage,
-    PowerMask,
-    UniformBlend,
     blend,
     gen_noise_field,
     image_stats,
@@ -157,12 +155,12 @@ def test_criterion_06_pid():
 
 def test_criterion_07_diffusion():
     img = synthetic_portrait(64, 48)
-    noise = gen_noise_field(64, 48, UniformBlend(1.0), seed=7)
+    noise = gen_noise_field(64, 48, 1.0, seed=7)
     ok = np.array_equal(blend(img, noise, 0.0).pixels, img.pixels)
     ok &= np.array_equal(blend(img, noise, 1.0).pixels, noise.pixels)
 
     for a in (0.2, 1.0, 3.0):
-        field = gen_noise_field(500, 200, PowerMask(shape=a), seed=70 + int(a * 10))
+        field = gen_noise_field(500, 200, a, seed=70 + int(a * 10))
         mean, _ = image_stats(field)
         ok &= abs(mean - a / (a + 1.0)) <= 0.01
 

@@ -869,9 +869,12 @@ def test_building_the_parser_loads_no_csv_writer(tmp_path):
     config = write_config(tmp_path, "steps 10\n")  # not key=value
     out = str(tmp_path / "p.csv")
     argvs = [["pid", "--seed", "0"], ["--config", str(config), "pid", "--seed", "0", "-o", out],
-             ["pid", "--seed", "-1", "-o", out]]
+             ["pid", "--seed", "-1", "-o", out],
+             ["demo", "q", "--grid", "bad", "--seed", "0", "-o", out],
+             ["lur", "run", "--phases", "bad", "--seed", "0", "-o", out],
+             ["diffuse", "--levels", "a,b", "--seed", "0", "-o", out]]
     modules, helps, codes, after = json.loads(fresh(FRONT_END.format(argvs=argvs)))
-    assert codes == [2, 2, 2]
+    assert codes == [2] * 6
     for loaded in (modules, after):
         assert [m for m in loaded if m.split(".")[0] == "regulab"] == ["regulab", "regulab.cli"]
         assert "numpy" not in loaded

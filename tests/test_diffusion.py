@@ -12,7 +12,6 @@ from regulab.diffusion import (
     GrayImage,
     NoiseSchedule,
     PowerMask,
-    UniformBlend,
     blend,
     gen_noise_field,
     image_stats,
@@ -34,22 +33,22 @@ def flat_image(w, h, value):
 
 
 def test_uniform_field_mean_and_variance():
-    field = gen_noise_field(500, 200, UniformBlend(alpha=1.0), seed=1)
+    field = gen_noise_field(500, 200, 1.0, seed=1)
     mean, var = image_stats(field)
     assert abs(mean - 0.5) <= 0.01
     assert abs(var - 1.0 / 12.0) <= 0.005
 
 
 def test_power_shape_one_is_uniform():
-    field = gen_noise_field(500, 200, PowerMask(shape=1.0), seed=2)
-    mean, _ = image_stats(field)
-    assert abs(mean - 0.5) <= 0.01
+    # u ** 1.0 is u, so shape 1 takes no pow: the field is the draws as they are.
+    field = gen_noise_field(500, 200, 1.0, seed=2)
+    assert field.pixels.tobytes() == SplitMix64(2).floats(500 * 200).tobytes()
 
 
 @pytest.mark.parametrize("a", [0.2, 1.0, 3.0])
 def test_power_mean_matches_analytic(a):
     # density a*x^(a-1) on [0,1] has mean a/(a+1)
-    field = gen_noise_field(500, 200, PowerMask(shape=a), seed=3)
+    field = gen_noise_field(500, 200, a, seed=3)
     mean, _ = image_stats(field)
     assert abs(mean - a / (a + 1.0)) <= 0.01
 
@@ -57,7 +56,7 @@ def test_power_mean_matches_analytic(a):
 def test_power_mass_shifts_toward_one_with_shape():
     fracs = []
     for a in (0.2, 1.0, 5.0):
-        field = gen_noise_field(400, 250, PowerMask(shape=a), seed=4)
+        field = gen_noise_field(400, 250, a, seed=4)
         fracs.append(float(np.mean(field.pixels > 0.5)))
     assert fracs[0] < fracs[1] < fracs[2]
 
@@ -70,7 +69,7 @@ def test_power_field_matches_python_pow(a):
     # float ** rounds an underflow to 0 silently, as numpy does by default.
     with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
         warnings.simplefilter("error")
-        field = gen_noise_field(97, 61, PowerMask(shape=a), seed=8)
+        field = gen_noise_field(97, 61, a, seed=8)
     assert field.pixels.tobytes() == np.array(want).tobytes()
 
 
@@ -81,13 +80,13 @@ def test_power_mask_rejects_nonpositive_or_nonfinite_shape(shape):
 
 
 def test_field_determinism():
-    a = gen_noise_field(64, 64, UniformBlend(0.5), seed=9)
-    b = gen_noise_field(64, 64, UniformBlend(0.5), seed=9)
+    a = gen_noise_field(64, 64, 1.0, seed=9)
+    b = gen_noise_field(64, 64, 1.0, seed=9)
     assert np.array_equal(a.pixels, b.pixels)
 
 
 def test_field_dimensions():
-    field = gen_noise_field(300, 377, PowerMask(shape=1.0), seed=5)
+    field = gen_noise_field(300, 377, 1.0, seed=5)
     assert field.pixels.shape == (377, 300)
     assert field.pixels.size == 113_100
 
@@ -97,14 +96,14 @@ def test_field_dimensions():
 
 def test_blend_alpha_extremes_bit_identical():
     img = synthetic_portrait(32, 24)
-    noise = gen_noise_field(32, 24, UniformBlend(1.0), seed=6)
+    noise = gen_noise_field(32, 24, 1.0, seed=6)
     assert blend(img, noise, 0.0) is img
     assert blend(img, noise, 1.0) is noise
 
 
 def test_blend_mean_linearity():
     img = synthetic_portrait(40, 40)
-    noise = gen_noise_field(40, 40, UniformBlend(1.0), seed=7)
+    noise = gen_noise_field(40, 40, 1.0, seed=7)
     alpha = 0.37
     out = blend(img, noise, alpha)
     m_img, _ = image_stats(img)
@@ -126,8 +125,8 @@ def test_blend_dimension_mismatch():
     st.integers(0, 2**32),
 )
 def test_blend_convexity_pixelwise(w, h, alpha, seed):
-    img = gen_noise_field(w, h, UniformBlend(1.0), seed=seed)
-    noise = gen_noise_field(w, h, UniformBlend(1.0), seed=seed + 1)
+    img = gen_noise_field(w, h, 1.0, seed=seed)
+    noise = gen_noise_field(w, h, 1.0, seed=seed + 1)
     out = blend(img, noise, alpha)
     lo = np.minimum(img.pixels, noise.pixels)
     hi = np.maximum(img.pixels, noise.pixels)
@@ -139,21 +138,21 @@ def test_blend_convexity_pixelwise(w, h, alpha, seed):
 
 
 def test_default_ladders():
-    assert uniform_schedule().steps == tuple(UniformBlend(a) for a in DEFAULT_UNIFORM_ALPHAS)
+    assert uniform_schedule().steps == tuple(PowerMask(1.0, a) for a in DEFAULT_UNIFORM_ALPHAS)
     assert [s.shape for s in power_schedule().steps] == list(DEFAULT_POWER_SHAPES)
     assert all(s.alpha == 0.75 for s in power_schedule().steps)
 
 
 def test_schedule_zero_alpha_is_identity():
     img = synthetic_portrait(16, 16)
-    outs = list(run_schedule(img, NoiseSchedule((UniformBlend(0.0),)), seed=8))
+    outs = list(run_schedule(img, NoiseSchedule((PowerMask(1.0, 0.0),)), seed=8))
     assert len(outs) == 1
     assert np.array_equal(outs[0].pixels, img.pixels)
 
 
 def test_schedule_all_zero_steps_identity_everywhere():
     img = synthetic_portrait(16, 16)
-    sched = NoiseSchedule(tuple(UniformBlend(0.0) for _ in range(4)))
+    sched = NoiseSchedule(tuple(PowerMask(1.0, 0.0) for _ in range(4)))
     for out in list(run_schedule(img, sched, seed=8)):
         assert np.array_equal(out.pixels, img.pixels)
 
@@ -171,7 +170,7 @@ def test_schedule_noises_original_not_chain():
     # per step but always blends the ORIGINAL image: expected distance from
     # the original is the same at each step
     img = flat_image(64, 64, 0.0)
-    sched = NoiseSchedule(tuple(UniformBlend(0.5) for _ in range(3)))
+    sched = NoiseSchedule(tuple(PowerMask(1.0, 0.5) for _ in range(3)))
     outs = list(run_schedule(img, sched, seed=11))
     means = [image_stats(o)[0] for o in outs]
     for m in means:

@@ -2,12 +2,14 @@
 
 import math
 import struct
+from argparse import Namespace
 from collections import Counter
 from dataclasses import fields, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from regulab.cli import _csv
 from regulab.relation import (
     ClosedLoopRelation,
     DestroyedVarietyError,
@@ -29,8 +31,11 @@ from regulab.variety import StateSet
 
 
 def csv_text(traj):
-    """``trajectory_to_csv``'s chunks joined and decoded."""
-    return b"".join(trajectory_to_csv(traj)).decode("utf-8")
+    """The CSV ``regulab relation`` writes of ``traj``'s columns, as
+    ``cli._csv`` writes it, with no ``# params:`` line."""
+    head, *rows = _csv(Namespace(), "tick,s_state,r_state,output,error,phi,rho",
+                       *trajectory_to_csv(traj))
+    return head.partition("\n")[2] + b"".join(rows).decode("utf-8")
 
 
 def identity_relation(goal=lambda y: y == 0.0):

@@ -204,3 +204,21 @@ def test_every_returned_field_is_read_or_kept_for_a_reason():
               for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
               if read[stmt.target.id] == attributes_read(cls)[stmt.target.id]}
     assert unread == set(KEPT_FIELDS)
+
+
+def imported(module):
+    """The last part of every module name and imported name in ``module``'s
+    imports: ``from . import csvtext`` and ``from .csvtext import rows`` both
+    give ``csvtext``."""
+    for n in ast.walk(module):
+        if isinstance(n, ast.ImportFrom) and n.module:
+            yield n.module.rsplit(".", 1)[-1]
+        if isinstance(n, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name.rsplit(".", 1)[-1] for alias in n.names)
+
+
+def test_only_the_cli_imports_the_csv_writer():
+    # One CSV path: every table is written through cli._csv.
+    importers = {path.name for path, module in sources()
+                 if path.parent == PACKAGE and "csvtext" in imported(module)}
+    assert importers == {"cli.py"}
