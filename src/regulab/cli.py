@@ -288,20 +288,22 @@ def _cmd_demo(a) -> tuple[Files, dict]:
 
     from . import demos
     if a.which == "gd":
-        traj, error, annotation = demos.gd_regulate((a.tx, a.ty), (a.x0, a.y0), a.lr, a.iters)
+        traj, error = demos.gd_regulate((a.tx, a.ty), (a.x0, a.y0), a.lr, a.iters)
+        roles = demos.GD_ROLES
         table = _csv(a, "iter,x0,x1,error", range(len(traj)), *traj.T, error, tx=None, ty=None,
                      y0=None, target=f"{a.tx};{a.ty}", x0=f"{a.x0};{a.y0}")
     else:
         cfg = demos.QConfig(width=w, height=h, goal_cell=(w - 1, h - 1),
                             episodes=a.episodes, exploration=a.epsilon)
-        policy, q, annotation = demos.q_regulate(cfg, a.seed)
+        policy, q = demos.q_regulate(cfg, a.seed)
+        roles = demos.Q_ROLES
         cells = sorted(policy)
         xy = np.array(cells, dtype=np.int64).reshape(-1, 2).T  # rows x and y
         name = [demos.ACTION_NAMES[policy[c]] for c in cells]
         table = _csv(a, "x,y,greedy_action,value", *xy, name, np.array([q[c].max() for c in cells]))
     roles_path = a.output.with_name(a.output.stem + "_roles.jsonl")
     lines = [json.dumps({"component": comp, "role": role, "interpretive": True},
-                        sort_keys=True) for comp, role in sorted(annotation.assignments.items())]
+                        sort_keys=True) for comp, role in sorted(roles.items())]
     return [(a.output, table), (roles_path, ["\n".join(lines) + "\n"])], {}
 
 
@@ -393,7 +395,7 @@ _REQUIRED = object()
 
 # Work budgets of the count flags that size a run, so a run too large for the
 # host is refused before it starts. At its bound, on a 2-vCPU Xeon:
-MAX_TICKS = 10**6  # relation: 2.3-2.9 s, 129 MB
+MAX_TICKS = 10**6  # relation: 2.3-2.9 s, 122 MB
 MAX_PID_STEPS = 10**7  # 5-5.5 s, 261 MB
 MAX_GD_ITERS = 10**6  # demo gd: 1.4 s, 55 MB
 MAX_SERIES = 10**7  # avalanche --n, --factor: 2.3-8.1 s, 114-302 MB; bursts at gaps 1..1 344 MB

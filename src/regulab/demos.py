@@ -1,10 +1,10 @@
 """Two toy optimizers annotated as regulators.
 
 Gradient descent on the quadratic bowl f(x) = 0.5 * ||x - target||^2 and
-tabular Q-learning on a deterministic gridworld, each returned together
-with a role annotation naming which algorithm component plays which part
-of a closed-loop regulation motif (system, regulator, internal model,
-disturbance, goal, output domain, feedback leg). The assignments are an
+tabular Q-learning on a deterministic gridworld. ``GD_ROLES`` and
+``Q_ROLES`` name which component of each plays which part of a closed-loop
+regulation motif (system, regulator, internal model, disturbance, goal,
+output domain, feedback leg). The assignments are fixed, they are an
 interpretation, and the CLI marks each one as such.
 """
 
@@ -18,18 +18,10 @@ import numpy as np
 from .rng import SplitMix64
 
 ROLES = ("S", "R", "M", "D", "G", "Z", "feedback", "feedforward")
-
-
-@dataclass(frozen=True)
-class RoleAnnotation:
-    """One regulation role per named algorithm component."""
-
-    assignments: dict[str, str]
-
-    def __post_init__(self) -> None:
-        for comp, role in self.assignments.items():
-            if role not in ROLES:
-                raise ValueError(f"component {comp!r} assigned unknown role {role!r}")
+GD_ROLES = {"objective_landscape": "S", "update_rule": "R", "gradient_evaluation": "feedback",
+            "iterate": "Z", "target": "G"}
+Q_ROLES = {"environment": "S", "q_update": "R", "q_table": "M", "exploration_draws": "D",
+           "goal_cell": "G"}
 
 
 class GdDivergenceError(ValueError):
@@ -45,7 +37,7 @@ def gd_regulate(
     x0: tuple[float, float],
     lr: float,
     iters: int,
-) -> tuple[np.ndarray, np.ndarray, RoleAnnotation]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Gradient descent on 0.5 * ||x - target||^2.
 
     x_{k+1} = x_k - lr * (x_k - target); the contraction factor is |1 - lr|,
@@ -53,7 +45,7 @@ def gd_regulate(
     lr that is not > 0 (NaN included). One loop on Python floats fills the
     iterate trajectory, shape (iters + 1, 2), including x0, and the error
     column ||x_k - target|| by ``math.hypot`` (``np.hypot`` calls libm, which
-    may round differently). Returns (trajectory, error, role annotation).
+    may round differently). Returns (trajectory, error).
     ``GdOverflowError`` names the first iterate whose gradient x_k - target
     is not finite or, when every gradient is, the first error that is not.
     """
@@ -78,16 +70,7 @@ def gd_regulate(
         x, y = x - lr * gx, y - lr * gy
     if (bad := np.flatnonzero(~np.isfinite(error))).size:
         raise GdOverflowError(f"error is not finite at iteration {bad[0]}")
-    annotation = RoleAnnotation(
-        assignments={
-            "objective_landscape": "S",
-            "update_rule": "R",
-            "gradient_evaluation": "feedback",
-            "iterate": "Z",
-            "target": "G",
-        }
-    )
-    return traj, error, annotation
+    return traj, error
 
 
 MAX_CELLS = 100_000  # per grid: its tables are lists with one entry per cell
@@ -150,10 +133,10 @@ def _argmax(values: list[float]) -> int:
 
 def q_regulate(
     cfg: QConfig, seed: int
-) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], np.ndarray], RoleAnnotation]:
+) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], np.ndarray]]:
     """Tabular Q-learning, epsilon-greedy with a fixed epsilon.
 
-    Returns (greedy policy, Q table, role annotation); the policy maps every
+    Returns (greedy policy, Q table); the policy maps every
     non-goal cell to the greedy action index after the configured number of
     episodes. The table is learned as lists of floats indexed by cell
     number, row-major from the top-left corner.
@@ -187,14 +170,5 @@ def q_regulate(
                 break
 
     policy = {c: _argmax(q[i]) for i, c in enumerate(cells) if i != goal}
-    annotation = RoleAnnotation(
-        assignments={
-            "environment": "S",
-            "q_update": "R",
-            "q_table": "M",
-            "exploration_draws": "D",
-            "goal_cell": "G",
-        }
-    )
-    return policy, {c: np.array(q[i]) for i, c in enumerate(cells)}, annotation
+    return policy, {c: np.array(q[i]) for i, c in enumerate(cells)}
 

@@ -140,22 +140,22 @@ class ReachLearner:
 
 
 TRACKING_GAIN = 12.0  # stiffness pulling the hand's velocity back to the desired one
+REACH_STEPS, REACH_DT = 60, 0.01  # Euler steps of one reach, and their length in seconds
 
 
-def run_trial(l: ReachLearner, f: CurlField, start: np.ndarray, target: np.ndarray, steps: int,
-              dt: float, kicks: list[float] | None = None) -> tuple[ReachLearner, float]:
-    """One reach. Returns the post-trial learner (fast process decayed) and
-    the trial error: the mean deviation of the hand from the straight-path
-    position schedule. Deviation is measured against the moving desired
-    position, not just the path line, so collinear (0 or 180 degree) field
-    perturbations register in the error exactly like orthogonal ones.
+def run_trial(l: ReachLearner, f: CurlField, start: np.ndarray, target: np.ndarray,
+              kicks: list[float] | None = None) -> tuple[ReachLearner, float]:
+    """One reach of ``REACH_STEPS`` Euler steps of ``REACH_DT`` seconds.
+    Returns the post-trial learner (fast process decayed) and the trial
+    error: the mean deviation of the hand from the straight-path position
+    schedule. Deviation is measured against the moving desired position, not
+    just the path line, so collinear (0 or 180 degree) field perturbations
+    register in the error exactly like orthogonal ones.
 
-    ``kicks``, if given, holds ``2 * steps`` floats: step k adds
+    ``kicks``, if given, holds ``2 * REACH_STEPS`` floats: step k adds
     ``kicks[2k]`` and ``kicks[2k + 1]`` to the felt force's two axes (the
     delta rule's input, not the hand's dynamics). None kicks nothing."""
-    if steps < 1:
-        raise ValueError(f"need at least 1 step, got {steps}")
-    check_dt(dt)
+    steps, dt = REACH_STEPS, REACH_DT
     if kicks is not None and len(kicks) != 2 * steps:
         raise ValueError(f"{steps} steps need {2 * steps} kicks, got {len(kicks)}")
     px, py = np.asarray(start, dtype=float).tolist()
@@ -285,9 +285,9 @@ def run_lur(l: ReachLearner, sched: LurSchedule, noise: float = 0.0, gain: float
             seed: int = 0) -> LurResult:
     """Run the phase schedule with learner state carried across phases.
 
-    Each trial is a unit-length reach at constant desired velocity, 60 Euler
-    steps of 0.01 s, with ``TRACKING_GAIN`` pulling the hand's velocity back
-    to that profile. ``noise`` (finite, >= 0) scales a
+    Each trial is a unit-length reach at constant desired velocity,
+    ``REACH_STEPS`` Euler steps of ``REACH_DT`` s, with ``TRACKING_GAIN``
+    pulling the hand's velocity back to that profile. ``noise`` (finite, >= 0) scales a
     uniform disturbance on the felt residual force; 0 keeps the dynamics fully
     deterministic. Reach directions cycle through 8 around the circle
     (center-out), which keeps the compensator excited in both dimensions.
@@ -304,15 +304,16 @@ def run_lur(l: ReachLearner, sched: LurSchedule, noise: float = 0.0, gain: float
             for k in range(8)]
     curves: list[tuple[float, ...]] = []
     trial_index = 0
+    n_kicks = 2 * REACH_STEPS  # a trial's kicks, one per axis and step
     for angle, trials in sched.phases:
         fld = CurlField(gain=gain, angle=angle)
         errs: list[float] = []
         for first in range(0, trials, _KICK_BLOCK):
             block = min(_KICK_BLOCK, trials - first)
-            kicks = (noise * (2.0 * rng.floats(120 * block) - 1.0)).tolist() if noise else None
+            kicks = (noise * (2.0 * rng.floats(n_kicks * block) - 1.0)).tolist() if noise else None
             for i in range(block):
-                l, err = run_trial(l, fld, origin, dirs[trial_index % 8], 60, 0.01,
-                                   kicks=kicks and kicks[120 * i : 120 * i + 120])
+                l, err = run_trial(l, fld, origin, dirs[trial_index % 8],
+                                   kicks=kicks and kicks[n_kicks * i : n_kicks * (i + 1)])
                 errs.append(err)
                 trial_index += 1
         curves.append(tuple(errs))

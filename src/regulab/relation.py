@@ -18,7 +18,8 @@ Disturbances arrive as a pair per tick: one symbol for the system channel
 channel is data only: it is carried in the trajectory's ``rho`` column and
 changes nothing the regulator sees.
 
-Everything is a frozen value; stepping returns a new relation. A run is
+The relation and its parts are frozen values; stepping returns a new
+relation, and its trajectory keeps the lists the run filled. A run is
 therefore a pure function of (relation, disturbance stream, tick count),
 and serialized trajectories are byte-for-byte reproducible.
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Collection, Hashable, Optional
+from typing import Callable, Collection, Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -121,31 +122,23 @@ class InternalModel:
         return {s: c / total for s, c in counts.items()}
 
 
-class LoopMode:
-    CLOSED = "closed"
-    FEEDFORWARD = "feedforward"
-
-
 @dataclass(frozen=True)
 class ClosedLoopRelation:
-    """System and regulator coupled on a common domain, with an optional
-    internal model, a goal predicate over outputs, and a loop mode."""
+    """System and regulator coupled on a common domain, with an internal
+    model or None, a goal predicate over outputs, a loop mode ("closed" or
+    "feedforward") and the states the system and the regulator start in."""
 
     system: DiscreteSystem
     regulator: Regulator
     goal: Callable[[float], bool]
-    mode: str = LoopMode.CLOSED
-    model: Optional[InternalModel] = None
-    s_state: Symbol = None
-    r_state: Symbol = None
+    mode: str
+    model: Optional[InternalModel]
+    s_state: Symbol
+    r_state: Symbol
 
     def __post_init__(self) -> None:
-        if self.mode not in (LoopMode.CLOSED, LoopMode.FEEDFORWARD):
+        if self.mode not in ("closed", "feedforward"):
             raise ValueError(f"unknown loop mode: {self.mode!r}")
-        if self.s_state is None:
-            object.__setattr__(self, "s_state", self.system.states.labels[0])
-        if self.r_state is None:
-            object.__setattr__(self, "r_state", self.regulator.states.labels[0])
         if self.s_state not in self.system.states:
             raise ValueError(f"initial system state {self.s_state!r} unknown")
         if self.r_state not in self.regulator.states:
@@ -156,12 +149,12 @@ class ClosedLoopRelation:
 class Trajectory:
     """One column per field of a tick; row k is tick k."""
 
-    s_state: tuple[Symbol, ...]
-    r_state: tuple[Symbol, ...]
-    output: tuple[float, ...]
-    error: tuple[float, ...]
-    phi: tuple[Symbol, ...]
-    rho: tuple[Symbol, ...]
+    s_state: Sequence[Symbol]
+    r_state: Sequence[Symbol]
+    output: Sequence[float]
+    error: Sequence[float]
+    phi: Sequence[Symbol]
+    rho: Sequence[Symbol]
 
     def __post_init__(self) -> None:
         lengths = [len(getattr(self, f.name)) for f in fields(self)]
@@ -201,7 +194,7 @@ def run_relation_carry(
     emission, transition, idle = system.emission, system.transition, system.idle_input
     policy, observations = regulator.policy, regulator.observations
     goal = rel.goal
-    feedback = rel.mode == LoopMode.CLOSED
+    feedback = rel.mode == "closed"
     s_state, r_state = rel.s_state, rel.r_state
     columns = s_col, r_col, out_col, err_col, phi_col, rho_col = [], [], [], [], [], []
     for k in range(T):
@@ -221,11 +214,11 @@ def run_relation_carry(
     if (model := rel.model) is not None:
         h = model.horizon
         model = replace(model, window=(model.window + tuple(s_col[-h:]))[-h:])
-    traj = Trajectory(*map(tuple, columns))
+    traj = Trajectory(*columns)
     return traj, replace(rel, s_state=s_state, r_state=r_state, model=model)
 
 
-def _bin_outputs(outputs: tuple[float, ...], bins: int) -> np.ndarray:
+def _bin_outputs(outputs: Sequence[float], bins: int) -> np.ndarray:
     """The equal-width bin, in [0, bins), of each output over their range."""
     y = np.asarray(outputs, dtype=float)
     lo, hi = float(y.min()), float(y.max())
@@ -292,7 +285,7 @@ def trajectory_to_csv(traj: Trajectory) -> tuple:
     rho``, built in that order: the ticks, ``output`` and ``error`` as float
     arrays, and the symbols as text, whatever their types."""
 
-    def text(column: tuple) -> list[str]:  # as "{}" writes it, a float symbol too
+    def text(column: Sequence) -> list[str]:  # as "{}" writes it, a float symbol too
         return list(map(format, column))
 
     return (range(len(traj)), text(traj.s_state), text(traj.r_state),
@@ -300,7 +293,7 @@ def trajectory_to_csv(traj: Trajectory) -> tuple:
             text(traj.phi), text(traj.rho))
 
 
-def toggle_benchmark(mode: str = LoopMode.CLOSED) -> ClosedLoopRelation:
+def toggle_benchmark(mode: str = "closed") -> ClosedLoopRelation:
     """Two-state benchmark: the system flips state every tick unless the
     regulator pins it, and the goal is output 0. Closed loop reaches the
     goal within two ticks; feedforward oscillates forever."""

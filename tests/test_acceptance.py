@@ -246,7 +246,7 @@ def test_criterion_09_procedural_learning():
         for k in range(8)
     ]
     for t in range(400):
-        learner, _ = run_trial(learner, fld, np.zeros(2), dirs[t % 8], 60, 0.01)
+        learner, _ = run_trial(learner, fld, np.zeros(2), dirs[t % 8])
     ok &= bool(np.linalg.norm(learner.comp - fld.matrix) < 1e-3)
     report(9, "interference 20/20, savings negative >= 16/20, delta rule converges", ok)
 
@@ -279,16 +279,16 @@ def test_criterion_10_cmyk_vehicle():
 
 
 def test_criterion_11_demos():
-    traj, _, _ = gd_regulate((4.0, -1.0), (0.0, 0.0), lr=1.0, iters=3)
+    traj, _ = gd_regulate((4.0, -1.0), (0.0, 0.0), lr=1.0, iters=3)
     ok = traj[1].tolist() == [4.0, -1.0]
 
     target = np.array([1.0, 2.0])
-    traj, _, _ = gd_regulate((1.0, 2.0), (9.0, -6.0), lr=0.5, iters=16)
+    traj, _ = gd_regulate((1.0, 2.0), (9.0, -6.0), lr=0.5, iters=16)
     dists = np.linalg.norm(traj - target, axis=1)
     ok &= all(dists[k] == dists[0] * 0.5**k for k in range(1, 17))
 
     cfg = three_by_three()
-    policy, _, _ = q_regulate(cfg, seed=7)
+    policy, _ = q_regulate(cfg, seed=7)
     ok &= policy == value_iteration_policy(cfg)
     report(11, "gradient descent closed forms, Q-learning matches oracle", ok)
 

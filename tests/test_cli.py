@@ -557,8 +557,12 @@ def test_count_too_large_to_index_is_one_line_usage_error(tmp_path, capsys, argv
      "shape (10000000,) and data type float64"),
     # Rows piling up raise a MemoryError with no text, partway through the
     # run. Its traceback once kept them alive, so the message could not be
-    # printed either: 15 lines with two tracebacks.
-    *[(["relation", "--ticks", "1000000"], mib, "out of memory") for mib in (32, 64, 96)],
+    # printed either: 15 lines with two tracebacks. With 64 MiB the ticks
+    # finish, and numpy cannot allocate the output column's array.
+    (["relation", "--ticks", "1000000"], 32, "out of memory"),
+    (["relation", "--ticks", "1000000"], 64, "Unable to allocate 7.63 MiB for an array with "
+     "shape (1000000,) and data type float64"),
+    (["relation", "--ticks", "1000000"], 96, "out of memory"),
 ])
 def test_run_out_of_memory_is_one_line_runtime_error(tmp_path, argv, headroom_mib, reason):
     code, err, _ = run_regulab([*argv, "--seed", "0", "-o", "x.csv"], tmp_path,
@@ -977,10 +981,9 @@ def test_threshold_memory_grows_by_few_bytes_a_value(tmp_path):
 
 
 def test_relation_at_its_bound_holds_columns_not_rows(tmp_path):
-    # Six columns of 8 MB each, held as lists while the ticks run and as
-    # tuples after, then the writer's text lists, over an import of about
-    # 30 MB. A tuple a tick and the CSV joined into one string once peaked
-    # at 244 MB.
+    # Six columns of 8 MB each, held as the lists the ticks fill, then the
+    # writer's text lists, over an import of about 30 MB. A tuple a tick
+    # and the CSV joined into one string once peaked at 244 MB.
     argv = ["relation", "--ticks", MAX_TICKS, "--seed", 0, "-o", "r.csv"]
     code, err, peak = run_regulab(argv, tmp_path, timeout=120)
     assert code == 0, err

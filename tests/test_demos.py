@@ -12,6 +12,7 @@ from regulab.demos import (
     ACTION_NAMES,
     ACTIONS,
     DISCOUNT,
+    GD_ROLES,
     GOAL_REWARD,
     LEARN_RATE,
     STEP_REWARD,
@@ -19,8 +20,9 @@ from regulab.demos import (
     GdOverflowError,
     MAX_CELLS,
     MAX_Q_STEPS,
+    Q_ROLES,
     QConfig,
-    RoleAnnotation,
+    ROLES,
     _grid_step,
     gd_regulate,
     q_regulate,
@@ -33,21 +35,21 @@ from test_rng import ScalarMix
 
 
 def test_gd_lr_one_converges_in_one_step():
-    traj, _, _ = gd_regulate((3.0, -2.0), (10.0, 10.0), lr=1.0, iters=5)
+    traj, _ = gd_regulate((3.0, -2.0), (10.0, 10.0), lr=1.0, iters=5)
     assert traj[1].tolist() == [3.0, -2.0]
     assert np.all(traj[1:] == traj[1])
 
 
 def test_gd_lr_half_halves_error_exactly():
     target = np.array([1.0, 1.0])
-    traj, _, _ = gd_regulate((1.0, 1.0), (5.0, -3.0), lr=0.5, iters=20)
+    traj, _ = gd_regulate((1.0, 1.0), (5.0, -3.0), lr=0.5, iters=20)
     dists = np.linalg.norm(traj - target, axis=1)
     for k in range(1, 21):
         assert dists[k] == dists[0] * 0.5**k
 
 
 def test_gd_oscillating_convergence_below_two():
-    traj, _, _ = gd_regulate((0.0, 0.0), (1.0, 0.0), lr=1.9, iters=200)
+    traj, _ = gd_regulate((0.0, 0.0), (1.0, 0.0), lr=1.9, iters=200)
     dists = np.linalg.norm(traj, axis=1)
     # contraction factor |1 - 1.9| = 0.9, sign alternates
     assert dists[-1] < 1e-6
@@ -56,7 +58,7 @@ def test_gd_oscillating_convergence_below_two():
 
 def test_gd_error_monotone_for_stable_rates():
     for lr in (0.1, 0.9, 1.5, 1.99):
-        traj, _, _ = gd_regulate((2.0, 2.0), (-1.0, 4.0), lr=lr, iters=50)
+        traj, _ = gd_regulate((2.0, 2.0), (-1.0, 4.0), lr=lr, iters=50)
         dists = np.linalg.norm(traj - np.array([2.0, 2.0]), axis=1)
         assert np.all(np.diff(dists) <= 1e-15)
 
@@ -130,24 +132,23 @@ def test_gd_matches_the_numpy_reference_bit_for_bit(target, x0, lr, iters):
             gd_regulate(target, x0, lr, iters)
         assert str(got.value) == str(exc)
         return
-    traj, error, _ = gd_regulate(target, x0, lr, iters)
+    traj, error = gd_regulate(target, x0, lr, iters)
     assert traj.tobytes() == want_traj.tobytes()
     assert error.tobytes() == want_error.tobytes()
 
 
 def test_gd_role_annotation_total():
-    _, _, ann = gd_regulate((0.0, 0.0), (1.0, 1.0), lr=0.5, iters=1)
-    assert set(ann.assignments) == {
+    assert set(GD_ROLES) == {
         "objective_landscape", "update_rule", "gradient_evaluation", "iterate", "target",
     }
-    assert ann.assignments["objective_landscape"] == "S"
-    assert ann.assignments["update_rule"] == "R"
-    assert ann.assignments["gradient_evaluation"] == "feedback"
+    assert GD_ROLES["objective_landscape"] == "S"
+    assert GD_ROLES["update_rule"] == "R"
+    assert GD_ROLES["gradient_evaluation"] == "feedback"
 
 
-def test_role_annotation_rejects_unknown_role():
-    with pytest.raises(ValueError):
-        RoleAnnotation(assignments={"thing": "X"})
+def test_every_assigned_role_is_a_known_role():
+    for roles in (GD_ROLES, Q_ROLES):
+        assert set(roles.values()) <= set(ROLES)
 
 
 # --- Q-learning ------------------------------------------------------------------
@@ -194,13 +195,13 @@ def value_iteration_policy(
 
 def test_q_one_by_one_grid_trivial():
     cfg = QConfig(width=1, height=1, goal_cell=(0, 0), episodes=10)
-    policy, q, _ = q_regulate(cfg, seed=0)
+    policy, q = q_regulate(cfg, seed=0)
     assert policy == {}
 
 
 def test_q_matches_value_iteration_oracle():
     cfg = three_by_three()
-    policy, _, _ = q_regulate(cfg, seed=7)
+    policy, _ = q_regulate(cfg, seed=7)
     oracle = value_iteration_policy(cfg)
     assert policy == oracle
 
@@ -216,7 +217,7 @@ def test_q_epsilon_zero_optimistic_init_converges():
     # A table of 0 is optimistic: every return is negative, so a greedy
     # learner still tries each action.
     cfg = QConfig(width=3, height=3, goal_cell=(2, 2), exploration=0.0, episodes=5000)
-    policy, q, _ = q_regulate(cfg, seed=3)
+    policy, q = q_regulate(cfg, seed=3)
     assert policy == value_iteration_policy(cfg)
     bound = max(STEP_REWARD, GOAL_REWARD) / (1.0 - DISCOUNT)
     for values in q.values():
@@ -225,7 +226,7 @@ def test_q_epsilon_zero_optimistic_init_converges():
 
 def test_q_values_bounded():
     cfg = three_by_three()
-    _, q, _ = q_regulate(cfg, seed=11)
+    _, q = q_regulate(cfg, seed=11)
     bound = max(STEP_REWARD, GOAL_REWARD) / (1.0 - DISCOUNT)
     for values in q.values():
         assert np.all(values <= bound + 1e-9)
@@ -236,14 +237,13 @@ def test_q_myopic_discount_zero(monkeypatch):
     # of one step, so the cells next to the goal step straight onto it.
     monkeypatch.setattr(demos, "DISCOUNT", 0.0)
     cfg = QConfig(width=3, height=3, goal_cell=(2, 2), exploration=0.3, episodes=4000)
-    policy, _, _ = q_regulate(cfg, seed=5)
+    policy, _ = q_regulate(cfg, seed=5)
     assert ACTION_NAMES[policy[(1, 2)]] == "E"
     assert ACTION_NAMES[policy[(2, 1)]] == "S"
 
 
 def test_q_role_annotation():
-    _, _, ann = q_regulate(three_by_three(), seed=1)
-    assert ann.assignments == {
+    assert Q_ROLES == {
         "environment": "S",
         "q_update": "R",
         "q_table": "M",
@@ -321,7 +321,7 @@ def test_q_matches_numpy_reference_bit_for_bit(seed):
     w, h = (int(n) for n in r.integers(2, 7, 2))
     cfg = QConfig(width=w, height=h, goal_cell=(int(r.integers(w)), int(r.integers(h))),
                   exploration=float(r.uniform(0, 0.5)), episodes=300)
-    policy, q, _ = q_regulate(cfg, seed)
+    policy, q = q_regulate(cfg, seed)
     want = reference_q_table(cfg, seed)
     assert sorted(q) == sorted(want)
     for cell in q:
@@ -380,7 +380,7 @@ def q_draws_match_scalar_draws(cfg, seed, monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(demos, "SplitMix64", Recorded)
-    _, q, _ = q_regulate(cfg, seed)
+    _, q = q_regulate(cfg, seed)
     got, = made
     rng = ScalarMix(seed)
     want = scalar_q_regulate(cfg, rng)

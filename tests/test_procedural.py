@@ -170,14 +170,14 @@ def test_reach_learner_rejects_a_slow_rate_not_finite_and_nonnegative(slow_rate)
 
 
 def test_null_field_null_learner_zero_error():
-    _, err = run_trial(ReachLearner(), CurlField(0.0, 0.0), ORIGIN, EAST, 60, 0.01)
+    _, err = run_trial(ReachLearner(), CurlField(0.0, 0.0), ORIGIN, EAST)
     assert err == 0.0
 
 
 def test_perfect_compensation_zero_error():
     f = CurlField(gain=1.3, angle=90.0)
     learner = ReachLearner(fast=f.matrix.copy(), slow=np.zeros((2, 2)))
-    _, err = run_trial(learner, f, ORIGIN, EAST, 60, 0.01)
+    _, err = run_trial(learner, f, ORIGIN, EAST)
     assert err == 0.0
 
 
@@ -186,7 +186,7 @@ def test_repeated_trials_strictly_decrease_until_small():
     f = CurlField(gain=1.0, angle=90.0)
     errs = []
     for _ in range(50):
-        learner, err = run_trial(learner, f, ORIGIN, EAST, 60, 0.01)
+        learner, err = run_trial(learner, f, ORIGIN, EAST)
         errs.append(err)
     above = [e for e in errs if e > 1e-3]
     assert all(b < a for a, b in zip(above, above[1:]))
@@ -195,9 +195,7 @@ def test_repeated_trials_strictly_decrease_until_small():
 
 def test_run_trial_validation():
     with pytest.raises(ValueError):
-        run_trial(ReachLearner(), CurlField(1.0, 0.0), ORIGIN, ORIGIN, 60, 0.01)
-    with pytest.raises(ValueError):
-        run_trial(ReachLearner(), CurlField(1.0, 0.0), ORIGIN, EAST, 0, 0.01)
+        run_trial(ReachLearner(), CurlField(1.0, 0.0), ORIGIN, ORIGIN)
 
 
 @pytest.mark.parametrize("noise", [-0.02, -math.inf, math.nan, math.inf])
@@ -211,7 +209,7 @@ def test_run_lur_rejects_a_noise_not_finite_and_nonnegative(monkeypatch, noise):
 @pytest.mark.parametrize("count", [0, 119, 121])
 def test_run_trial_rejects_kicks_not_two_per_step(count):
     with pytest.raises(ValueError, match=f"60 steps need 120 kicks, got {count}"):
-        run_trial(ReachLearner(), CurlField(1.0, 0.0), ORIGIN, EAST, 60, 0.01, kicks=[0.0] * count)
+        run_trial(ReachLearner(), CurlField(1.0, 0.0), ORIGIN, EAST, kicks=[0.0] * count)
 
 
 NOT_POSITIVE_FINITE = [0.0, -0.01, math.nan, math.inf]
@@ -219,8 +217,6 @@ NOT_POSITIVE_FINITE = [0.0, -0.01, math.nan, math.inf]
 
 @pytest.mark.parametrize("dt", NOT_POSITIVE_FINITE)
 def test_step_size_must_be_positive_and_finite(dt):
-    with pytest.raises(ValueError, match="dt"):
-        run_trial(ReachLearner(), CurlField(1.0, 0.0), ORIGIN, EAST, 60, dt)
     field = equilateral_field()
     with pytest.raises(ValueError, match="dt"):
         vehicle_step(fixture_vehicle(field), field, dt)
@@ -282,7 +278,7 @@ def test_run_trial_matches_numpy_reference_bit_for_bit(seed):
     noise = (0.0, 0.02, 0.5)[seed % 3]
     rngs = SplitMix64(seed), SplitMix64(seed)
     kicks = (noise * (2.0 * rngs[0].floats(120) - 1.0)).tolist() if noise else None
-    got_l, got = run_trial(learner, f, start, target, 60, 0.01, kicks)
+    got_l, got = run_trial(learner, f, start, target, kicks)
     want_l, want = reference_run_trial(learner, f, start, target, 60, 0.01, noise, rngs[1])
     assert got == want
     assert got_l.fast.tobytes() == want_l.fast.tobytes()
@@ -300,7 +296,7 @@ def test_delta_rule_converges_to_field_matrix():
             for k in range(8)
         ]
         for t in range(400):
-            learner, _ = run_trial(learner, f, ORIGIN, dirs[t % 8], 60, 0.01)
+            learner, _ = run_trial(learner, f, ORIGIN, dirs[t % 8])
         assert np.linalg.norm(learner.comp - f.matrix) < 1e-3
 
 
@@ -314,7 +310,7 @@ def test_rotational_equivariance():
         learner = ReachLearner(rate=0.1, slow_rate=0.01)
         start = rot @ np.array([0.1, 0.2])
         target = rot @ np.array([1.1, 0.2])
-        _, err = run_trial(learner, f, start, target, 60, 0.01)
+        _, err = run_trial(learner, f, start, target)
         return err
 
     base = trial_err(0.0)
@@ -360,7 +356,7 @@ def per_trial_run_lur(l, sched, noise, gain, rng):
         errs = []
         for _ in range(trials):
             kicks = (noise * (2.0 * rng.floats(120) - 1.0)).tolist() if noise > 0.0 else None
-            l, err = run_trial(l, fld, ORIGIN, dirs[t % 8], 60, 0.01, kicks=kicks)
+            l, err = run_trial(l, fld, ORIGIN, dirs[t % 8], kicks=kicks)
             errs.append(err)
             t += 1
         curves.append(tuple(errs))

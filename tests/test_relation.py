@@ -9,13 +9,12 @@ from dataclasses import fields, replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from regulab.cli import _csv
+from regulab.cli import _COMMANDS, _csv
 from regulab.relation import (
     ClosedLoopRelation,
     DestroyedVarietyError,
     DiscreteSystem,
     InternalModel,
-    LoopMode,
     Regulator,
     Trajectory,
     _bin_outputs,
@@ -52,7 +51,8 @@ def identity_relation(goal=lambda y: y == 0.0):
         observations=frozenset({0.0}),
         policy=lambda y, r: ("r", "idle"),
     )
-    return ClosedLoopRelation(system=system, regulator=regulator, goal=goal)
+    return ClosedLoopRelation(system=system, regulator=regulator, goal=goal, mode="closed",
+                              model=None, s_state="only", r_state="r")
 
 
 def outputs_trajectory(outputs):
@@ -82,7 +82,7 @@ def test_identity_system_stays_at_fixed_point():
 def test_toggle_closed_loop_reaches_goal_within_two_ticks():
     # Hand enumeration: s1 emits 1 (error 1); regulator answers "correct",
     # forcing s0; from tick 1 on the output is 0 and stays there.
-    rel = toggle_benchmark(mode=LoopMode.CLOSED)
+    rel = toggle_benchmark(mode="closed")
     traj = run_relation(rel, [("kick", "-")] * 8, 8)
     errors = list(traj.error)
     assert errors[0] == 1.0
@@ -92,7 +92,7 @@ def test_toggle_closed_loop_reaches_goal_within_two_ticks():
 
 
 def test_toggle_feedforward_oscillates_forever():
-    rel = toggle_benchmark(mode=LoopMode.FEEDFORWARD)
+    rel = toggle_benchmark(mode="feedforward")
     traj = run_relation(rel, [("kick", "-")] * 9, 9)
     assert list(traj.output) == [1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
 
@@ -101,7 +101,7 @@ def test_feedforward_isolation():
     # In feedforward mode the system state sequence is a pure function of
     # (initial state, system disturbances): swap in a trivial regulator and
     # the system trajectory is unchanged.
-    rel = toggle_benchmark(mode=LoopMode.FEEDFORWARD)
+    rel = toggle_benchmark(mode="feedforward")
     lazy = Regulator(
         states=StateSet(("z",)),
         observations=frozenset({0.0, 1.0}),
@@ -112,6 +112,23 @@ def test_feedforward_isolation():
     a = run_relation(rel, stream, 12).s_state
     b = run_relation(rel_lazy, stream, 12).s_state
     assert a == b
+
+
+RELATION_MODES = next(kind for name, kind, *_ in _COMMANDS[("relation",)][2] if name == "mode")
+
+
+def test_every_cli_mode_word_builds_a_relation():
+    # The CLI parses before it imports this module, so it keeps its own
+    # copy of the two words.
+    for mode in RELATION_MODES:
+        assert toggle_benchmark(mode).mode == mode
+
+
+@given(st.one_of(st.text(), st.sampled_from(["open", "Closed", "closed ", "feed-forward"]))
+       .filter(lambda word: word not in RELATION_MODES))
+def test_a_relation_refuses_any_other_mode_word(word):
+    with pytest.raises(ValueError, match="unknown loop mode"):
+        toggle_benchmark(word)
 
 
 def test_observation_outside_range_raises_structured_error():
@@ -128,7 +145,8 @@ def test_observation_outside_range_raises_structured_error():
         observations=frozenset({0.0}),
         policy=lambda y, r: ("r", "idle"),
     )
-    rel = ClosedLoopRelation(system=system, regulator=regulator, goal=lambda y: True)
+    rel = ClosedLoopRelation(system=system, regulator=regulator, goal=lambda y: True,
+                             mode="closed", model=None, s_state="s", r_state="r")
     with pytest.raises(DestroyedVarietyError) as exc_info:
         run_relation_carry(rel, [("-", "-")], 1)
     assert exc_info.value.symbol == 42.0
@@ -138,7 +156,7 @@ def test_observation_outside_range_raises_structured_error():
 def test_regulator_disturbance_is_carried_and_changes_nothing():
     rel = toggle_benchmark()
     calm, flip = first_tick(rel, ("kick", "calm")), first_tick(rel, ("kick", "flip"))
-    assert flip.rho == ("flip",)
+    assert flip.rho == ["flip"]
     assert replace(flip, rho=calm.rho) == calm
 
 
@@ -190,7 +208,7 @@ def observe_state(model, s_state):
 
 
 def test_run_leaves_the_model_one_observe_state_per_tick_would():
-    rel = replace(toggle_benchmark(mode=LoopMode.FEEDFORWARD), model=InternalModel(horizon=5))
+    rel = replace(toggle_benchmark(mode="feedforward"), model=InternalModel(horizon=5))
     traj, final = run_relation_carry(rel, [("kick", "-")] * 12, 12)
     model = rel.model
     for s_state in traj.s_state:
